@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_cli.h"
 #include "src/crypto/aes_gcm.h"
 #include "src/crypto/aes_xts.h"
 #include "src/crypto/bytes.h"
@@ -22,6 +23,7 @@
 #include "src/crypto/sha256.h"
 #include "src/sim/simulation.h"
 #include "src/sim/time.h"
+#include "tests/oracle/p256_reference.h"
 
 namespace {
 
@@ -82,7 +84,10 @@ Row BackendRow(const std::string& name, size_t bytes, MakeFn&& make_fn) {
 int main(int argc, char** argv) {
   using namespace bolted::crypto;
 
-  const char* out_path = argc > 1 ? argv[1] : "BENCH_crypto.json";
+  const char* out_path =
+      bolted::bench::Cli("usage: bench_crypto_json [output-path]",
+                         "BENCH_crypto.json")
+          .Parse(argc, argv);
   std::vector<Row> rows;
 
   {
@@ -127,11 +132,13 @@ int main(int argc, char** argv) {
   cpu::SetForceScalar(false);
 
   // P-256 rows compare algorithms, not instruction sets: "scalar" is the
-  // pre-PR double-and-add ladder (the *Reference methods, kept verbatim)
-  // and "dispatched" is the comb/wNAF/Shamir fast path.  All are
-  // ops/second of one full operation.
+  // textbook double-and-add ladder (the test-only oracle in
+  // tests/oracle/p256_reference.h) and "dispatched" is the
+  // comb/wNAF/Shamir fast path.  All are ops/second of one full operation.
   {
     const P256& curve = P256::Instance();
+    const bolted::oracle::P256Reference& textbook =
+        bolted::oracle::P256Reference::Instance();
     Drbg drbg(uint64_t{5});
     const U256 priv = curve.PrivateKeyFromSeed(drbg.Generate(32));
     const EcPoint pub = curve.PublicKey(priv);
@@ -140,7 +147,7 @@ int main(int argc, char** argv) {
     const auto prepared = curve.Prepare(pub);
 
     Row sign{"ecdsa_p256_sign", "ops_per_second", 0, 0};
-    sign.scalar = MeasureRate([&] { curve.SignReference(priv, hash); });
+    sign.scalar = MeasureRate([&] { textbook.Sign(priv, hash); });
     sign.dispatched = MeasureRate([&] { curve.Sign(priv, hash); });
     rows.push_back(sign);
 
@@ -148,7 +155,7 @@ int main(int argc, char** argv) {
     // checks quotes from the same AIK every poll, so the key is prepared
     // once and the short four-table ladder runs per quote.
     Row verify{"ecdsa_p256_verify", "ops_per_second", 0, 0};
-    verify.scalar = MeasureRate([&] { curve.VerifyReference(pub, hash, sig); });
+    verify.scalar = MeasureRate([&] { textbook.Verify(pub, hash, sig); });
     verify.dispatched = MeasureRate([&] { curve.Verify(*prepared, hash, sig); });
     rows.push_back(verify);
 
@@ -192,7 +199,7 @@ int main(int argc, char** argv) {
     const U256 peer_priv = curve.PrivateKeyFromSeed(drbg.Generate(32));
     const EcPoint peer = curve.PublicKey(peer_priv);
     Row ecdh{"ecdh_p256", "ops_per_second", 0, 0};
-    ecdh.scalar = MeasureRate([&] { curve.SharedSecretReference(priv, peer); });
+    ecdh.scalar = MeasureRate([&] { textbook.SharedSecret(priv, peer); });
     ecdh.dispatched = MeasureRate([&] { curve.SharedSecret(priv, peer); });
     rows.push_back(ecdh);
   }

@@ -1,4 +1,5 @@
-// Simulation-kernel throughput: timing wheel vs the reference heap.
+// Simulation-kernel throughput on the timing wheel, plus switch
+// forwarding throughput: the burst fast path vs the generic-path oracle.
 //
 // Three synthetic workloads exercise the scheduler shapes the datacenter
 // simulation actually produces, at fleet scale:
@@ -6,22 +7,24 @@
 //   churn    — 4096 nodes each arming a 30 s timeout per operation and
 //              cancelling it when the (short) operation completes: the
 //              RPC/retry-timer pattern.  Timeouts virtually never fire,
-//              so the reference heap drowns in tombstones and compaction
-//              sweeps while the wheel unlinks in O(1).
+//              so a lazily-deleting heap would drown in tombstones while
+//              the wheel unlinks in O(1).
 //   pingpong — 64 chains of back-to-back 1 ns events: pure drain-path
 //              throughput, batches of same-instant events every step.
 //   mixed    — a steady population of events with log-uniform delays from
 //              100 ns to ~11 days (so the top wheel levels and the spill
 //              heap both participate), with random cancel/re-arm churn.
 //
-// Each workload runs on both schedulers with identical seeds; the trace
-// digests must match (the same equivalence the scheduler_test suite
-// checks), and the host-side events/second ratio is the headline number.
+// Each runs on the production Simulation and reports host-side events per
+// second.  tests/scheduler_test.cc holds the wheel equivalent to the
+// binary-heap oracle; the wheel-vs-heap speedups measured when the wheel
+// landed are recorded in DESIGN.md §10.
 //
 // Two additional workloads (net_pingpong, net_mixed) drive a simulated
 // Network and compare the burst forwarding fast path against the generic
-// coroutine-per-frame path (DESIGN.md §15); there the invariant is the
-// frame trace digest and the headline is frames/second.
+// coroutine-per-frame path, the test-only oracle in
+// tests/oracle/generic_forward.h (DESIGN.md §15); there the invariant is
+// the frame trace digest and the headline is frames/second.
 //
 // Usage: bench_sim_json [output-path] [--events=N]
 //   (default output: BENCH_sim.json; --events scales every workload, e.g.
@@ -31,25 +34,26 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "bench/bench_cli.h"
 #include "src/net/network.h"
 #include "src/sim/random.h"
 #include "src/sim/simulation.h"
+#include "tests/oracle/generic_forward.h"
 
 namespace {
 
+using bolted::net::Address;
 using bolted::net::Endpoint;
-using bolted::net::ForwardPath;
 using bolted::net::FrameFault;
 using bolted::net::Message;
 using bolted::net::Network;
 using bolted::sim::Duration;
 using bolted::sim::EventId;
 using bolted::sim::Rng;
-using bolted::sim::SchedulerKind;
 using bolted::sim::Simulation;
 
 using Clock = std::chrono::steady_clock;
@@ -57,7 +61,6 @@ using Clock = std::chrono::steady_clock;
 struct RunResult {
   uint64_t events = 0;
   double wall_ms = 0;
-  uint64_t trace_digest = 0;
 };
 
 double MillisSince(Clock::time_point start) {
@@ -104,8 +107,8 @@ class ChurnDriver {
   uint64_t remaining_;
 };
 
-RunResult RunChurn(SchedulerKind kind, uint64_t operations) {
-  Simulation sim(kind, 1);
+RunResult RunChurn(uint64_t operations) {
+  Simulation sim(1);
   ChurnDriver driver(sim, 4096, operations);
   driver.Start();
   const auto start = Clock::now();
@@ -113,7 +116,6 @@ RunResult RunChurn(SchedulerKind kind, uint64_t operations) {
   RunResult r;
   r.wall_ms = MillisSince(start);
   r.events = sim.events_processed();
-  r.trace_digest = sim.trace_digest();
   return r;
 }
 
@@ -141,15 +143,14 @@ class PingPongDriver {
   uint64_t remaining_;
 };
 
-RunResult RunPingPong(SchedulerKind kind, uint64_t operations) {
-  Simulation sim(kind, 2);
+RunResult RunPingPong(uint64_t operations) {
+  Simulation sim(2);
   PingPongDriver driver(sim, 64, operations);
   const auto start = Clock::now();
   sim.Run();
   RunResult r;
   r.wall_ms = MillisSince(start);
   r.events = sim.events_processed();
-  r.trace_digest = sim.trace_digest();
   return r;
 }
 
@@ -199,8 +200,8 @@ class MixedDriver {
   uint64_t remaining_;
 };
 
-RunResult RunMixed(SchedulerKind kind, uint64_t operations) {
-  Simulation sim(kind, 3);
+RunResult RunMixed(uint64_t operations) {
+  Simulation sim(3);
   MixedDriver driver(sim, 8192, operations);
   const auto start = Clock::now();
   // The long tail of far-future events never fires; run until the churn
@@ -210,19 +211,17 @@ RunResult RunMixed(SchedulerKind kind, uint64_t operations) {
   RunResult r;
   r.wall_ms = MillisSince(start);
   r.events = sim.events_processed();
-  r.trace_digest = sim.trace_digest();
   return r;
 }
 
 // --- network forwarding: burst fast path vs generic -------------------------
 //
 // Two Network-level workloads compare the flight engine (DESIGN.md §15)
-// against the original coroutine-per-frame path on the same seeded
-// traffic.  The cross-run invariant is Network::frame_digest() — the
-// delivered-frame multiset per sim instant — which must be byte-identical
-// between paths and across schedulers; the kernel (when, seq) digest
-// cannot be compared here because the two paths intentionally produce
-// different event structures.
+// against the coroutine-per-frame oracle on the same seeded traffic.  The
+// cross-run invariant is Network::frame_digest() — the delivered-frame
+// multiset per sim instant — which must be byte-identical between paths;
+// the kernel (when, seq) digest cannot be compared here because the two
+// paths intentionally produce different event structures.
 
 struct NetRunResult {
   uint64_t frames = 0;  // delivered copies
@@ -230,26 +229,32 @@ struct NetRunResult {
   uint64_t frame_digest = 0;
 };
 
+// How a workload posts a frame: the production burst engine or the
+// generic-path oracle.
+using PostFn = void (*)(Endpoint& from, Address dst, Message message);
+
+void BurstPost(Endpoint& from, Address dst, Message message) {
+  from.Post(dst, std::move(message));
+}
+
 // Echoes `rounds` received frames back to `peer`.
-bolted::sim::Task EchoLoop(Endpoint& self, bolted::net::Address peer,
-                           uint64_t rounds) {
+bolted::sim::Task EchoLoop(Endpoint& self, Address peer, uint64_t rounds,
+                           PostFn post) {
   for (uint64_t i = 0; i < rounds; ++i) {
     (void)co_await self.inbox().Recv();
     Message reply;
     reply.kind = "pong";
     reply.wire_bytes = 200;
-    self.Post(peer, std::move(reply));
+    post(self, peer, std::move(reply));
   }
 }
 
 // 64 endpoint pairs playing frame ping-pong: every delivery immediately
 // triggers the reply, so the whole run is same-instant-heavy burst
 // traffic — the shape run-to-completion delivery exists for.
-NetRunResult RunNetPingPong(SchedulerKind kind, ForwardPath path,
-                            uint64_t frames) {
-  Simulation sim(kind, 4);
+NetRunResult RunNetPingPong(PostFn post, uint64_t frames) {
+  Simulation sim(4);
   Network net(sim, Duration::Microseconds(1), 1.25e9);
-  net.SetForwardPath(path);
 
   constexpr int kPairs = 64;
   const uint64_t rounds = frames / (2 * kPairs) + 1;
@@ -262,12 +267,12 @@ NetRunResult RunNetPingPong(SchedulerKind kind, ForwardPath path,
   for (int p = 0; p < kPairs; ++p) {
     Endpoint& a = *eps[static_cast<size_t>(2 * p)];
     Endpoint& b = *eps[static_cast<size_t>(2 * p + 1)];
-    sim.Spawn(EchoLoop(a, b.address(), rounds));
-    sim.Spawn(EchoLoop(b, a.address(), rounds));
+    sim.Spawn(EchoLoop(a, b.address(), rounds, post));
+    sim.Spawn(EchoLoop(b, a.address(), rounds, post));
     Message serve;
     serve.kind = "ping";
     serve.wire_bytes = 200;
-    a.Post(b.address(), std::move(serve));
+    post(a, b.address(), std::move(serve));
   }
 
   const auto start = Clock::now();
@@ -286,8 +291,9 @@ NetRunResult RunNetPingPong(SchedulerKind kind, ForwardPath path,
 class NetMixedDriver {
  public:
   NetMixedDriver(Simulation& sim, std::vector<Endpoint*>& eps,
-                 uint64_t frames)
-      : sim_(sim), eps_(eps), rng_(0x6e65746d69786564u), remaining_(frames) {}
+                 uint64_t frames, PostFn post)
+      : sim_(sim), eps_(eps), rng_(0x6e65746d69786564u), remaining_(frames),
+        post_(post) {}
 
   void Start() {
     for (size_t i = 0; i < eps_.size(); ++i) {
@@ -308,7 +314,7 @@ class NetMixedDriver {
     Message m;
     m.kind = "mix";
     m.wire_bytes = kSizes[rng_.NextBelow(3)];
-    eps_[idx]->Post(dst->address(), std::move(m));
+    post_(*eps_[idx], dst->address(), std::move(m));
     const auto next = static_cast<int64_t>(500 + rng_.NextBelow(4000));
     sim_.Schedule(Duration::Nanoseconds(next), [this, idx]() { Step(idx); });
   }
@@ -317,13 +323,12 @@ class NetMixedDriver {
   std::vector<Endpoint*>& eps_;
   Rng rng_;
   uint64_t remaining_;
+  PostFn post_;
 };
 
-NetRunResult RunNetMixed(SchedulerKind kind, ForwardPath path,
-                         uint64_t frames) {
-  Simulation sim(kind, 5);
+NetRunResult RunNetMixed(PostFn post, uint64_t frames) {
+  Simulation sim(5);
   Network net(sim, Duration::Microseconds(1), 1.25e9);
-  net.SetForwardPath(path);
   for (int s = 0; s < 4; ++s) {
     net.AddSwitch(12.5e9);
   }
@@ -352,7 +357,7 @@ NetRunResult RunNetMixed(SchedulerKind kind, ForwardPath path,
     return fault;
   });
 
-  NetMixedDriver driver(sim, eps, frames);
+  NetMixedDriver driver(sim, eps, frames, post);
   driver.Start();
   const auto start = Clock::now();
   sim.Run();
@@ -365,9 +370,8 @@ NetRunResult RunNetMixed(SchedulerKind kind, ForwardPath path,
 
 struct NetWorkloadRow {
   const char* name;
-  NetRunResult generic;  // generic path, wheel scheduler
-  NetRunResult burst;    // burst path, wheel scheduler
-  NetRunResult burst_reference;  // burst path, reference scheduler
+  NetRunResult generic;  // generic-path oracle
+  NetRunResult burst;    // production burst engine
 };
 
 void AppendNetRow(std::string& json, const NetWorkloadRow& row, bool last) {
@@ -399,110 +403,68 @@ void AppendNetRow(std::string& json, const NetWorkloadRow& row, bool last) {
 
 struct WorkloadRow {
   const char* name;
-  RunResult reference;
   RunResult wheel;
 };
 
-void AppendRow(std::string& json, const WorkloadRow& row, bool last) {
-  char buf[1024];
-  const double ref_eps =
-      static_cast<double>(row.reference.events) / (row.reference.wall_ms / 1e3);
-  const double wheel_eps =
+// Scheduler rows always precede the net rows, so each ends with a comma.
+void AppendRow(std::string& json, const WorkloadRow& row) {
+  char buf[512];
+  const double eps =
       static_cast<double>(row.wheel.events) / (row.wheel.wall_ms / 1e3);
-  const double ref_ns = row.reference.wall_ms * 1e6 /
-                        static_cast<double>(row.reference.events);
-  const double wheel_ns =
+  const double ns =
       row.wheel.wall_ms * 1e6 / static_cast<double>(row.wheel.events);
   std::snprintf(buf, sizeof(buf),
                 "  \"%s_events\": %" PRIu64 ",\n"
-                "  \"%s_reference_wall_ms\": %.3f,\n"
                 "  \"%s_wheel_wall_ms\": %.3f,\n"
-                "  \"%s_reference_events_per_second\": %.0f,\n"
                 "  \"%s_wheel_events_per_second\": %.0f,\n"
-                "  \"%s_reference_ns_per_event\": %.1f,\n"
-                "  \"%s_wheel_ns_per_event\": %.1f,\n"
-                "  \"%s_speedup_vs_reference\": %.2f%s\n",
-                row.name, row.wheel.events, row.name, row.reference.wall_ms,
-                row.name, row.wheel.wall_ms, row.name, ref_eps, row.name,
-                wheel_eps, row.name, ref_ns, row.name, wheel_ns, row.name,
-                ref_eps > 0 ? wheel_eps / ref_eps : 0.0, last ? "" : ",");
+                "  \"%s_wheel_ns_per_event\": %.1f,\n",
+                row.name, row.wheel.events, row.name, row.wheel.wall_ms,
+                row.name, eps, row.name, ns);
   json += buf;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* out_path = "BENCH_sim.json";
   uint64_t base_events = 2'000'000;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--events=", 9) == 0 && argv[i][9] != '\0') {
-      base_events = std::strtoull(argv[i] + 9, nullptr, 10);
-    } else {
-      out_path = argv[i];
-    }
-  }
+  const char* out_path =
+      bolted::bench::Cli("usage: bench_sim_json [output-path] [--events=N]",
+                         "BENCH_sim.json")
+          .Number("--events", &base_events)
+          .Parse(argc, argv);
 
-  WorkloadRow rows[] = {
-      {"churn", RunChurn(SchedulerKind::kReference, base_events),
-       RunChurn(SchedulerKind::kWheel, base_events)},
-      {"pingpong", RunPingPong(SchedulerKind::kReference, base_events),
-       RunPingPong(SchedulerKind::kWheel, base_events)},
-      {"mixed", RunMixed(SchedulerKind::kReference, base_events / 2),
-       RunMixed(SchedulerKind::kWheel, base_events / 2)},
+  const WorkloadRow rows[] = {
+      {"churn", RunChurn(base_events)},
+      {"pingpong", RunPingPong(base_events)},
+      {"mixed", RunMixed(base_events / 2)},
   };
 
-  // Same ops, same seeds => the two schedulers must fire the identical
-  // (when, seq) stream.  A digest mismatch here is a correctness bug, not
-  // a performance result.
-  for (const WorkloadRow& row : rows) {
-    if (row.reference.trace_digest != row.wheel.trace_digest ||
-        row.reference.events != row.wheel.events) {
-      std::fprintf(stderr,
-                   "%s: scheduler divergence (ref %" PRIu64 " events digest %016" PRIx64
-                   ", wheel %" PRIu64 " events digest %016" PRIx64 ")\n",
-                   row.name, row.reference.events, row.reference.trace_digest,
-                   row.wheel.events, row.wheel.trace_digest);
-      return 1;
-    }
-  }
-
   const uint64_t net_frames = base_events / 8;
-  NetWorkloadRow net_rows[] = {
-      {"net_pingpong",
-       RunNetPingPong(SchedulerKind::kWheel, ForwardPath::kGeneric, net_frames),
-       RunNetPingPong(SchedulerKind::kWheel, ForwardPath::kBurst, net_frames),
-       RunNetPingPong(SchedulerKind::kReference, ForwardPath::kBurst,
-                      net_frames)},
-      {"net_mixed",
-       RunNetMixed(SchedulerKind::kWheel, ForwardPath::kGeneric, net_frames),
-       RunNetMixed(SchedulerKind::kWheel, ForwardPath::kBurst, net_frames),
-       RunNetMixed(SchedulerKind::kReference, ForwardPath::kBurst,
-                   net_frames)},
+  const NetWorkloadRow net_rows[] = {
+      {"net_pingpong", RunNetPingPong(bolted::oracle::Post, net_frames),
+       RunNetPingPong(BurstPost, net_frames)},
+      {"net_mixed", RunNetMixed(bolted::oracle::Post, net_frames),
+       RunNetMixed(BurstPost, net_frames)},
   };
 
   // The frame digest (delivered multiset per instant) must be identical
-  // between the burst and generic paths and across schedulers.
+  // between the burst and generic paths.
   for (const NetWorkloadRow& row : net_rows) {
     if (row.burst.frame_digest != row.generic.frame_digest ||
-        row.burst.frames != row.generic.frames ||
-        row.burst_reference.frame_digest != row.generic.frame_digest ||
-        row.burst_reference.frames != row.generic.frames) {
+        row.burst.frames != row.generic.frames) {
       std::fprintf(stderr,
                    "%s: forwarding-path divergence (generic %" PRIu64
                    " frames digest %016" PRIx64 ", burst %" PRIu64
-                   " frames digest %016" PRIx64 ", burst/ref %" PRIu64
                    " frames digest %016" PRIx64 ")\n",
                    row.name, row.generic.frames, row.generic.frame_digest,
-                   row.burst.frames, row.burst.frame_digest,
-                   row.burst_reference.frames,
-                   row.burst_reference.frame_digest);
+                   row.burst.frames, row.burst.frame_digest);
       return 1;
     }
   }
 
   std::string json = "{\n";
-  for (size_t i = 0; i < 3; ++i) {
-    AppendRow(json, rows[i], false);
+  for (const WorkloadRow& row : rows) {
+    AppendRow(json, row);
   }
   for (size_t i = 0; i < 2; ++i) {
     AppendNetRow(json, net_rows[i], i == 1);
@@ -518,10 +480,9 @@ int main(int argc, char** argv) {
   std::fclose(f);
 
   for (const WorkloadRow& row : rows) {
-    const double speedup = row.reference.wall_ms / row.wheel.wall_ms;
-    std::printf("%-12s %9" PRIu64 " events  reference %8.1f ms  wheel %8.1f ms  speedup %.2fx\n",
-                row.name, row.wheel.events, row.reference.wall_ms,
-                row.wheel.wall_ms, speedup);
+    std::printf("%-12s %9" PRIu64 " events  wheel %8.1f ms  %6.1f ns/event\n",
+                row.name, row.wheel.events, row.wheel.wall_ms,
+                row.wheel.wall_ms * 1e6 / static_cast<double>(row.wheel.events));
   }
   for (const NetWorkloadRow& row : net_rows) {
     const double speedup = row.generic.wall_ms / row.burst.wall_ms;

@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_cli.h"
 #include "src/firmware/firmware.h"
 #include "src/keylime/agent.h"
 #include "src/keylime/registrar.h"
@@ -53,34 +54,25 @@ double MillisSince(Clock::time_point start) {
 
 int main(int argc, char** argv) {
   using namespace bolted;
-  const char* out_path = "BENCH_attestation.json";
   const char* trace_path = nullptr;
   int fleet_size = kDefaultFleetSize;
   int steady_rounds = kDefaultSteadyRounds;
   int batch_size = 64;
   int workers = 1;
-  bool sweep = true;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--trace=", 8) == 0 && argv[i][8] != '\0') {
-      trace_path = argv[i] + 8;
-    } else if (std::strncmp(argv[i], "--nodes=", 8) == 0 && argv[i][8] != '\0') {
-      fleet_size = std::atoi(argv[i] + 8);
-    } else if (std::strncmp(argv[i], "--rounds=", 9) == 0 && argv[i][9] != '\0') {
-      steady_rounds = std::atoi(argv[i] + 9);
-    } else if (std::strncmp(argv[i], "--batch=", 8) == 0 && argv[i][8] != '\0') {
-      batch_size = std::atoi(argv[i] + 8);
-    } else if (std::strncmp(argv[i], "--workers=", 10) == 0 && argv[i][10] != '\0') {
-      workers = std::atoi(argv[i] + 10);
-    } else if (std::strcmp(argv[i], "--no-sweep") == 0) {
-      sweep = false;
-    } else {
-      out_path = argv[i];
-    }
-  }
-  if (fleet_size <= 0 || steady_rounds <= 0 || batch_size <= 0 || workers <= 0) {
-    std::fprintf(stderr, "--nodes/--rounds/--batch/--workers must be positive\n");
-    return 2;
-  }
+  bool no_sweep = false;
+  const char* out_path =
+      bench::Cli("usage: fleet_attestation [output-path] [--nodes=N] [--rounds=N]\n"
+                 "                         [--batch=N] [--workers=N] [--no-sweep]\n"
+                 "                         [--trace=out.json]",
+                 "BENCH_attestation.json")
+          .Number("--nodes", &fleet_size)
+          .Number("--rounds", &steady_rounds)
+          .Number("--batch", &batch_size)
+          .Number("--workers", &workers)
+          .Switch("--no-sweep", &no_sweep)
+          .Text("--trace", &trace_path)
+          .Parse(argc, argv);
+  const bool sweep = !no_sweep;
   const int kFleetSize = fleet_size;
 
   sim::Simulation sim{1234};

@@ -32,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_cli.h"
 #include "src/core/cloud.h"
 #include "src/core/enclave.h"
 
@@ -134,19 +135,12 @@ FleetResult RunFleet(int nodes, bool chunked) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* out_path = "BENCH_provisioning.json";
   int nodes = 4096;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--nodes=", 8) == 0 && argv[i][8] != '\0') {
-      nodes = std::atoi(argv[i] + 8);
-    } else {
-      out_path = argv[i];
-    }
-  }
-  if (nodes <= 0) {
-    std::fprintf(stderr, "--nodes must be positive\n");
-    return 2;
-  }
+  const char* out_path =
+      bolted::bench::Cli("usage: fleet_provisioning [output-path] [--nodes=N]",
+                         "BENCH_provisioning.json")
+          .Number("--nodes", &nodes)
+          .Parse(argc, argv);
 
   const FleetResult classic = RunFleet(nodes, /*chunked=*/false);
   const FleetResult chunked = RunFleet(nodes, /*chunked=*/true);

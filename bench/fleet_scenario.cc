@@ -24,6 +24,7 @@
 #include <string>
 #include <thread>
 
+#include "bench/bench_cli.h"
 #include "src/scenario/sharded.h"
 
 namespace {
@@ -57,19 +58,15 @@ ShardedScenarioConfig ChurnConfig(uint32_t nodes, int64_t horizon_s,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* out_path = "BENCH_scenario.json";
   uint32_t nodes = 4096;
   int64_t horizon_s = 30;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--nodes=", 8) == 0 && argv[i][8] != '\0') {
-      nodes = static_cast<uint32_t>(std::strtoul(argv[i] + 8, nullptr, 10));
-    } else if (std::strncmp(argv[i], "--horizon-s=", 12) == 0 &&
-               argv[i][12] != '\0') {
-      horizon_s = std::strtol(argv[i] + 12, nullptr, 10);
-    } else {
-      out_path = argv[i];
-    }
-  }
+  const char* out_path =
+      bolted::bench::Cli(
+          "usage: fleet_scenario [output-path] [--nodes=N] [--horizon-s=S]",
+          "BENCH_scenario.json")
+          .Number("--nodes", &nodes)
+          .Number("--horizon-s", &horizon_s)
+          .Parse(argc, argv);
 
   const uint32_t cores = std::thread::hardware_concurrency();
   const uint32_t par = cores >= 4 ? 4 : (cores >= 2 ? 2 : 1);

@@ -30,6 +30,7 @@
 // writes the file, so the capture holds exactly one run's frames and is
 // byte-identical regardless of host parallelism.
 
+#include <charconv>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
@@ -39,6 +40,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/bench_cli.h"
 #include "src/net/network.h"
 #include "src/net/pcap.h"
 #include "src/sim/shard.h"
@@ -169,29 +171,33 @@ RunResult RunFleet(const Config& config, uint32_t shards, uint32_t workers,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* out_path = "BENCH_sharding.json";
   uint32_t nodes = 4096;
   int64_t horizon_ms = 5;
+  const char* pcap_spec = nullptr;
+  const char* out_path =
+      bolted::bench::Cli(
+          "usage: fleet_sharding [output-path] [--nodes=N] [--horizon-ms=M]\n"
+          "                      [--pcap=<rack>:<file>]",
+          "BENCH_sharding.json")
+          .Number("--nodes", &nodes)
+          .Number("--horizon-ms", &horizon_ms)
+          .Text("--pcap", &pcap_spec)
+          .Parse(argc, argv);
   int64_t pcap_rack = -1;
   std::string pcap_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--nodes=", 8) == 0 && argv[i][8] != '\0') {
-      nodes = static_cast<uint32_t>(std::strtoul(argv[i] + 8, nullptr, 10));
-    } else if (std::strncmp(argv[i], "--horizon-ms=", 13) == 0 &&
-               argv[i][13] != '\0') {
-      horizon_ms = std::strtol(argv[i] + 13, nullptr, 10);
-    } else if (std::strncmp(argv[i], "--pcap=", 7) == 0) {
-      const char* spec = argv[i] + 7;
-      const char* colon = std::strchr(spec, ':');
-      if (colon == nullptr || colon == spec || colon[1] == '\0') {
-        std::fprintf(stderr, "--pcap wants <rack>:<file>\n");
-        return 2;
-      }
-      pcap_rack = std::strtol(spec, nullptr, 10);
-      pcap_path = colon + 1;
-    } else {
-      out_path = argv[i];
+  if (pcap_spec != nullptr) {
+    const char* colon = std::strchr(pcap_spec, ':');
+    uint32_t rack = 0;
+    const bool rack_ok = colon != nullptr && [&] {
+      const auto [stop, error] = std::from_chars(pcap_spec, colon, rack);
+      return error == std::errc() && stop == colon;
+    }();
+    if (!rack_ok || colon[1] == '\0') {
+      std::fprintf(stderr, "--pcap wants <rack>:<file>\n");
+      return 2;
     }
+    pcap_rack = rack;
+    pcap_path = colon + 1;
   }
 
   Config config;

@@ -4,13 +4,13 @@
 // Every port posts one frame to every other port at the same instant,
 // repeated for a configurable number of rounds — the densest burst shape
 // the fabric produces, and the one where per-frame scheduler round-trips
-// hurt most.  The identical seeded workload runs three times:
+// hurt most.  The identical seeded workload runs twice:
 //
-//   generic/wheel    — the original forwarding path (the oracle)
-//   burst/wheel      — the flight engine (the headline number)
-//   burst/reference  — the flight engine on the reference-heap scheduler
+//   generic — the original forwarding path, kept as the test-only oracle
+//             in tests/oracle/generic_forward.h
+//   burst   — the production flight engine (the headline number)
 //
-// All three runs must produce the same delivered-frame count and the same
+// Both runs must produce the same delivered-frame count and the same
 // frame trace digest (Network::frame_digest — delivered multiset per sim
 // instant); a mismatch is a correctness bug and the bench fails.  The
 // headline is host-side frames/second, and the bench self-enforces the
@@ -23,25 +23,34 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "bench/bench_cli.h"
 #include "src/net/network.h"
 #include "src/sim/simulation.h"
+#include "tests/oracle/generic_forward.h"
 
 namespace {
 
+using bolted::net::Address;
 using bolted::net::Endpoint;
-using bolted::net::ForwardPath;
 using bolted::net::Message;
 using bolted::net::Network;
 using bolted::sim::Duration;
-using bolted::sim::SchedulerKind;
 using bolted::sim::Simulation;
 
 using Clock = std::chrono::steady_clock;
+
+// How the blast posts a frame: the production burst engine or the
+// generic-path oracle.
+using PostFn = void (*)(Endpoint& from, Address dst, Message message);
+
+void BurstPost(Endpoint& from, Address dst, Message message) {
+  from.Post(dst, std::move(message));
+}
 
 struct RunResult {
   uint64_t frames = 0;
@@ -49,11 +58,9 @@ struct RunResult {
   uint64_t frame_digest = 0;
 };
 
-RunResult RunBlast(SchedulerKind kind, ForwardPath path, int ports,
-                   int rounds) {
-  Simulation sim(kind, 0x73617475u);  // "satu"
+RunResult RunBlast(PostFn post, int ports, int rounds) {
+  Simulation sim(0x73617475u);  // "satu"
   Network net(sim, Duration::Microseconds(1), 1.25e9);
-  net.SetForwardPath(path);
 
   std::vector<Endpoint*> eps;
   eps.reserve(static_cast<size_t>(ports));
@@ -68,7 +75,7 @@ RunResult RunBlast(SchedulerKind kind, ForwardPath path, int ports,
   // frames per NIC at 1.25 GB/s is ~75 us) that each blast fully drains.
   for (int round = 0; round < rounds; ++round) {
     sim.Schedule(Duration::Microseconds(static_cast<int64_t>(200) * round),
-                 [&eps]() {
+                 [&eps, post]() {
       const int n = static_cast<int>(eps.size());
       for (int src = 0; src < n; ++src) {
         for (int dst = 0; dst < n; ++dst) {
@@ -78,8 +85,8 @@ RunResult RunBlast(SchedulerKind kind, ForwardPath path, int ports,
           Message m;
           m.kind = "blast";
           m.wire_bytes = 1500;
-          eps[static_cast<size_t>(src)]->Post(
-              eps[static_cast<size_t>(dst)]->address(), std::move(m));
+          post(*eps[static_cast<size_t>(src)],
+               eps[static_cast<size_t>(dst)]->address(), std::move(m));
         }
       }
     });
@@ -98,35 +105,27 @@ RunResult RunBlast(SchedulerKind kind, ForwardPath path, int ports,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* out_path = "BENCH_net.json";
   int ports = 64;
   int rounds = 48;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--ports=", 8) == 0 && argv[i][8] != '\0') {
-      ports = std::atoi(argv[i] + 8);
-    } else if (std::strncmp(argv[i], "--rounds=", 9) == 0 &&
-               argv[i][9] != '\0') {
-      rounds = std::atoi(argv[i] + 9);
-    } else {
-      out_path = argv[i];
-    }
-  }
-  if (ports < 2 || rounds < 1) {
-    std::fprintf(stderr, "need --ports>=2 and --rounds>=1\n");
+  const char* out_path =
+      bolted::bench::Cli(
+          "usage: switch_saturation [output-path] [--ports=N] [--rounds=R]",
+          "BENCH_net.json")
+          .Number("--ports", &ports)
+          .Number("--rounds", &rounds)
+          .Parse(argc, argv);
+  if (ports < 2) {
+    std::fprintf(stderr, "need --ports>=2\n");
     return 2;
   }
 
-  const RunResult generic =
-      RunBlast(SchedulerKind::kWheel, ForwardPath::kGeneric, ports, rounds);
-  const RunResult burst =
-      RunBlast(SchedulerKind::kWheel, ForwardPath::kBurst, ports, rounds);
-  const RunResult burst_ref =
-      RunBlast(SchedulerKind::kReference, ForwardPath::kBurst, ports, rounds);
+  const RunResult generic = RunBlast(bolted::oracle::Post, ports, rounds);
+  const RunResult burst = RunBlast(BurstPost, ports, rounds);
 
   const uint64_t expected = static_cast<uint64_t>(rounds) * ports * (ports - 1);
-  const RunResult* runs[] = {&generic, &burst, &burst_ref};
-  const char* names[] = {"generic/wheel", "burst/wheel", "burst/reference"};
-  for (int i = 0; i < 3; ++i) {
+  const RunResult* runs[] = {&generic, &burst};
+  const char* names[] = {"generic", "burst"};
+  for (int i = 0; i < 2; ++i) {
     if (runs[i]->frames != expected ||
         runs[i]->frame_digest != generic.frame_digest) {
       std::fprintf(stderr,
@@ -176,12 +175,12 @@ int main(int argc, char** argv) {
   std::fwrite(json.data(), 1, json.size(), f);
   std::fclose(f);
 
-  std::printf("%-16s %9" PRIu64 " frames  %8.1f ms  %12.0f frames/s  %7.1f ns/frame\n",
-              "generic/wheel", generic.frames, generic.wall_ms, generic_fps,
+  std::printf("%-8s %9" PRIu64 " frames  %8.1f ms  %12.0f frames/s  %7.1f ns/frame\n",
+              "generic", generic.frames, generic.wall_ms, generic_fps,
               generic_ns);
-  std::printf("%-16s %9" PRIu64 " frames  %8.1f ms  %12.0f frames/s  %7.1f ns/frame\n",
-              "burst/wheel", burst.frames, burst.wall_ms, burst_fps, burst_ns);
-  std::printf("digest %016" PRIx64 " (paths and schedulers identical)\n",
+  std::printf("%-8s %9" PRIu64 " frames  %8.1f ms  %12.0f frames/s  %7.1f ns/frame\n",
+              "burst", burst.frames, burst.wall_ms, burst_fps, burst_ns);
+  std::printf("digest %016" PRIx64 " (both paths identical)\n",
               generic.frame_digest);
   std::printf("burst speedup %.2fx\nwrote %s\n", speedup, out_path);
 

@@ -39,6 +39,21 @@ run_suite() {
   ctest --test-dir "${build_dir}" --output-on-failure -j "$(nproc)"
 }
 
+# One implementation per mechanism in production code: src/ reads no
+# environment variable but the CPU-dispatch override, and nothing in src/,
+# examples/ or fleetbench/ names the test-only oracle library
+# (tests/oracle, target bolted_oracle).
+echo "== tier-1: no knobs or oracles in production code =="
+if grep -rnE '\b(secure_)?getenv\b|\benviron\b' src |
+    grep -v 'getenv("BOLTED_FORCE_SCALAR")'; then
+  echo "src/ reads an environment variable other than BOLTED_FORCE_SCALAR" >&2
+  exit 1
+fi
+if grep -rnE 'tests/oracle|bolted_oracle' src examples fleetbench; then
+  echo "src/, examples/ or fleetbench/ names the test-only oracle library" >&2
+  exit 1
+fi
+
 echo "== tier-1: default build =="
 run_suite build
 
@@ -123,7 +138,8 @@ if [[ "${want_tsan}" == 1 ]]; then
   ./build-tsan/tests/sharding_test
   # The burst engine runs inside the sharded workers (per-rack Networks,
   # uplink ingress via InjectFrame); the fast-path suite's sharded cases
-  # are the TSan workload for it.
+  # are the TSan workload for it, and its generic-path legs run the
+  # bolted_oracle library on the same worker threads.
   ./build-tsan/tests/net_fastpath_test
   ./build-tsan/bench/fleet_sharding --nodes=512 --horizon-ms=1 \
     /tmp/bolted_tsan_bench_sharding.json

@@ -14,7 +14,7 @@ class Cloud::MachineBmc : public hil::BmcHandle {
 
 Cloud::Cloud(const CloudConfig& config)
     : config_(config),
-      sim_(config.scheduler, config.seed),
+      sim_(config.seed),
       fabric_(sim_, config.cal.network_latency,
               config.cal.nic_bandwidth_bytes_per_second),
       hil_(fabric_),

@@ -46,10 +46,6 @@ struct CloudConfig {
   bool chunked_distribution = false;
   Calibration cal;
   uint64_t seed = 0x626f6c746564u;
-  // Event-queue implementation for the owned Simulation; kDefault honours
-  // the BOLTED_SCHEDULER environment override.  The cross-scheduler
-  // equivalence tests pin this explicitly.
-  sim::SchedulerKind scheduler = sim::SchedulerKind::kDefault;
 };
 
 class Cloud {

@@ -11,9 +11,9 @@
 // ECIES ephemeral keys), width-6 wNAF with precomputed odd multiples for
 // arbitrary points (ECDH), and Strauss–Shamir interleaving so Verify
 // computes u1·G + u2·Q in one joint double-and-add chain.  Table points
-// are normalized with Montgomery-trick batch inversion.  The pre-PR
-// double-and-add ladder is kept verbatim behind the *Reference methods as
-// a differential-test hook and as the bench baseline.
+// are normalized with Montgomery-trick batch inversion.  The tests and
+// the crypto bench check every path against a textbook double-and-add
+// ladder kept outside this library.
 //
 // Scalar multiplication is not constant-time; this library runs inside a
 // simulator, not against live adversaries.
@@ -145,17 +145,6 @@ class P256 {
   // old-vs-new equivalence sweeps in tests.
   EcPoint Multiply(const U256& k, const EcPoint& point) const;
 
-  // --- Pre-PR reference paths --------------------------------------------
-  // The original textbook double-and-add ladder and Fermat inversions,
-  // kept byte-for-byte so tests can differentially check the fast paths
-  // and benches can report honest old-vs-new speedups.
-  EcPoint MultiplyReference(const U256& k, const EcPoint& point) const;
-  EcdsaSignature SignReference(const U256& private_key, const Digest& message_hash) const;
-  bool VerifyReference(const EcPoint& public_key, const Digest& message_hash,
-                       const EcdsaSignature& signature) const;
-  std::optional<Bytes> SharedSecretReference(const U256& private_key,
-                                             const EcPoint& peer) const;
-
   const U256& order() const { return n_; }
 
  private:
@@ -169,12 +158,8 @@ class P256 {
   };
 
   Jacobian ToJacobian(const EcPoint& p) const;
-  EcPoint ToAffine(const Jacobian& p) const;
-  Jacobian Double(const Jacobian& p) const;
-  Jacobian AddPoints(const Jacobian& p, const Jacobian& q) const;
-  Jacobian ScalarMul(const U256& k, const Jacobian& p) const;
 
-  // Fast-path group law (field::Fp arithmetic, in-place).
+  // Group law (field::Fp arithmetic, in-place).
   void DoubleFast(Jacobian& p) const;
   void AddJacobianFast(Jacobian& p, const Jacobian& q) const;
   void AddMixed(Jacobian& p, const AffineMont& q, bool negate) const;
@@ -217,7 +202,7 @@ class P256 {
   Montgomery fn_;
   U256 b_mont_;       // curve b in Montgomery form
   U256 three_mont_;   // 3 in Montgomery form
-  U256 r2_fp_;        // R^2 mod p, for inline binary inversion
+  U256 r2_fp_;        // R^2 mod p, for the inlined divstep inversion
   U256 r2_fn_;        // R^2 mod n
   Jacobian g_;        // base point
   // Fixed-base comb: fixed_[w*4095 + b - 1] = b · 2^{12w} · G for

@@ -5,8 +5,7 @@
 // fully unroll, the zero limb of the P-256 prime drops its multiplies, and
 // the prime's m' = 1 makes the reduction quotient free.  This is the field
 // layer under the comb/wNAF scalar-multiplication paths in p256.cc; the
-// pre-PR reference ladder deliberately keeps using the generic class so
-// old-vs-new benches compare against the original cost profile.
+// generic class stays for one-off domain conversions and reductions.
 //
 // Values are in the same Montgomery domain (R = 2^256) as the generic
 // class, so the two representations interoperate freely.

@@ -414,25 +414,7 @@ U256 Montgomery::ToMont(const U256& a) const { return Mul(a, r2_); }
 
 U256 Montgomery::FromMont(const U256& a) const { return Mul(a, U256::One()); }
 
-U256 Montgomery::Exp(const U256& base, const U256& exponent) const {
-  U256 result = one_mont_;
-  for (int i = 255; i >= 0; --i) {
-    result = Sqr(result);
-    if (exponent.Bit(i)) {
-      result = Mul(result, base);
-    }
-  }
-  return result;
-}
-
 U256 Montgomery::Inverse(const U256& a) const {
-  U256 exp;  // m - 2
-  const U256 two{{2, 0, 0, 0}};
-  SubBorrow(m_, two, exp);
-  return Exp(a, exp);
-}
-
-U256 Montgomery::InverseBinary(const U256& a) const {
   // a = xR.  ModInverseOdd gives x^-1 R^-1; two products by R^2 restore
   // the Montgomery domain: (x^-1 R^-1)(R^2)R^-1 = x^-1, then once more
   // yields x^-1 R.
@@ -452,7 +434,7 @@ void Montgomery::BatchInvert(std::span<U256> values) const {
     prefix[i] = acc;
     acc = Mul(acc, values[i]);
   }
-  U256 inv = InverseBinary(acc);
+  U256 inv = Inverse(acc);
   for (size_t i = values.size(); i-- > 0;) {
     const U256 original = values[i];
     values[i] = Mul(inv, prefix[i]);

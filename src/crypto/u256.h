@@ -51,7 +51,8 @@ uint64_t AddCarry(const U256& a, const U256& b, U256& out);
 uint64_t SubBorrow(const U256& a, const U256& b, U256& out);
 
 // (a >> 1) with `top` shifted in as the new bit 255 — the halving step of
-// the binary extended-Euclid inverse, where (x + m) can carry into bit 256.
+// wNAF recoding (p256.cc), where adding back a negative digit can carry
+// the running scalar into bit 256.
 inline U256 ShiftRight1(const U256& a, uint64_t top = 0) {
   U256 out;
   for (int i = 0; i < 3; ++i) {
@@ -64,62 +65,13 @@ inline U256 ShiftRight1(const U256& a, uint64_t top = 0) {
 
 // a^-1 mod m for odd m and gcd(a, m) = 1, via signed-62-limb divsteps
 // (Bernstein–Yang safegcd, variable-time): the gcd state collapses through
-// 64-bit transition matrices instead of one U256 pass per bit, which makes
-// it several times faster again than the binary extended Euclid below.
-// Plain (non Montgomery) domain; requires a < m; returns zero for a = 0.
+// 64-bit transition matrices instead of one U256 pass per bit.  Plain
+// (non Montgomery) domain; requires a < m; returns zero for a = 0.
 U256 ModInverseOdd(const U256& a, const U256& m);
-
-// The pre-divstep implementation (binary extended Euclid, one bit per
-// round).  Kept as the differential-test oracle for ModInverseOdd.
-inline U256 ModInverseOddBinary(const U256& a, const U256& m) {
-  if (a.IsZero()) {
-    return U256::Zero();
-  }
-  // Invariants: x1*a ≡ u (mod m), x2*a ≡ v (mod m).  Each round strips
-  // factors of two from u/v (halving x1/x2 modulo the odd m) and then
-  // subtracts the smaller from the larger, so u+v shrinks geometrically.
-  U256 u = a;
-  U256 v = m;
-  U256 x1 = U256::One();
-  U256 x2 = U256::Zero();
-  const U256 one = U256::One();
-  while (u != one && v != one) {
-    while (!u.IsOdd()) {
-      u = ShiftRight1(u);
-      if (x1.IsOdd()) {
-        const uint64_t carry = AddCarry(x1, m, x1);
-        x1 = ShiftRight1(x1, carry);
-      } else {
-        x1 = ShiftRight1(x1);
-      }
-    }
-    while (!v.IsOdd()) {
-      v = ShiftRight1(v);
-      if (x2.IsOdd()) {
-        const uint64_t carry = AddCarry(x2, m, x2);
-        x2 = ShiftRight1(x2, carry);
-      } else {
-        x2 = ShiftRight1(x2);
-      }
-    }
-    if (u >= v) {
-      SubBorrow(u, v, u);
-      if (SubBorrow(x1, x2, x1)) {
-        AddCarry(x1, m, x1);
-      }
-    } else {
-      SubBorrow(v, u, v);
-      if (SubBorrow(x2, x1, x2)) {
-        AddCarry(x2, m, x2);
-      }
-    }
-  }
-  return u == one ? x1 : x2;
-}
 
 // Montgomery arithmetic modulo a fixed odd modulus with its top bit set
 // (true for the P-256 field prime and group order).  Values passed to
-// Mul/Exp must be in the Montgomery domain (use ToMont/FromMont);
+// Mul/Sqr/Inverse must be in the Montgomery domain (use ToMont/FromMont);
 // Add/Sub/Neg work in either domain as they are plain modular ops.
 class Montgomery {
  public:
@@ -135,15 +87,10 @@ class Montgomery {
   U256 Neg(const U256& a) const;
   U256 Mul(const U256& a, const U256& b) const;  // Montgomery product
   U256 Sqr(const U256& a) const { return Mul(a, a); }
-  U256 Exp(const U256& base, const U256& exponent) const;  // base in Mont domain
-  // Modular inverse via Fermat's little theorem (modulus must be prime).
-  // Input and output are in the Montgomery domain.
+  // Modular inverse of a nonzero value: divsteps (ModInverseOdd) on the
+  // raw limbs, then two Montgomery products to restore the domain.
+  // Montgomery domain in and out.
   U256 Inverse(const U256& a) const;
-  // Same value as Inverse but via binary extended Euclid (ModInverseOdd)
-  // plus two Montgomery products to fix up the domain — several times
-  // faster.  Kept separate so the pre-PR reference paths retain their
-  // original cost profile.
-  U256 InverseBinary(const U256& a) const;
   // Montgomery-trick batch inversion: replaces every element of `values`
   // with its inverse at the cost of ONE inversion plus 3(n-1) products.
   // All elements must be nonzero; Montgomery domain in and out.

@@ -1,7 +1,5 @@
 #include "src/net/network.h"
 
-#include <cstdlib>
-#include <string_view>
 #include <utility>
 
 #include "src/net/pcap.h"
@@ -60,14 +58,6 @@ uint64_t FrameTag(VlanId vlan, const Message& m) {
   return h;
 }
 
-ForwardPath DefaultForwardPath() {
-  const char* env = std::getenv("BOLTED_NET_PATH");
-  if (env != nullptr && std::string_view(env) == "generic") {
-    return ForwardPath::kGeneric;
-  }
-  return ForwardPath::kBurst;
-}
-
 }  // namespace
 
 Endpoint::Endpoint(sim::Simulation& sim, Network& network, Address address,
@@ -89,121 +79,14 @@ sim::Task Endpoint::Send(Address dst, Message message) {
   return SendBoxed(dst, MessageBox(std::move(message)));
 }
 
-// Dispatcher: both implementations produce identical frame timings and
-// frame digests; they differ only in per-frame host cost (and in kernel
-// event structure, which is why the cross-path invariant is the frame
-// digest, not the kernel (when, seq) digest).
+// Awaited send: the synchronous flight engine does all the work; this
+// frame only exists to signal the caller at the delivery (or drop)
+// instant.  Lazily started like every Task, so StartFlight runs when the
+// task is first awaited or spawned.
 sim::Task Endpoint::SendBoxed(Address dst, MessageBox message) {
-  if (network_.forward_path_ == ForwardPath::kGeneric) {
-    return SendBoxedGeneric(dst, std::move(message));
-  }
-  return AwaitFlight(dst, std::move(message));
-}
-
-// Burst-path awaited send: the synchronous flight engine does all the
-// work; this frame only exists to signal the caller at the delivery (or
-// drop) instant.  Lazily started like every Task, so StartFlight runs at
-// the same point in the event stream as the generic coroutine's body.
-sim::Task Endpoint::AwaitFlight(Address dst, MessageBox message) {
   sim::Event done(sim_);
   network_.StartFlight(this, dst, std::move(message), &done);
   co_await done;
-}
-
-sim::Task Endpoint::SendBoxedGeneric(Address dst, MessageBox message) {
-  message->src = address_;
-  message->dst = dst;
-  ++messages_sent_;
-  // One static-guard check per frame, not one per metric operation.
-  const NetMetricIds& ids = Ids();
-
-  Endpoint* receiver = network_.FindEndpoint(dst);
-  const VlanId vlan =
-      receiver == nullptr
-          ? 0
-          : VlanSet::LowestShared(vlans_, receiver->vlans_);
-  if (vlan == 0 || !network_.LinkUp(address_) || !network_.LinkUp(dst)) {
-    ++messages_dropped_;
-    ++network_.total_drops_;
-    obs::CountById(sim_, ids.dropped_isolation);
-    co_return;
-  }
-
-  // Fault injection at switch ingress: the frame can die here (before it
-  // occupies the receiver's NIC), pick up extra delay, or be duplicated.
-  FrameFault fault;
-  if (network_.fault_filter_) {
-    fault = network_.fault_filter_(*message);
-    if (fault.drop) {
-      ++messages_dropped_;
-      ++network_.total_drops_;
-      ++network_.fault_drops_;
-      obs::CountById(sim_, ids.fault_dropped);
-      co_return;
-    }
-    if (fault.extra_delay > sim::Duration::Zero()) {
-      obs::CountById(sim_, ids.fault_delayed);
-      obs::RecordDurationById(sim_, ids.fault_extra_delay, fault.extra_delay);
-    }
-  }
-
-  const double wire_bytes = static_cast<double>(message->EffectiveWireBytes());
-  DemandList demands;
-  demands.push_back(WeightedDemand{&tx_, wire_bytes});
-  demands.push_back(WeightedDemand{&receiver->rx_, wire_bytes});
-  // Cross-switch frames also traverse the top-of-rack uplinks.
-  const int src_switch = network_.SwitchOf(address_);
-  const int dst_switch = network_.SwitchOf(dst);
-  if (src_switch != dst_switch) {
-    if (src_switch != 0) {
-      demands.push_back(WeightedDemand{&network_.uplink(src_switch), wire_bytes});
-    }
-    if (dst_switch != 0) {
-      demands.push_back(WeightedDemand{&network_.uplink(dst_switch), wire_bytes});
-    }
-  }
-  co_await ConsumeAllWeighted(sim_, std::move(demands));
-  co_await sim::Delay(sim_, network_.propagation_latency() + fault.extra_delay);
-
-  // Re-check reachability at delivery time: HIL may have moved ports (or a
-  // link may have dropped) while the frame was in flight.
-  if (VlanSet::LowestShared(vlans_, receiver->vlans_) == 0 ||
-      !network_.LinkUp(address_) || !network_.LinkUp(dst)) {
-    ++messages_dropped_;
-    ++network_.total_drops_;
-    obs::CountById(sim_, ids.dropped_in_flight);
-    co_return;
-  }
-#if BOLTED_OBS
-  // Forwarded-frame accounting: totals, size distribution, and per-link
-  // byte counters keyed on the endpoint names (the "per-port ifconfig" of
-  // the simulated switch).  All ids were interned at attach time, so this
-  // block neither hashes nor builds metric-name strings.
-  if (obs::Registry* r = sim_.observer()) {
-    const auto bytes = message->EffectiveWireBytes();
-    r->AddById(ids.forwarded, 1 + static_cast<uint64_t>(fault.duplicates));
-    r->RecordById(ids.frame_bytes, bytes);
-    r->AddById(tx_bytes_metric_, bytes);
-    r->AddById(receiver->rx_bytes_metric_,
-               bytes * (1 + static_cast<uint64_t>(fault.duplicates)));
-  }
-#endif
-  // A duplicating switch delivers extra copies of the same frame; each copy
-  // is provider-visible traffic, so the sniffer sees all of them.
-  for (int copy = 0; copy < fault.duplicates; ++copy) {
-    ++network_.fault_duplicates_;
-    obs::CountById(sim_, ids.fault_duplicated);
-    network_.RecordDelivery(this, receiver, vlan, *message);
-    if (network_.sniffer_) {
-      network_.sniffer_(vlan, *message);
-    }
-    receiver->inbox_.Send(*message);
-  }
-  network_.RecordDelivery(this, receiver, vlan, *message);
-  if (network_.sniffer_) {
-    network_.sniffer_(vlan, *message);
-  }
-  receiver->inbox_.Send(std::move(*message));
 }
 
 void Network::SetLinkUp(Address endpoint, bool up) {
@@ -218,22 +101,16 @@ void Network::SetLinkUp(Address endpoint, bool up) {
 }
 
 void Endpoint::Post(Address dst, Message message) {
-  if (network_.forward_path_ == ForwardPath::kBurst) {
-    // Fire-and-forget on the fast path needs no coroutine at all: the
-    // flight engine runs synchronously here, exactly where the generic
-    // path's Spawn would have started the send coroutine.
-    network_.StartFlight(this, dst, MessageBox(std::move(message)), nullptr);
-    return;
-  }
-  sim_.Spawn(Send(dst, std::move(message)));
+  // Fire-and-forget needs no coroutine at all: the flight engine runs
+  // synchronously here.
+  network_.StartFlight(this, dst, MessageBox(std::move(message)), nullptr);
 }
 
 Network::Network(sim::Simulation& sim, sim::Duration propagation_latency,
                  double default_bandwidth_bytes_per_second)
     : sim_(sim),
       latency_(propagation_latency),
-      default_bandwidth_(default_bandwidth_bytes_per_second),
-      forward_path_(DefaultForwardPath()) {}
+      default_bandwidth_(default_bandwidth_bytes_per_second) {}
 
 Endpoint& Network::CreateEndpoint(const std::string& name) {
   return CreateEndpoint(name, default_bandwidth_);
@@ -332,50 +209,12 @@ bool Network::InjectFrame(Message message, VlanId tag) {
     obs::CountById(sim_, Ids().injected_dropped);
     return false;
   }
-  if (forward_path_ == ForwardPath::kBurst) {
-    // Ingress rides the same flight engine as local frames, so merged
-    // metrics (forwarded count, size histogram, per-link rx bytes), the
-    // frame digest, and any pcap tap see a cross-shard hop exactly like a
-    // local one.
-    StartInjectFlight(receiver, MessageBox(std::move(message)), tag);
-    return true;
-  }
-  // Boxed before the coroutine boundary for the same GCC 12 reason as
-  // Endpoint::Send (see the header note there).
-  sim_.Spawn(InjectBoxed(receiver, MessageBox(std::move(message)), tag));
+  // Ingress rides the same flight engine as local frames, so merged
+  // metrics (forwarded count, size histogram, per-link rx bytes), the
+  // frame digest, and any pcap tap see a cross-shard hop exactly like a
+  // local one.
+  StartInjectFlight(receiver, MessageBox(std::move(message)), tag);
   return true;
-}
-
-sim::Task Network::InjectBoxed(Endpoint* receiver, MessageBox message,
-                               VlanId tag) {
-  const NetMetricIds& ids = Ids();
-  const double wire_bytes = static_cast<double>(message->EffectiveWireBytes());
-  DemandList demands;
-  demands.push_back(WeightedDemand{&receiver->rx_, wire_bytes});
-  co_await ConsumeAllWeighted(sim_, std::move(demands));
-  // Delivery-time re-check, mirroring the in-flight drop rule of the
-  // local send path: the port may have left the VLAN or lost its link
-  // while the bytes were clearing the NIC.
-  if (!receiver->InVlan(tag) || !LinkUp(receiver->address())) {
-    ++total_drops_;
-    obs::CountById(sim_, ids.dropped_in_flight);
-    co_return;
-  }
-  ++injected_frames_;
-  obs::CountById(sim_, ids.injected);
-#if BOLTED_OBS
-  if (obs::Registry* r = sim_.observer()) {
-    const auto bytes = message->EffectiveWireBytes();
-    r->AddById(ids.forwarded, 1);
-    r->RecordById(ids.frame_bytes, bytes);
-    r->AddById(receiver->rx_bytes_metric_, bytes);
-  }
-#endif
-  RecordDelivery(nullptr, receiver, tag, *message);
-  if (sniffer_) {
-    sniffer_(tag, *message);
-  }
-  receiver->inbox_.Send(std::move(*message));
 }
 
 // --- Burst fast path (DESIGN.md §15) ----------------------------------------

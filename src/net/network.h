@@ -12,6 +12,13 @@
 // traffic contends naturally.  A provider-level sniffer hook sees every
 // delivered frame — used by tests and examples to demonstrate that only
 // encryption (not VLANs) protects payloads from the provider itself.
+//
+// Frames move through one forwarding path, the burst flight engine
+// (DESIGN.md §15): flow-cached send verdicts, callback-completed NIC
+// demands, and ring-batched delivery with run-to-completion for
+// same-instant hops.  The frame-digest parity tests replay traffic on the
+// original coroutine-per-frame path, a test-only oracle that reaches the
+// per-port and fabric state below through `friend class GenericForward`.
 
 #ifndef SRC_NET_NETWORK_H_
 #define SRC_NET_NETWORK_H_
@@ -39,14 +46,6 @@ namespace bolted::net {
 
 class Network;
 class PcapWriter;
-
-// Forwarding implementation selector (DESIGN.md §15).  kBurst is the
-// zero-copy flight engine: flow-cached lookups, callback-completed NIC
-// demands, ring-batched delivery with run-to-completion for same-instant
-// hops.  kGeneric is the original coroutine-per-frame path, kept as the
-// semantic oracle that benches and the fast-path test battery replay
-// against.  Default kBurst; override with BOLTED_NET_PATH=generic|burst.
-enum class ForwardPath { kBurst, kGeneric };
 
 // Switch-port VLAN membership as a bitset.  The per-frame reachability
 // check (SharedVlan on the send and delivery paths) is a word-AND scan
@@ -157,6 +156,8 @@ class Endpoint {
   // RpcNode forwards already-boxed requests straight to SendBoxed, so a
   // call doesn't re-box per hop.
   friend class RpcNode;
+  // The coroutine-per-frame forwarding oracle (see the file comment).
+  friend class GenericForward;
 
   // Direct-mapped per-port flow cache, keyed on the destination address.
   // One entry memoizes everything the send path would otherwise recompute
@@ -178,9 +179,6 @@ class Endpoint {
   };
 
   sim::Task SendBoxed(Address dst, MessageBox message);
-  // The two implementations behind SendBoxed (see ForwardPath).
-  sim::Task SendBoxedGeneric(Address dst, MessageBox message);
-  sim::Task AwaitFlight(Address dst, MessageBox message);
 
   sim::Simulation& sim_;
   Network& network_;
@@ -259,12 +257,6 @@ class Network : public ConsumeSink {
   void SetSniffer(Sniffer sniffer) { sniffer_ = std::move(sniffer); }
   void SetFaultFilter(FaultFilter filter) { fault_filter_ = std::move(filter); }
 
-  // --- Forwarding path ----------------------------------------------------
-  ForwardPath forward_path() const { return forward_path_; }
-  // Switch only while no frames are in flight (typically before traffic
-  // starts): in-flight generic coroutines and burst flights don't migrate.
-  void SetForwardPath(ForwardPath path) { forward_path_ = path; }
-
   // Monotone counter bumped by every topology mutation (VLAN membership,
   // port moves, link state, endpoint creation); versions the flow caches.
   uint64_t topology_epoch() const { return topology_epoch_; }
@@ -275,7 +267,8 @@ class Network : public ConsumeSink {
   // totals are chained in time order, so the digest pins the delivered
   // multiset per instant while staying independent of intra-instant
   // micro-ordering — by construction it is byte-identical between the
-  // burst and generic paths, across schedulers, and across shard counts.
+  // burst engine and the coroutine-per-frame oracle, and across shard
+  // counts.
   uint64_t frame_digest() const;
   // Delivered frame copies (duplicates from fault injection included).
   uint64_t frames_delivered() const { return frames_delivered_; }
@@ -317,6 +310,7 @@ class Network : public ConsumeSink {
 
  private:
   friend class Endpoint;
+  friend class GenericForward;  // see the file comment
 
   // --- Burst fast path (DESIGN.md §15) ------------------------------------
   // One in-flight frame.  Flights live in a stable-address arena with a
@@ -354,8 +348,6 @@ class Network : public ConsumeSink {
     uint64_t rx_bytes = 0;
   };
 
-  sim::Task InjectBoxed(Endpoint* receiver, MessageBox message, VlanId tag);
-
   void StartFlight(Endpoint* sender, Address dst, MessageBox box,
                    sim::Event* done);
   void StartInjectFlight(Endpoint* receiver, MessageBox box, VlanId tag);
@@ -369,8 +361,8 @@ class Network : public ConsumeSink {
   void FlushBurstStats(BurstStats& stats);
   void QueueForPump(Endpoint* receiver);
   void PumpReceivers();
-  // Per-delivered-copy bookkeeping shared by both paths: frame digest,
-  // delivered counter, and the pcap taps of the two ports.
+  // Per-delivered-copy bookkeeping, shared with the generic-path oracle:
+  // frame digest, delivered counter, and the pcap taps of the two ports.
   void RecordDelivery(Endpoint* sender, Endpoint* receiver, VlanId vlan,
                       const Message& message);
   void FoldFrameDigest(VlanId vlan, const Message& message);
@@ -400,7 +392,6 @@ class Network : public ConsumeSink {
   uint64_t injected_frames_ = 0;
 
   // --- Burst fast-path state ---------------------------------------------
-  ForwardPath forward_path_;  // constructor reads BOLTED_NET_PATH
   uint64_t topology_epoch_ = 1;
   std::deque<Flight> flight_arena_;  // stable addresses; index = pool_index
   std::vector<uint32_t> flight_free_;

@@ -53,13 +53,12 @@ struct Slot {
 
 class Runner {
  public:
-  Runner(const ScenarioSpec& spec, sim::SchedulerKind scheduler)
+  explicit Runner(const ScenarioSpec& spec)
       : spec_(spec), rng_(spec.seed ^ 0x5ce0'ab1eu) {
     core::CloudConfig config;
     config.num_machines = spec.machines;
     config.linuxboot_in_flash = true;
     config.seed = spec.seed;
-    config.scheduler = scheduler;
     if (spec.fleet_calibration) {
       // Long-horizon knob shared with bench/fleet_provisioning: a 32 MiB
       // boot image keeps a multi-phase run's I/O affordable.
@@ -625,9 +624,8 @@ ScenarioResult Runner::Run() {
 
 }  // namespace
 
-ScenarioResult RunScenario(const ScenarioSpec& spec,
-                           sim::SchedulerKind scheduler) {
-  Runner runner(spec, scheduler);
+ScenarioResult RunScenario(const ScenarioSpec& spec) {
+  Runner runner(spec);
   return runner.Run();
 }
 

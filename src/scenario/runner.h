@@ -16,7 +16,7 @@
 //
 // This is the oracle: the rack-sharded scenario model (sharded.h) must
 // match its phase semantics, and tests compare its per-seed verdicts and
-// digests across replays and schedulers.
+// digests across replays.
 
 #ifndef SRC_SCENARIO_RUNNER_H_
 #define SRC_SCENARIO_RUNNER_H_
@@ -27,7 +27,6 @@
 
 #include "src/core/enclave.h"
 #include "src/scenario/scenario.h"
-#include "src/sim/scheduler.h"
 
 namespace bolted::scenario {
 
@@ -68,9 +67,7 @@ struct ScenarioResult {
 // Runs the spec to completion on a freshly built cloud.  The spec must be
 // valid (Parse/Validate); an invalid spec yields a single-failure result
 // rather than a crash.
-ScenarioResult RunScenario(
-    const ScenarioSpec& spec,
-    sim::SchedulerKind scheduler = sim::SchedulerKind::kDefault);
+ScenarioResult RunScenario(const ScenarioSpec& spec);
 
 }  // namespace bolted::scenario
 

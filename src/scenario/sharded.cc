@@ -448,7 +448,6 @@ ShardedScenarioResult Model::Run() {
   options.shards = config_.shards;
   options.workers = config_.workers;
   options.seed = config_.seed;
-  options.scheduler = config_.scheduler;
   sim::ShardedFleet fleet(options);
   fleet_ = &fleet;
 

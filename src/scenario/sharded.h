@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "src/scenario/scenario.h"
-#include "src/sim/scheduler.h"
 
 namespace bolted::scenario {
 
@@ -43,7 +42,6 @@ struct ShardedScenarioConfig {
   uint32_t workers = 1;
   uint64_t seed = 1;
   uint32_t tenants = 2;  // node i belongs to tenant i % tenants
-  sim::SchedulerKind scheduler = sim::SchedulerKind::kDefault;
 
   int64_t arrival_spacing_ns = 10'000'000;     // per-node provision stagger
   int64_t provision_mean_ns = 3'000'000'000;   // boot + quote prep

@@ -1,44 +1,31 @@
-// Pluggable event schedulers for the simulation kernel.
+// The simulation kernel's event queue: a hierarchical timing wheel.
 //
-// The Simulation delegates its priority queue to a Scheduler so the
-// hierarchical timing wheel (the production implementation) can be
-// verified event-for-event against the original binary heap, which is
-// preserved as ReferenceScheduler — the same keep-the-old-code-as-oracle
-// pattern the crypto layer uses for its P-256 ladders.
-//
-// Contract every implementation must honour (the determinism contract):
+// Contract (the determinism contract; tests/scheduler_test.cc holds the
+// wheel to it, event for event, against a plain binary-heap oracle):
 //   * Events fire in (when, seq) order: strictly increasing `when`, and
 //     among events at the same instant, increasing `seq` — i.e. insertion
 //     order.  `seq` is assigned by the Simulation and is globally unique.
 //   * Cancel is a no-op on fired, cancelled, or never-issued ids, and a
 //     cancelled event leaves no residue observable through pending().
 //   * pending() is the exact number of live (scheduled, not yet fired or
-//     cancelled) events at all times — both implementations report the
-//     same value at every step, which keeps the obs queue-depth histogram
-//     byte-identical across schedulers.
+//     cancelled) events at all times; the obs queue-depth histogram
+//     samples it.
 //   * Returned EventIds are never 0, so callers may use 0 as "no event".
 //
-// Scheduler selection: the timing wheel is the default; BOLTED_SCHEDULER
-// (values "wheel" / "reference") overrides it process-wide, and callers
-// can pin a kind explicitly (the equivalence tests and the chaos replay
-// run do).
-//
-// Timing-wheel layout (DESIGN.md §10): 8 levels of 64 slots.  Level k
-// buckets time by 2^(6k) ns, so level 0 resolves single nanoseconds and
-// the wheel's total horizon is 2^48 ns ≈ 3.26 days past the current
-// cursor; anything later sits in a sorted spill heap until the cursor's
-// 2^48 ns epoch reaches it.  Cancellation is O(1): handles carry a pool
-// index plus a generation tag, and wheel records are doubly linked within
-// their slot, so Cancel unlinks immediately — no tombstone hash set, no
-// compaction sweeps on the wheel itself.
+// Layout (DESIGN.md §10): 8 levels of 64 slots.  Level k buckets time by
+// 2^(6k) ns, so level 0 resolves single nanoseconds and the wheel's total
+// horizon is 2^48 ns ≈ 3.26 days past the current cursor; anything later
+// sits in a sorted spill heap until the cursor's 2^48 ns epoch reaches
+// it.  Cancellation is O(1): handles carry a pool index plus a generation
+// tag, and wheel records are doubly linked within their slot, so Cancel
+// unlinks immediately — no tombstone hash set, no compaction sweeps on
+// the wheel itself.
 
 #ifndef SRC_SIM_SCHEDULER_H_
 #define SRC_SIM_SCHEDULER_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <unordered_set>
 #include <vector>
 
 #include "src/sim/event_fn.h"
@@ -49,91 +36,24 @@ namespace bolted::sim {
 // Identifies a scheduled event so it can be cancelled.
 using EventId = uint64_t;
 
-enum class SchedulerKind {
-  kDefault,    // BOLTED_SCHEDULER env override, else the timing wheel
-  kWheel,      // hierarchical timing wheel (production)
-  kReference,  // original binary heap + lazy-deletion set (oracle)
-};
-
-// Maps kDefault through the BOLTED_SCHEDULER environment variable.
-SchedulerKind ResolveSchedulerKind(SchedulerKind kind);
-
-class Scheduler {
+// See the header comment for the layout and DESIGN.md §10 for the
+// determinism argument; the inline comments below state the invariants
+// each path relies on.
+class WheelScheduler {
  public:
-  virtual ~Scheduler() = default;
+  WheelScheduler();
 
   // Enqueues fn at `when` (the Simulation clamps when >= now).  `seq` must
   // be strictly increasing across calls; `now` is the simulation clock,
   // the lower bound on every future `when`.
-  virtual EventId Schedule(Time now, Time when, uint64_t seq, EventFn fn) = 0;
-  virtual void Cancel(EventId id) = 0;
+  EventId Schedule(Time now, Time when, uint64_t seq, EventFn fn);
+  void Cancel(EventId id);
   // Earliest live event time; false when nothing is pending.  May advance
   // internal bookkeeping but never changes the fire order.
-  virtual bool PeekNextTime(Time* when) = 0;
+  bool PeekNextTime(Time* when);
   // Pops the earliest live event; false when nothing is pending.
-  virtual bool PopNext(Time* when, uint64_t* seq, EventFn* fn) = 0;
-  virtual size_t pending() const = 0;
-};
-
-std::unique_ptr<Scheduler> MakeScheduler(SchedulerKind kind);
-
-// The pre-wheel event queue, verbatim: a binary min-heap of move-only
-// entries ordered by (when, seq), an unordered_set of live ids giving
-// lazy cancellation, and a compaction pass once tombstones dominate the
-// heap.  Kept as the equivalence oracle for WheelScheduler.
-class ReferenceScheduler final : public Scheduler {
- public:
-  EventId Schedule(Time now, Time when, uint64_t seq, EventFn fn) override;
-  void Cancel(EventId id) override;
-  bool PeekNextTime(Time* when) override;
-  bool PopNext(Time* when, uint64_t* seq, EventFn* fn) override;
-  size_t pending() const override { return pending_.size(); }
-
- private:
-  struct Entry {
-    Time when;
-    uint64_t seq;  // tie-break: earlier scheduling fires first
-    EventId id;
-    EventFn fn;
-    // Min-heap order via std::greater: later-firing sorts greater.
-    bool operator>(const Entry& other) const {
-      if (when != other.when) {
-        return when > other.when;
-      }
-      return seq > other.seq;
-    }
-  };
-
-  // Pops cancelled entries off the heap top; afterwards the top (if any)
-  // is a live event.
-  void DropCancelledTop();
-  Entry PopTop();
-  // Rebuilds the heap without dead (cancelled) entries once they dominate
-  // it — retry timers that are armed and cancelled on every attempt must
-  // not accumulate tombstones for the lifetime of a long chaos run.
-  void MaybeCompactHeap();
-
-  uint64_t next_id_ = 1;
-  std::vector<Entry> heap_;
-  std::unordered_set<EventId> pending_;
-  // Cancelled entries still sitting in heap_ (lazy deletion).  pending_
-  // holds exactly the ids of live heap entries, so Cancel can maintain
-  // this count precisely.
-  size_t dead_in_heap_ = 0;
-};
-
-// Hierarchical timing wheel.  See the header comment for the layout and
-// DESIGN.md §10 for the determinism argument; the inline comments below
-// state the invariants each path relies on.
-class WheelScheduler final : public Scheduler {
- public:
-  WheelScheduler();
-
-  EventId Schedule(Time now, Time when, uint64_t seq, EventFn fn) override;
-  void Cancel(EventId id) override;
-  bool PeekNextTime(Time* when) override;
-  bool PopNext(Time* when, uint64_t* seq, EventFn* fn) override;
-  size_t pending() const override { return live_; }
+  bool PopNext(Time* when, uint64_t* seq, EventFn* fn);
+  size_t pending() const { return live_; }
 
  private:
   static constexpr int kSlotBits = 6;
@@ -205,7 +125,7 @@ class WheelScheduler final : public Scheduler {
 
   // Overflow min-heap (std::greater) ordered by (when, seq); cancelled
   // entries are tombstoned and pruned lazily, with a compaction pass once
-  // they dominate — mirroring the reference heap's policy.
+  // they dominate.
   std::vector<SpillEntry> spill_;
   size_t spill_dead_ = 0;
 

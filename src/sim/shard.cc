@@ -206,7 +206,7 @@ ShardedFleet::ShardedFleet(const ShardOptions& options)
   for (uint32_t r = 0; r < racks; ++r) {
     auto rack = std::make_unique<Rack>();
     rack->sim_ = std::make_unique<Simulation>(
-        options.scheduler, SplitMix64(options.seed ^ (0x7261636bu + r)));
+        SplitMix64(options.seed ^ (0x7261636bu + r)));
     rack->fleet_ = this;
     rack->index_ = r;
     // Contiguous stripes: rack r belongs to shard floor(r*S/R), so racks

@@ -183,7 +183,6 @@ struct ShardOptions {
   // two).  Overflow spills — counted, never dropped.
   uint32_t ring_capacity = 4096;
   bool pin_workers = false;
-  SchedulerKind scheduler = SchedulerKind::kDefault;
 };
 
 // One rack: a full Simulation plus its cross-rack egress.  Application

@@ -19,13 +19,7 @@ uint64_t MixDigest(uint64_t h, uint64_t v) {
 
 }  // namespace
 
-Simulation::Simulation(uint64_t seed)
-    : Simulation(SchedulerKind::kDefault, seed) {}
-
-Simulation::Simulation(SchedulerKind scheduler, uint64_t seed)
-    : scheduler_kind_(ResolveSchedulerKind(scheduler)),
-      scheduler_(MakeScheduler(scheduler_kind_)),
-      rng_(seed) {}
+Simulation::Simulation(uint64_t seed) : rng_(seed) {}
 
 Simulation::~Simulation() = default;
 
@@ -37,10 +31,10 @@ EventId Simulation::ScheduleAt(Time when, EventFn fn) {
   if (when < now_) {
     when = now_;
   }
-  return scheduler_->Schedule(now_, when, next_seq_++, std::move(fn));
+  return scheduler_.Schedule(now_, when, next_seq_++, std::move(fn));
 }
 
-void Simulation::Cancel(EventId id) { scheduler_->Cancel(id); }
+void Simulation::Cancel(EventId id) { scheduler_.Cancel(id); }
 
 void Simulation::RecordTraceEvent(uint64_t tag) {
   trace_digest_ = MixDigest(
@@ -51,22 +45,21 @@ bool Simulation::Step() {
   Time when;
   uint64_t seq;
   EventFn fn;
-  if (!scheduler_->PopNext(&when, &seq, &fn)) {
+  if (!scheduler_.PopNext(&when, &seq, &fn)) {
     return false;
   }
   now_ = when;
   ++events_processed_;
   // Fold the firing into the trace digest before user code runs, so a
   // callback that inspects the digest sees its own event included.  The
-  // mix is over (when, seq) — insertion order, not scheduler ids — so the
-  // digest is scheduler-independent.
+  // mix is over (when, seq) — insertion order, not queue-internal ids.
   trace_digest_ = MixDigest(
       MixDigest(trace_digest_, static_cast<uint64_t>(when.nanoseconds())), seq);
 #if BOLTED_OBS
   // Dispatch accounting: event count plus the live queue depth at fire
   // time (net of the event popped just now).
   if (observer_ != nullptr) {
-    observer_->OnSimStep(scheduler_->pending());
+    observer_->OnSimStep(scheduler_.pending());
   }
 #endif
   fn();
@@ -85,7 +78,7 @@ void Simulation::Run() {
 void Simulation::RunUntil(Time horizon) {
   for (;;) {
     Time next;
-    if (!scheduler_->PeekNextTime(&next) || next > horizon) {
+    if (!scheduler_.PeekNextTime(&next) || next > horizon) {
       break;
     }
     Step();
@@ -100,7 +93,7 @@ uint64_t Simulation::RunBefore(Time end) {
   uint64_t fired = 0;
   for (;;) {
     Time next;
-    if (!scheduler_->PeekNextTime(&next) || next >= end) {
+    if (!scheduler_.PeekNextTime(&next) || next >= end) {
       break;
     }
     Step();
@@ -110,7 +103,7 @@ uint64_t Simulation::RunBefore(Time end) {
 }
 
 bool Simulation::PeekNextEventTime(Time* next) {
-  return scheduler_->PeekNextTime(next);
+  return scheduler_.PeekNextTime(next);
 }
 
 void Simulation::Spawn(Task task) {

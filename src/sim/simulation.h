@@ -4,10 +4,9 @@
 // Events scheduled for the same instant fire in insertion order, which
 // (together with the seeded Rng) makes every run deterministic.
 //
-// The queue itself is a pluggable Scheduler (src/sim/scheduler.h): a
-// hierarchical timing wheel by default, with the original binary heap
-// preserved as ReferenceScheduler so the two can be replayed against each
-// other — same seed, same (when, seq) fire stream, same trace digest.
+// The queue is the hierarchical timing wheel of src/sim/scheduler.h,
+// which tests/scheduler_test.cc holds event for event to the (when, seq)
+// order of a plain binary heap.
 //
 // Higher-level flows (boot sequences, attestation protocols) are written
 // as C++20 coroutines (see src/sim/task.h) that suspend on Delay()
@@ -17,7 +16,6 @@
 #define SRC_SIM_SIMULATION_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "src/sim/event_fn.h"
@@ -36,8 +34,6 @@ class Task;
 class Simulation {
  public:
   explicit Simulation(uint64_t seed = 0x626f6c746564u);
-  // Pins the event-queue implementation (equivalence tests, chaos replay).
-  explicit Simulation(SchedulerKind scheduler, uint64_t seed = 0x626f6c746564u);
   ~Simulation();
 
   Simulation(const Simulation&) = delete;
@@ -45,8 +41,6 @@ class Simulation {
 
   Time now() const { return now_; }
   Rng& rng() { return rng_; }
-  // The resolved (never kDefault) scheduler kind this simulation runs on.
-  SchedulerKind scheduler_kind() const { return scheduler_kind_; }
 
   // Schedules fn to run after delay (>= 0) of simulated time.  EventFn
   // converts from any void() callable; small captures stay allocation-free.
@@ -74,7 +68,7 @@ class Simulation {
   uint64_t events_processed() const { return events_processed_; }
   // Live (scheduled, not yet fired or cancelled) events; bounds all
   // internal bookkeeping, so long-running simulations cannot leak ids.
-  size_t pending_events() const { return scheduler_->pending(); }
+  size_t pending_events() const { return scheduler_.pending(); }
 
   // --- Event-trace digest -------------------------------------------------
   // Rolling 64-bit digest over the ordered (time, event) stream: every
@@ -82,8 +76,7 @@ class Simulation {
   // events via RecordTraceEvent.  Two runs of the same seeded scenario
   // must produce the same digest — the replay invariant the chaos harness
   // checks byte-for-byte rather than end-state-equal.  The digest is a
-  // function of the fire order alone (seq, not any scheduler-internal id),
-  // so it is identical across scheduler implementations.
+  // function of the fire order alone (seq, not any queue-internal id).
   uint64_t trace_digest() const { return trace_digest_; }
   // Folds (now, tag) into the digest.  Tags identify domain events (frame
   // delivered, fault injected, verdict reached); pick any stable constant.
@@ -108,10 +101,9 @@ class Simulation {
   Time now_;
   uint64_t next_seq_ = 0;
   uint64_t events_processed_ = 0;
-  SchedulerKind scheduler_kind_;
   // Declared before live_tasks_ so queued EventFns (which may reference
   // coroutine frames) are destroyed after the frames that own them.
-  std::unique_ptr<Scheduler> scheduler_;
+  WheelScheduler scheduler_;
   uint64_t trace_digest_ = 0x626f6c746564u;
   obs::Registry* observer_ = nullptr;
   std::vector<Task> live_tasks_;

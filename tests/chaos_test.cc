@@ -131,15 +131,13 @@ struct Placement {
   const char* node = "";
 };
 
-ChaosResult RunChaosScenario(uint64_t seed,
-                             sim::SchedulerKind scheduler = sim::SchedulerKind::kDefault) {
+ChaosResult RunChaosScenario(uint64_t seed) {
   ChaosResult result;
 
   core::CloudConfig config;
   config.num_machines = 3;
   config.linuxboot_in_flash = true;
   config.seed = seed;
-  config.scheduler = scheduler;
   core::Cloud cloud(config);
   sim::Simulation& sim = cloud.sim();
 #if BOLTED_OBS
@@ -327,7 +325,7 @@ class ChaosSeedTest : public ::testing::Test {
   explicit ChaosSeedTest(uint64_t seed) : seed_(seed) {}
 
   void TestBody() override {
-    const ChaosResult first = RunChaosScenario(seed_, sim::SchedulerKind::kWheel);
+    const ChaosResult first = RunChaosScenario(seed_);
     EXPECT_GT(first.faults_fired, 0u) << "fault plan never fired — vacuous run";
     EXPECT_TRUE(first.terminated) << first.converge_detail;
     EXPECT_FALSE(first.cross_enclave) << first.cross_detail;
@@ -335,14 +333,11 @@ class ChaosSeedTest : public ::testing::Test {
     EXPECT_TRUE(first.converged) << first.converge_detail;
     EXPECT_TRUE(first.obs_ok) << first.obs_detail;
 
-    // Invariant (d): replaying the seed reproduces the exact event stream.
-    // The replay leg is pinned to the reference heap scheduler while the
-    // first run uses the timing wheel, so every sweep seed doubles as a
-    // cross-scheduler equivalence check: the digest is a function of the
-    // fired (when, seq) stream alone and must match byte for byte.
-    const ChaosResult replay = RunChaosScenario(seed_, sim::SchedulerKind::kReference);
+    // Invariant (d): replaying the seed reproduces the exact event stream,
+    // byte for byte.
+    const ChaosResult replay = RunChaosScenario(seed_);
     EXPECT_EQ(first.digest, replay.digest)
-        << "event trace diverged on reference-scheduler replay of seed " << seed_;
+        << "event trace diverged on replay of seed " << seed_;
 
     if (HasFailure()) {
       std::cerr << "repro: chaos_test --seed=" << seed_ << "\n";

@@ -18,6 +18,7 @@
 #include "src/crypto/p256.h"
 #include "src/crypto/sha256.h"
 #include "src/crypto/u256.h"
+#include "tests/oracle/p256_reference.h"
 
 namespace bolted::crypto {
 namespace {
@@ -337,7 +338,7 @@ TEST(MontgomeryTest, ExpMatchesRepeatedMul) {
   for (int i = 0; i < 13; ++i) {
     expected = fn.Mul(expected, base);
   }
-  EXPECT_EQ(fn.Exp(base, U256{{13, 0, 0, 0}}), expected);
+  EXPECT_EQ(oracle::Exp(fn, base, U256{{13, 0, 0, 0}}), expected);
 }
 
 TEST(P256Test, GeneratorOnCurveAndPrivateOneYieldsGenerator) {
@@ -461,6 +462,7 @@ TEST(P256Test, OrderTimesGeneratorIsInfinity) {
 // against an external ground truth.
 TEST(P256Test, Rfc6979VerifyKnownAnswers) {
   const P256& curve = P256::Instance();
+  const oracle::P256Reference& reference = oracle::P256Reference::Instance();
   const U256 priv = U256::FromHexString(
       "c9afa9d845ba75166b5c215767b1d6934e50c3db36e89b127b8a622b120f6721");
   EcPoint pub;
@@ -491,7 +493,7 @@ TEST(P256Test, Rfc6979VerifyKnownAnswers) {
     const EcdsaSignature sig{U256::FromHexString(v.r), U256::FromHexString(v.s)};
     EXPECT_TRUE(curve.Verify(pub, hash, sig));
     EXPECT_TRUE(curve.Verify(*prepared, hash, sig));
-    EXPECT_TRUE(curve.VerifyReference(pub, hash, sig));
+    EXPECT_TRUE(reference.Verify(pub, hash, sig));
   }
 }
 
@@ -500,6 +502,7 @@ TEST(P256Test, Rfc6979VerifyKnownAnswers) {
 // path, not just the reference one.
 TEST(P256Test, VerifyRejectsOutOfRangeSignatureScalars) {
   const P256& curve = P256::Instance();
+  const oracle::P256Reference& reference = oracle::P256Reference::Instance();
   const U256 priv = curve.PrivateKeyFromSeed(ToBytes("range-checks"));
   const EcPoint pub = curve.PublicKey(priv);
   const auto prepared = curve.Prepare(pub);
@@ -519,13 +522,13 @@ TEST(P256Test, VerifyRejectsOutOfRangeSignatureScalars) {
     EXPECT_FALSE(curve.Verify(pub, hash, bad_s));
     EXPECT_FALSE(curve.Verify(*prepared, hash, bad_r));
     EXPECT_FALSE(curve.Verify(*prepared, hash, bad_s));
-    EXPECT_FALSE(curve.VerifyReference(pub, hash, bad_r));
-    EXPECT_FALSE(curve.VerifyReference(pub, hash, bad_s));
+    EXPECT_FALSE(reference.Verify(pub, hash, bad_r));
+    EXPECT_FALSE(reference.Verify(pub, hash, bad_s));
   }
   // Sanity: the unmodified signature still passes everywhere.
   EXPECT_TRUE(curve.Verify(pub, hash, good));
   EXPECT_TRUE(curve.Verify(*prepared, hash, good));
-  EXPECT_TRUE(curve.VerifyReference(pub, hash, good));
+  EXPECT_TRUE(reference.Verify(pub, hash, good));
 }
 
 TEST(P256Test, SignatureDecodeRejectsTruncatedEncodings) {
@@ -569,6 +572,7 @@ TEST(P256Test, VerifyAndPrepareRejectInvalidPublicKeys) {
 // near-order, sparse windows).
 TEST(P256Test, FastScalarMulMatchesReferenceSweep) {
   const P256& curve = P256::Instance();
+  const oracle::P256Reference& reference = oracle::P256Reference::Instance();
   Drbg drbg(uint64_t{2024});
   const EcPoint g = curve.PublicKey(U256::One());
 
@@ -588,11 +592,11 @@ TEST(P256Test, FastScalarMulMatchesReferenceSweep) {
 
   const EcPoint point = curve.PublicKey(curve.PrivateKeyFromSeed(ToBytes("base")));
   for (const U256& k : scalars) {
-    EXPECT_EQ(curve.PublicKey(k), curve.MultiplyReference(k, g));
-    EXPECT_EQ(curve.Multiply(k, point), curve.MultiplyReference(k, point));
+    EXPECT_EQ(curve.PublicKey(k), reference.Multiply(k, g));
+    EXPECT_EQ(curve.Multiply(k, point), reference.Multiply(k, point));
   }
   EXPECT_TRUE(curve.Multiply(curve.order(), point).infinity);
-  EXPECT_TRUE(curve.MultiplyReference(curve.order(), point).infinity);
+  EXPECT_TRUE(reference.Multiply(curve.order(), point).infinity);
 }
 
 // The comb+binary-inversion Sign must emit byte-identical signatures to
@@ -600,18 +604,20 @@ TEST(P256Test, FastScalarMulMatchesReferenceSweep) {
 // the backend can never invalidate previously recorded quotes.
 TEST(P256Test, SignMatchesReferenceByteForByte) {
   const P256& curve = P256::Instance();
+  const oracle::P256Reference& reference = oracle::P256Reference::Instance();
   Drbg drbg(uint64_t{4242});
   for (int i = 0; i < 12; ++i) {
     const U256 priv = curve.PrivateKeyFromSeed(drbg.Generate(32));
     const Digest hash = Sha256::Hash(drbg.Generate(48));
     const EcdsaSignature fast = curve.Sign(priv, hash);
-    const EcdsaSignature ref = curve.SignReference(priv, hash);
+    const EcdsaSignature ref = reference.Sign(priv, hash);
     EXPECT_EQ(fast.Encode(), ref.Encode());
   }
 }
 
 TEST(P256Test, VerifyPathsAgreeOnRandomizedDecisions) {
   const P256& curve = P256::Instance();
+  const oracle::P256Reference& reference = oracle::P256Reference::Instance();
   Drbg drbg(uint64_t{31337});
   for (int i = 0; i < 8; ++i) {
     const U256 priv = curve.PrivateKeyFromSeed(drbg.Generate(32));
@@ -624,7 +630,7 @@ TEST(P256Test, VerifyPathsAgreeOnRandomizedDecisions) {
 
     EXPECT_TRUE(curve.Verify(pub, hash, sig));
     EXPECT_TRUE(curve.Verify(*prepared, hash, sig));
-    EXPECT_TRUE(curve.VerifyReference(pub, hash, sig));
+    EXPECT_TRUE(reference.Verify(pub, hash, sig));
 
     EcdsaSignature tampered = sig;
     U256 bumped;
@@ -632,7 +638,7 @@ TEST(P256Test, VerifyPathsAgreeOnRandomizedDecisions) {
     tampered.s = bumped;
     const bool fast = curve.Verify(pub, hash, tampered);
     const bool fast_prepared = curve.Verify(*prepared, hash, tampered);
-    const bool ref = curve.VerifyReference(pub, hash, tampered);
+    const bool ref = reference.Verify(pub, hash, tampered);
     EXPECT_EQ(fast, ref);
     EXPECT_EQ(fast_prepared, ref);
     EXPECT_FALSE(ref);
@@ -663,7 +669,7 @@ TEST(U256Test, BinaryInversionMatchesFermat) {
       continue;
     }
     const U256 a_mont = field.ToMont(a);
-    EXPECT_EQ(field.InverseBinary(a_mont), field.Inverse(a_mont));
+    EXPECT_EQ(field.Inverse(a_mont), oracle::FermatInverse(field, a_mont));
     // ModInverseOdd works outside the Montgomery domain: a * a^-1 == 1.
     const U256 plain_inv = ModInverseOdd(a, p);
     EXPECT_EQ(field.FromMont(field.Mul(field.ToMont(a), field.ToMont(plain_inv))),
@@ -685,7 +691,7 @@ TEST(U256Test, BatchInvertMatchesIndividualInversions) {
     }
     v = field.ToMont(v);
     values.push_back(v);
-    expected.push_back(field.Inverse(v));
+    expected.push_back(oracle::FermatInverse(field, v));
   }
   field.BatchInvert(values);
   EXPECT_EQ(values, expected);

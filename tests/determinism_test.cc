@@ -25,13 +25,11 @@ struct ScenarioResult {
   bool operator==(const ScenarioResult&) const = default;
 };
 
-ScenarioResult RunScenario(uint64_t seed,
-                           sim::SchedulerKind scheduler = sim::SchedulerKind::kDefault) {
+ScenarioResult RunScenario(uint64_t seed) {
   CloudConfig config;
   config.num_machines = 3;
   config.linuxboot_in_flash = true;
   config.seed = seed;
-  config.scheduler = scheduler;
   Cloud cloud(config);
   Enclave tenant(cloud, "t", TrustProfile::Charlie(), seed ^ 0xabc);
 
@@ -77,16 +75,6 @@ TEST(DeterminismTest, WholeCloudTraceDigestIsReplayStable) {
   EXPECT_NE(a.trace_digest, 0u);
   EXPECT_EQ(a.trace_digest, b.trace_digest);
   EXPECT_EQ(a.events, b.events);
-}
-
-TEST(DeterminismTest, TimingWheelAndReferenceHeapAreObservationallyEqual) {
-  // The full-system equivalence claim: a whole provisioning + workload
-  // scenario produces the identical result — events, digest, timings, and
-  // TPM end state — on both event-queue implementations.
-  const ScenarioResult wheel = RunScenario(31337, sim::SchedulerKind::kWheel);
-  const ScenarioResult heap = RunScenario(31337, sim::SchedulerKind::kReference);
-  EXPECT_EQ(wheel, heap);
-  EXPECT_NE(wheel.trace_digest, 0u);
 }
 
 TEST(DeterminismTest, CryptoArtifactsAreSeedIndependentWhereTheyShouldBe) {

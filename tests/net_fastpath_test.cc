@@ -2,13 +2,18 @@
 // matrix (HIL port moves, VLAN membership changes, link flaps, machine
 // crashes) proving no stale delivery ever crosses an isolation boundary,
 // the burst-vs-generic frame-digest parity sweep (8 seeds, fault
-// injection, mid-run topology churn, both schedulers), the InjectFrame
-// metric reconciliation (a cross-shard hop must account exactly like a
-// local one), and the sharded-ingress parity run on real worker threads.
+// injection, mid-run topology churn), the InjectFrame metric
+// reconciliation (a cross-shard hop must account exactly like a local
+// one), and the sharded-ingress parity run on real worker threads.
+//
+// Every case runs on both forwarding paths: the production burst engine
+// (Endpoint::Post, Network::InjectFrame) and the coroutine-per-frame
+// oracle in tests/oracle/generic_forward.h.
 
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -17,24 +22,41 @@
 #include "src/sim/random.h"
 #include "src/sim/shard.h"
 #include "src/sim/simulation.h"
+#include "tests/oracle/generic_forward.h"
 
 namespace bolted::net {
 namespace {
 
 using sim::Duration;
 using sim::Rng;
-using sim::SchedulerKind;
 using sim::Simulation;
 
-constexpr ForwardPath kPaths[] = {ForwardPath::kBurst, ForwardPath::kGeneric};
+void BurstPost(Endpoint& from, Address dst, Message message) {
+  from.Post(dst, std::move(message));
+}
+
+bool BurstInject(Network& network, Message message, VlanId tag) {
+  return network.InjectFrame(std::move(message), tag);
+}
+
+// A forwarding path as the tests drive it: how a local frame is posted
+// and how an uplink frame is injected.
+struct Path {
+  const char* name;
+  void (*post)(Endpoint& from, Address dst, Message message);
+  bool (*inject)(Network& network, Message message, VlanId tag);
+};
+
+constexpr Path kBurst{"burst", BurstPost, BurstInject};
+constexpr Path kGeneric{"generic", oracle::Post, oracle::Inject};
+constexpr Path kPaths[] = {kBurst, kGeneric};
 
 // --- Flow-cache invalidation matrix ------------------------------------------
 
 TEST(FlowCache, VlanDetachInvalidatesCachedVerdict) {
-  for (const ForwardPath path : kPaths) {
+  for (const Path& path : kPaths) {
     Simulation sim;
     Network net(sim, Duration::Microseconds(1), 1e9);
-    net.SetForwardPath(path);
     Endpoint& a = net.CreateEndpoint("a");
     Endpoint& b = net.CreateEndpoint("b");
     net.AttachToVlan(a.address(), 5);
@@ -42,7 +64,7 @@ TEST(FlowCache, VlanDetachInvalidatesCachedVerdict) {
 
     Message m1;
     m1.wire_bytes = 100;
-    a.Post(b.address(), std::move(m1));
+    path.post(a, b.address(), std::move(m1));
     sim.Run();
     EXPECT_EQ(net.frames_delivered(), 1u);
 
@@ -51,7 +73,7 @@ TEST(FlowCache, VlanDetachInvalidatesCachedVerdict) {
     net.DetachFromVlan(b.address(), 5);
     Message m2;
     m2.wire_bytes = 100;
-    a.Post(b.address(), std::move(m2));
+    path.post(a, b.address(), std::move(m2));
     sim.Run();
     EXPECT_EQ(net.frames_delivered(), 1u);
     EXPECT_EQ(net.total_drops(), 1u);
@@ -61,7 +83,7 @@ TEST(FlowCache, VlanDetachInvalidatesCachedVerdict) {
     net.AttachToVlan(b.address(), 5);
     Message m3;
     m3.wire_bytes = 100;
-    a.Post(b.address(), std::move(m3));
+    path.post(a, b.address(), std::move(m3));
     sim.Run();
     EXPECT_EQ(net.frames_delivered(), 2u);
     EXPECT_EQ(b.inbox().size(), 2u);
@@ -69,10 +91,9 @@ TEST(FlowCache, VlanDetachInvalidatesCachedVerdict) {
 }
 
 TEST(FlowCache, PortMoveInvalidatesCachedUplinkRoute) {
-  for (const ForwardPath path : kPaths) {
+  for (const Path& path : kPaths) {
     Simulation sim;
     Network net(sim, Duration::Microseconds(1), 1e9);
-    net.SetForwardPath(path);
     net.AddSwitch(1e9);  // switch 1
     net.AddSwitch(1e9);  // switch 2
     Endpoint& a = net.CreateEndpointOnSwitch("a", 1);
@@ -82,7 +103,7 @@ TEST(FlowCache, PortMoveInvalidatesCachedUplinkRoute) {
 
     Message m1;
     m1.wire_bytes = 1000;
-    a.Post(b.address(), std::move(m1));
+    path.post(a, b.address(), std::move(m1));
     sim.Run();
     EXPECT_EQ(net.frames_delivered(), 1u);
     EXPECT_EQ(net.uplink(1).total_served(), 0.0);  // same-switch hop
@@ -92,7 +113,7 @@ TEST(FlowCache, PortMoveInvalidatesCachedUplinkRoute) {
     net.AssignToSwitch(b.address(), 2);
     Message m2;
     m2.wire_bytes = 1000;
-    a.Post(b.address(), std::move(m2));
+    path.post(a, b.address(), std::move(m2));
     sim.Run();
     EXPECT_EQ(net.frames_delivered(), 2u);
     EXPECT_GT(net.uplink(1).total_served(), 0.0);
@@ -101,10 +122,9 @@ TEST(FlowCache, PortMoveInvalidatesCachedUplinkRoute) {
 }
 
 TEST(FlowCache, LinkFlapMidBurstDropsInFlightFrames) {
-  for (const ForwardPath path : kPaths) {
+  for (const Path& path : kPaths) {
     Simulation sim;
     Network net(sim, Duration::Microseconds(1), 1e9);
-    net.SetForwardPath(path);
     Endpoint& a = net.CreateEndpoint("a");
     Endpoint& b = net.CreateEndpoint("b");
     net.AttachToVlan(a.address(), 5);
@@ -117,7 +137,7 @@ TEST(FlowCache, LinkFlapMidBurstDropsInFlightFrames) {
       for (int i = 0; i < 4; ++i) {
         Message m;
         m.wire_bytes = 1000;
-        a.Post(b.address(), std::move(m));
+        path.post(a, b.address(), std::move(m));
       }
       net.SetLinkUp(b.address(), false);
     });
@@ -132,17 +152,16 @@ TEST(FlowCache, LinkFlapMidBurstDropsInFlightFrames) {
     net.SetLinkUp(b.address(), true);
     Message m;
     m.wire_bytes = 1000;
-    a.Post(b.address(), std::move(m));
+    path.post(a, b.address(), std::move(m));
     sim.Run();
     EXPECT_EQ(net.frames_delivered(), 1u);
   }
 }
 
 TEST(FlowCache, MachineCrashQuarantinesPort) {
-  for (const ForwardPath path : kPaths) {
+  for (const Path& path : kPaths) {
     Simulation sim;
     Network net(sim, Duration::Microseconds(1), 1e9);
-    net.SetForwardPath(path);
     Endpoint& a = net.CreateEndpoint("a");
     Endpoint& b = net.CreateEndpoint("b");
     net.AttachToVlan(a.address(), 5);
@@ -150,7 +169,7 @@ TEST(FlowCache, MachineCrashQuarantinesPort) {
 
     Message warm;
     warm.wire_bytes = 100;
-    a.Post(b.address(), std::move(warm));
+    path.post(a, b.address(), std::move(warm));
     sim.Run();
     ASSERT_EQ(net.frames_delivered(), 1u);
 
@@ -161,7 +180,7 @@ TEST(FlowCache, MachineCrashQuarantinesPort) {
     for (int i = 0; i < 3; ++i) {
       Message m;
       m.wire_bytes = 100;
-      a.Post(b.address(), std::move(m));
+      path.post(a, b.address(), std::move(m));
     }
     sim.Run();
     EXPECT_EQ(net.frames_delivered(), 1u);
@@ -175,11 +194,10 @@ TEST(FlowCache, MachineCrashQuarantinesPort) {
 // VLAN (and link-up) at the delivery instant.  The sniffer sees every
 // delivered copy, so it is the right observation point.
 TEST(FlowCache, NoStaleDeliveryEverCrossesIsolationBoundary) {
-  for (const ForwardPath path : kPaths) {
+  for (const Path& path : kPaths) {
     for (uint64_t seed = 1; seed <= 8; ++seed) {
       Simulation sim;
       Network net(sim, Duration::Microseconds(2), 1e9);
-      net.SetForwardPath(path);
       constexpr int kPorts = 6;
       constexpr VlanId kVlan = 11;
       std::vector<Endpoint*> eps;
@@ -222,11 +240,11 @@ TEST(FlowCache, NoStaleDeliveryEverCrossesIsolationBoundary) {
           default: {  // a small burst of frames to a random peer
             const auto peer =
                 (actor + 1 + rng.NextBelow(kPorts - 1)) % kPorts;
-            sim.Schedule(when, [&eps, actor, peer]() {
+            sim.Schedule(when, [&eps, &path, actor, peer]() {
               for (int i = 0; i < 3; ++i) {
                 Message m;
                 m.wire_bytes = 500;
-                eps[actor]->Post(eps[peer]->address(), std::move(m));
+                path.post(*eps[actor], eps[peer]->address(), std::move(m));
               }
             });
             break;
@@ -234,8 +252,7 @@ TEST(FlowCache, NoStaleDeliveryEverCrossesIsolationBoundary) {
         }
       }
       sim.Run();
-      EXPECT_EQ(violations, 0u)
-          << "path=" << static_cast<int>(path) << " seed=" << seed;
+      EXPECT_EQ(violations, 0u) << "path=" << path.name << " seed=" << seed;
     }
   }
 }
@@ -256,11 +273,9 @@ struct ParityResult {
 // A chaos-flavored scenario: mixed-size traffic over two oversubscribed
 // switches with a seeded fault filter (drops, duplicates, extra delay),
 // mid-run link flaps, a port move, VLAN churn, and uplink ingress.
-ParityResult RunParityScenario(SchedulerKind kind, ForwardPath path,
-                               uint64_t seed) {
-  Simulation sim(kind, seed);
+ParityResult RunParityScenario(const Path& path, uint64_t seed) {
+  Simulation sim(seed);
   Network net(sim, Duration::Microseconds(1), 1e9);
-  net.SetForwardPath(path);
   net.AddSwitch(4e9);
   net.AddSwitch(4e9);
   constexpr int kPorts = 12;
@@ -296,11 +311,11 @@ ParityResult RunParityScenario(SchedulerKind kind, ForwardPath path,
     const auto src = static_cast<size_t>(rng.NextBelow(kPorts));
     const auto dst = (src + 1 + rng.NextBelow(kPorts - 1)) % kPorts;
     const uint64_t size = kSizes[rng.NextBelow(4)];
-    sim.Schedule(when, [&eps, src, dst, size]() {
+    sim.Schedule(when, [&eps, &path, src, dst, size]() {
       Message m;
       m.kind = "chaos";
       m.wire_bytes = size;
-      eps[src]->Post(eps[dst]->address(), std::move(m));
+      path.post(*eps[src], eps[dst]->address(), std::move(m));
     });
   }
   // Uplink ingress interleaved with local traffic.
@@ -308,13 +323,13 @@ ParityResult RunParityScenario(SchedulerKind kind, ForwardPath path,
     const auto when =
         Duration::Nanoseconds(static_cast<int64_t>(rng.NextBelow(100000)));
     const auto dst = static_cast<size_t>(rng.NextBelow(kPorts));
-    sim.Schedule(when, [&net, &eps, dst]() {
+    sim.Schedule(when, [&net, &eps, &path, dst]() {
       Message m;
       m.dst = eps[dst]->address();
       m.src = 90001;
       m.kind = "shard.ingress";
       m.wire_bytes = 256;
-      net.InjectFrame(std::move(m), kVlan);
+      path.inject(net, std::move(m), kVlan);
     });
   }
   // Topology churn while frames are in flight.
@@ -342,22 +357,11 @@ ParityResult RunParityScenario(SchedulerKind kind, ForwardPath path,
 
 TEST(BurstGenericParity, DigestsIdenticalAcrossPathsSchedulersAndSeeds) {
   for (uint64_t seed = 1; seed <= 8; ++seed) {
-    const ParityResult oracle =
-        RunParityScenario(SchedulerKind::kWheel, ForwardPath::kGeneric, seed);
-    EXPECT_GT(oracle.frames_delivered, 0u);
-    EXPECT_GT(oracle.injected, 0u);
-    EXPECT_EQ(RunParityScenario(SchedulerKind::kWheel, ForwardPath::kBurst,
-                                seed),
-              oracle)
-        << "burst/wheel seed=" << seed;
-    EXPECT_EQ(RunParityScenario(SchedulerKind::kReference,
-                                ForwardPath::kBurst, seed),
-              oracle)
-        << "burst/reference seed=" << seed;
-    EXPECT_EQ(RunParityScenario(SchedulerKind::kReference,
-                                ForwardPath::kGeneric, seed),
-              oracle)
-        << "generic/reference seed=" << seed;
+    const ParityResult generic = RunParityScenario(kGeneric, seed);
+    EXPECT_GT(generic.frames_delivered, 0u);
+    EXPECT_GT(generic.injected, 0u);
+    EXPECT_EQ(RunParityScenario(kBurst, seed), generic)
+        << "burst seed=" << seed;
   }
 }
 
@@ -391,13 +395,12 @@ HopMetrics CollectHopMetrics(const obs::Registry& registry) {
 TEST(InjectParity, CrossShardHopAccountsLikeLocalHop) {
   constexpr uint64_t kSizes[] = {100, 1500, 9000, 64, 700};
 
-  for (const ForwardPath path : kPaths) {
+  for (const Path& path : kPaths) {
     HopMetrics local;
     {
       Simulation sim;
       obs::Registry registry(sim);
       Network net(sim, Duration::Microseconds(1), 1e9);
-      net.SetForwardPath(path);
       Endpoint& src = net.CreateEndpoint("src");
       Endpoint& dst = net.CreateEndpoint("dst");
       net.AttachToVlan(src.address(), 5);
@@ -405,7 +408,7 @@ TEST(InjectParity, CrossShardHopAccountsLikeLocalHop) {
       for (const uint64_t size : kSizes) {
         Message m;
         m.wire_bytes = size;
-        src.Post(dst.address(), std::move(m));
+        path.post(src, dst.address(), std::move(m));
       }
       sim.Run();
       local = CollectHopMetrics(registry);
@@ -418,7 +421,6 @@ TEST(InjectParity, CrossShardHopAccountsLikeLocalHop) {
       Simulation sim;
       obs::Registry registry(sim);
       Network net(sim, Duration::Microseconds(1), 1e9);
-      net.SetForwardPath(path);
       net.CreateEndpoint("src");  // same port layout, src stays silent
       Endpoint& dst = net.CreateEndpoint("dst");
       net.AttachToVlan(dst.address(), 5);
@@ -427,14 +429,14 @@ TEST(InjectParity, CrossShardHopAccountsLikeLocalHop) {
         m.dst = dst.address();
         m.src = 9001;
         m.wire_bytes = size;
-        EXPECT_TRUE(net.InjectFrame(std::move(m), 5));
+        EXPECT_TRUE(path.inject(net, std::move(m), 5));
       }
       sim.Run();
       EXPECT_EQ(net.injected_frames(), 5u);
       injected = CollectHopMetrics(registry);
     }
 
-    EXPECT_EQ(injected, local) << "path=" << static_cast<int>(path);
+    EXPECT_EQ(injected, local) << "path=" << path.name;
   }
 }
 #endif  // BOLTED_OBS
@@ -451,7 +453,7 @@ TEST(ShardedIngress, BurstMatchesGenericAcrossShardCounts) {
   constexpr uint32_t kRacks = 4;
   constexpr VlanId kVlan = 7;
 
-  auto run = [&](uint32_t shards, uint32_t workers, ForwardPath path) {
+  auto run = [&](uint32_t shards, uint32_t workers, const Path& path) {
     sim::ShardOptions options;
     options.racks = kRacks;
     options.shards = shards;
@@ -469,7 +471,6 @@ TEST(ShardedIngress, BurstMatchesGenericAcrossShardCounts) {
       sim::Rack& rack = fleet.rack(r);
       nets[r].network = std::make_unique<Network>(
           rack.sim(), Duration::Microseconds(10), 1e9);
-      nets[r].network->SetForwardPath(path);
       Endpoint& port =
           nets[r].network->CreateEndpoint("uplink-" + std::to_string(r));
       nets[r].network->AttachToVlan(port.address(), kVlan);
@@ -477,14 +478,14 @@ TEST(ShardedIngress, BurstMatchesGenericAcrossShardCounts) {
     }
 
     fleet.set_frame_handler(
-        [&fleet, &nets, kVlan](sim::Rack& rack,
-                               const sim::CrossShardFrame& frame) {
+        [&fleet, &nets, &path, kVlan](sim::Rack& rack,
+                                      const sim::CrossShardFrame& frame) {
           Message message;
           message.dst = nets[rack.index()].port;
           message.src = 9000 + frame.src_rack;
           message.kind = "shard.ingress";
           message.wire_bytes = frame.bytes;
-          nets[rack.index()].network->InjectFrame(std::move(message), kVlan);
+          path.inject(*nets[rack.index()].network, std::move(message), kVlan);
           if (frame.payload0 > 0) {
             rack.Send((rack.index() + 1) % fleet.num_racks(),
                       fleet.lookahead() +
@@ -511,17 +512,16 @@ TEST(ShardedIngress, BurstMatchesGenericAcrossShardCounts) {
     return std::pair<std::vector<uint64_t>, uint64_t>(digests, delivered);
   };
 
-  const auto [oracle_digests, oracle_delivered] =
-      run(1, 1, ForwardPath::kBurst);
+  const auto [oracle_digests, oracle_delivered] = run(1, 1, kBurst);
   EXPECT_GT(oracle_delivered, 0u);
-  EXPECT_EQ(run(1, 1, ForwardPath::kGeneric),
+  EXPECT_EQ(run(1, 1, kGeneric),
             std::make_pair(oracle_digests, oracle_delivered));
   for (const auto& [shards, workers] :
        {std::pair<uint32_t, uint32_t>{2, 2}, {4, 2}, {4, 4}}) {
-    EXPECT_EQ(run(shards, workers, ForwardPath::kBurst),
+    EXPECT_EQ(run(shards, workers, kBurst),
               std::make_pair(oracle_digests, oracle_delivered))
         << shards << "s/" << workers << "w burst";
-    EXPECT_EQ(run(shards, workers, ForwardPath::kGeneric),
+    EXPECT_EQ(run(shards, workers, kGeneric),
               std::make_pair(oracle_digests, oracle_delivered))
         << shards << "s/" << workers << "w generic";
   }

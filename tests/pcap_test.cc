@@ -1,5 +1,5 @@
 // Deterministic pcap capture (src/net/pcap.h): golden byte-exact output
-// across reruns, schedulers, forwarding paths, and shard counts — the
+// across reruns, forwarding paths, and shard counts — the
 // capture is a pure function of the simulated traffic, never of host
 // wall-clock or worker interleaving — plus the file-format spot checks
 // (ns magic, synthesized Ethernet/802.1Q framing, snaplen truncation,
@@ -10,6 +10,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -17,14 +18,22 @@
 #include "src/net/pcap.h"
 #include "src/sim/shard.h"
 #include "src/sim/simulation.h"
+#include "tests/oracle/generic_forward.h"
 
 namespace bolted::net {
 namespace {
 
 using sim::Duration;
-using sim::SchedulerKind;
 using sim::Simulation;
 using sim::Time;
+
+// How RunCapture posts a frame: the production burst engine or the
+// generic-path oracle (tests/oracle/generic_forward.h).
+using PostFn = void (*)(Endpoint& from, Address dst, Message message);
+
+void BurstPost(Endpoint& from, Address dst, Message message) {
+  from.Post(dst, std::move(message));
+}
 
 std::vector<uint8_t> ReadAll(const std::string& path) {
   std::vector<uint8_t> bytes;
@@ -58,11 +67,9 @@ std::string TempPath(const std::string& name) {
 // A fixed two-node exchange: three tagged frames client -> server (mixed
 // payload / modeled-bulk / rpc header) and one reply, with the server
 // port tapped so both directions land in the capture.
-std::vector<uint8_t> RunCapture(SchedulerKind kind, ForwardPath path,
-                                const std::string& file) {
-  Simulation sim(kind, /*seed=*/99);
+std::vector<uint8_t> RunCapture(PostFn post, const std::string& file) {
+  Simulation sim(/*seed=*/99);
   Network net(sim, Duration::Microseconds(1), 1e9);
-  net.SetForwardPath(path);
   Endpoint& client = net.CreateEndpoint("client");
   Endpoint& server = net.CreateEndpoint("server");
   net.AttachToVlan(client.address(), 3);
@@ -76,26 +83,26 @@ std::vector<uint8_t> RunCapture(SchedulerKind kind, ForwardPath path,
     Message m;
     m.kind = "hello";
     m.payload = {0xde, 0xad, 0xbe, 0xef};
-    client.Post(server.address(), std::move(m));
+    post(client, server.address(), std::move(m));
   }
   {
     Message m;
     m.kind = "bulk";
     m.wire_bytes = 9000;  // modeled bytes, no payload: truncated capture
-    client.Post(server.address(), std::move(m));
+    post(client, server.address(), std::move(m));
   }
   {
     Message m;
     m.kind = "rpc.req";
     m.rpc_id = 0x1122334455667788u;
     m.payload = crypto::Bytes(32, 0x5a);
-    client.Post(server.address(), std::move(m));
+    post(client, server.address(), std::move(m));
   }
   sim.Schedule(Duration::Microseconds(40), [&]() {
     Message m;
     m.kind = "reply";
     m.payload = {0x01};
-    server.Post(client.address(), std::move(m));
+    post(server, client.address(), std::move(m));
   });
   sim.Run();
 
@@ -106,8 +113,7 @@ std::vector<uint8_t> RunCapture(SchedulerKind kind, ForwardPath path,
 
 TEST(Pcap, GoldenHeaderAndFrameLayout) {
   const std::vector<uint8_t> bytes =
-      RunCapture(SchedulerKind::kWheel, ForwardPath::kBurst,
-                 TempPath("golden.pcap"));
+      RunCapture(BurstPost, TempPath("golden.pcap"));
   ASSERT_GT(bytes.size(), 24u + 16u);
 
   // Global header: nanosecond magic, version 2.4, LINKTYPE_ETHERNET.
@@ -162,25 +168,13 @@ TEST(Pcap, GoldenHeaderAndFrameLayout) {
 }
 
 TEST(Pcap, ByteExactAcrossRerunsSchedulersAndPaths) {
-  const std::vector<uint8_t> golden = RunCapture(
-      SchedulerKind::kWheel, ForwardPath::kBurst, TempPath("cap_a.pcap"));
+  const std::vector<uint8_t> golden =
+      RunCapture(BurstPost, TempPath("cap_a.pcap"));
   ASSERT_FALSE(golden.empty());
-  EXPECT_EQ(RunCapture(SchedulerKind::kWheel, ForwardPath::kBurst,
-                       TempPath("cap_b.pcap")),
-            golden)
+  EXPECT_EQ(RunCapture(BurstPost, TempPath("cap_b.pcap")), golden)
       << "rerun not byte-exact";
-  EXPECT_EQ(RunCapture(SchedulerKind::kReference, ForwardPath::kBurst,
-                       TempPath("cap_c.pcap")),
-            golden)
-      << "reference scheduler diverged";
-  EXPECT_EQ(RunCapture(SchedulerKind::kWheel, ForwardPath::kGeneric,
-                       TempPath("cap_d.pcap")),
-            golden)
+  EXPECT_EQ(RunCapture(oracle::Post, TempPath("cap_c.pcap")), golden)
       << "generic path diverged";
-  EXPECT_EQ(RunCapture(SchedulerKind::kReference, ForwardPath::kGeneric,
-                       TempPath("cap_e.pcap")),
-            golden)
-      << "reference/generic diverged";
 }
 
 // The fleet_sharding capture mode in miniature: rack 0 hosts a Network

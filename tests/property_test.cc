@@ -17,6 +17,7 @@
 #include "src/sim/task.h"
 #include "src/tpm/event_log.h"
 #include "src/tpm/tpm.h"
+#include "tests/oracle/p256_reference.h"
 
 namespace bolted {
 namespace {
@@ -153,7 +154,7 @@ TEST_P(MontgomeryLawSweep, RingAxiomsHold) {
     EXPECT_EQ(m.Sub(am, bm), m.Add(am, m.Neg(bm)));
     // Exponent law: a^2 * a == a^3.
     const crypto::U256 three{{3, 0, 0, 0}};
-    EXPECT_EQ(m.Mul(m.Sqr(am), am), m.Exp(am, three));
+    EXPECT_EQ(m.Mul(m.Sqr(am), am), oracle::Exp(m, am, three));
   }
 }
 

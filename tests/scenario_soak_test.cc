@@ -6,8 +6,7 @@
 //   * Oracle soak — a 16-seed sweep of the mixed churn + reboot-storm +
 //     rolling-upgrade scenario on the full-fidelity runner.  Every seed
 //     must hold the chaos-suite invariants (isolation, convergence, clean
-//     abort) and reproduce its trace digest on a reference-scheduler
-//     replay.
+//     abort) and reproduce its trace digest on a same-seed replay.
 //
 //   * Sharded acceptance — the mixed churn + storm + upgrade + quarantine
 //     scenario at 1024 nodes for >= 60 simulated seconds, run on the
@@ -69,7 +68,7 @@ class SoakSeedTest : public ::testing::Test {
 
   void TestBody() override {
     const ScenarioSpec spec = SoakSpec(seed_);
-    const ScenarioResult first = RunScenario(spec, sim::SchedulerKind::kWheel);
+    const ScenarioResult first = RunScenario(spec);
     for (const std::string& failure : first.failures) {
       ADD_FAILURE() << "seed " << seed_ << ": " << failure;
     }
@@ -78,9 +77,8 @@ class SoakSeedTest : public ::testing::Test {
     EXPECT_GE(first.stats.upgrades, 1u) << "vacuous upgrade, seed " << seed_;
 
     // Invariant (d): the digest is a function of the spec alone — same
-    // stream on the reference-heap replay.
-    const ScenarioResult replay =
-        RunScenario(spec, sim::SchedulerKind::kReference);
+    // stream on a replay.
+    const ScenarioResult replay = RunScenario(spec);
     EXPECT_EQ(first.digest, replay.digest)
         << "trace diverged on replay of seed " << seed_;
     EXPECT_TRUE(first.final_states == replay.final_states)

@@ -421,16 +421,6 @@ TEST(ScenarioRunnerTest, ReplayReproducesDigestAcrossSeeds) {
   }
 }
 
-TEST(ScenarioRunnerTest, DigestIsSchedulerInvariant) {
-  const ScenarioSpec spec = MixedSpec(7);
-  const ScenarioResult wheel = RunScenario(spec, sim::SchedulerKind::kWheel);
-  const ScenarioResult reference =
-      RunScenario(spec, sim::SchedulerKind::kReference);
-  EXPECT_TRUE(wheel.ok()) << wheel.failures.front();
-  EXPECT_EQ(wheel.digest, reference.digest);
-  EXPECT_TRUE(wheel.final_states == reference.final_states);
-}
-
 // ---------------------------------------------------------------------------
 // Rack-sharded scenario model
 
