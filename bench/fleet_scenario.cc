@@ -12,7 +12,10 @@
 // provision and attestation phase latencies (mean/max, in sim time).
 // The sim-time latency keys are informational; the regression
 // guard (scripts/bench_guard.py) tracks the wall_ms / events_per_second /
-// ns_per_event keys.
+// ns_per_event keys.  The window keys (scenario_windows, events and rack
+// runs per window) show the conservative-sync cost; both legs must agree
+// on windows and rack runs too, since the window sequence is part of the
+// determinism contract.
 //
 // Usage: fleet_scenario [output-path] [--nodes=N] [--horizon-s=S]
 //   (default: 4096 nodes, 30 simulated s, writes BENCH_scenario.json)
@@ -99,15 +102,25 @@ int main(int argc, char** argv) {
   if (sharded.fleet_digest != oracle.fleet_digest ||
       sharded.rack_digests != oracle.rack_digests ||
       sharded.final_states != oracle.final_states ||
-      sharded.final_firmware != oracle.final_firmware) {
+      sharded.final_firmware != oracle.final_firmware ||
+      sharded.windows != oracle.windows ||
+      sharded.rack_runs != oracle.rack_runs) {
     std::fprintf(stderr,
                  "shards=%u diverged from oracle (fleet digest %016" PRIx64
-                 " vs %016" PRIx64 ")\n",
-                 par, sharded.fleet_digest, oracle.fleet_digest);
+                 " vs %016" PRIx64 ", windows %" PRIu64 " vs %" PRIu64
+                 ", rack runs %" PRIu64 " vs %" PRIu64 ")\n",
+                 par, sharded.fleet_digest, oracle.fleet_digest,
+                 sharded.windows, oracle.windows, sharded.rack_runs,
+                 oracle.rack_runs);
     return 1;
   }
 
   const double events = static_cast<double>(oracle.events);
+  const double windows =
+      static_cast<double>(oracle.windows > 0 ? oracle.windows : 1);
+  const double events_per_window = events / windows;
+  const double rack_runs_per_window =
+      static_cast<double>(oracle.rack_runs) / windows;
   const double prov_mean_ms =
       oracle.provision_latency_count > 0
           ? static_cast<double>(oracle.provision_latency_sum_ns) /
@@ -131,6 +144,9 @@ int main(int argc, char** argv) {
       "  \"scenario_provisions\": %" PRIu64 ",\n"
       "  \"scenario_quotes\": %" PRIu64 ",\n"
       "  \"scenario_churn_cycles\": %" PRIu64 ",\n"
+      "  \"scenario_windows\": %" PRIu64 ",\n"
+      "  \"scenario_events_per_window\": %.3f,\n"
+      "  \"scenario_rack_runs_per_window\": %.3f,\n"
       "  \"scenario_provision_mean_sim_ms\": %.1f,\n"
       "  \"scenario_provision_max_sim_ms\": %.1f,\n"
       "  \"scenario_attest_mean_sim_us\": %.1f,\n"
@@ -142,7 +158,8 @@ int main(int argc, char** argv) {
       "  \"scenario_parallel_wall_ms\": %.3f\n"
       "}\n",
       nodes, cores, horizon_s, oracle.events, oracle.frames_routed,
-      oracle.provisions, oracle.quotes, oracle.churn_cycles, prov_mean_ms,
+      oracle.provisions, oracle.quotes, oracle.churn_cycles, oracle.windows,
+      events_per_window, rack_runs_per_window, prov_mean_ms,
       static_cast<double>(oracle.provision_latency_max_ns) / 1e6, att_mean_us,
       static_cast<double>(oracle.attest_latency_max_ns) / 1e3, oracle_ms,
       events / (oracle_ms / 1e3), oracle_ms * 1e6 / events, par, par_ms);
@@ -159,6 +176,8 @@ int main(int argc, char** argv) {
               "ms, digest %016" PRIx64 " identical\n",
               oracle.events, oracle_ms, events / (oracle_ms / 1e3), par, par_ms,
               oracle.fleet_digest);
+  std::printf("%" PRIu64 " windows (%.2f events, %.2f rack runs per window)\n",
+              oracle.windows, events_per_window, rack_runs_per_window);
   std::printf("provision mean %.1f ms max %.1f ms; attest mean %.1f us max "
               "%.1f us (sim time)\nwrote %s\n",
               prov_mean_ms,

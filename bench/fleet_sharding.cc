@@ -6,8 +6,9 @@
 // other rack.  The identical seeded scenario is executed with shards (and
 // worker threads) in {1, 2, 4, 8}; shards=1/workers=1 is the
 // single-threaded oracle, and every other configuration must reproduce
-// its per-rack trace digests exactly — a digest mismatch is a correctness
-// bug and the bench fails, not a performance result.
+// its per-rack trace digests, window count and rack runs exactly — a
+// mismatch is a correctness bug and the bench fails, not a performance
+// result.
 //
 // The headline numbers are host-side events/second per shard count and
 // the speedup_shardsN ratios.  Parallel speedup obviously requires
@@ -70,6 +71,7 @@ struct RunResult {
   uint64_t events = 0;
   uint64_t frames = 0;
   uint64_t windows = 0;
+  uint64_t rack_runs = 0;
   uint64_t spills = 0;
   double wall_ms = 0;
   uint64_t fleet_digest = 0;
@@ -160,6 +162,7 @@ RunResult RunFleet(const Config& config, uint32_t shards, uint32_t workers,
   result.events = fleet.events_processed();
   result.frames = fleet.frames_routed();
   result.windows = fleet.windows();
+  result.rack_runs = fleet.rack_runs();
   result.spills = fleet.ring_spills();
   result.fleet_digest = fleet.fleet_digest();
   for (uint32_t r = 0; r < config.racks; ++r) {
@@ -237,13 +240,18 @@ int main(int argc, char** argv) {
   for (size_t i = 1; i < results.size(); ++i) {
     if (results[i].fleet_digest != oracle.fleet_digest ||
         results[i].rack_digests != oracle.rack_digests ||
-        results[i].events != oracle.events) {
+        results[i].events != oracle.events ||
+        results[i].windows != oracle.windows ||
+        results[i].rack_runs != oracle.rack_runs) {
       std::fprintf(stderr,
                    "shards=%u diverged from oracle (events %" PRIu64
-                   " vs %" PRIu64 ", fleet digest %016" PRIx64
-                   " vs %016" PRIx64 ")\n",
+                   " vs %" PRIu64 ", windows %" PRIu64 " vs %" PRIu64
+                   ", rack runs %" PRIu64 " vs %" PRIu64
+                   ", fleet digest %016" PRIx64 " vs %016" PRIx64 ")\n",
                    shard_counts[i], results[i].events, oracle.events,
-                   results[i].fleet_digest, oracle.fleet_digest);
+                   results[i].windows, oracle.windows, results[i].rack_runs,
+                   oracle.rack_runs, results[i].fleet_digest,
+                   oracle.fleet_digest);
       return 1;
     }
   }

@@ -506,6 +506,7 @@ ShardedScenarioResult Model::Run() {
   result.events = fleet.events_processed();
   result.frames_routed = fleet.frames_routed();
   result.windows = fleet.windows();
+  result.rack_runs = fleet.rack_runs();
   result.spills = fleet.ring_spills();
 
   for (uint32_t r = 0; r < config_.racks; ++r) {

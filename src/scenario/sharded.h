@@ -92,6 +92,7 @@ struct ShardedScenarioResult {
   uint64_t events = 0;
   uint64_t frames_routed = 0;
   uint64_t windows = 0;
+  uint64_t rack_runs = 0;  // sim::ShardedFleet::rack_runs()
   uint64_t spills = 0;
   int64_t final_time_ns = 0;
 

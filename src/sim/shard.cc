@@ -188,7 +188,7 @@ void Rack::Send(uint32_t dst_rack, Duration delay, uint32_t kind,
 // --- ShardedFleet -----------------------------------------------------------
 
 void ShardedFleet::BarrierCompletion::operator()() noexcept {
-  fleet->ComputeWindow(fleet->limit_ns_);
+  fleet->ComputeWindow();
 }
 
 ShardedFleet::ShardedFleet(const ShardOptions& options)
@@ -214,6 +214,7 @@ ShardedFleet::ShardedFleet(const ShardOptions& options)
     rack->shard_ = static_cast<uint32_t>(
         (static_cast<uint64_t>(r) * num_shards_) / racks);
     shards_[rack->shard_].racks.push_back(r);
+    shards_[rack->shard_].next_ns.push_back(kNoEvent);
     racks_.push_back(std::move(rack));
   }
 
@@ -285,27 +286,25 @@ void ShardedFleet::RoutePhase(uint32_t d) {
               fleet->handler_(*rack, f);
             }
           });
+      // ScheduleAt clamps to the rack clock, which a rack that ran ahead
+      // in an earlier Run() may hold past the delivery instant.
+      int64_t& next = st.next_ns[frame.dst_rack - st.racks.front()];
+      next = std::min(next, std::max(frame.deliver_ns,
+                                     rack->sim_->now().nanoseconds()));
     }
     st.routed += st.route_buf.size();
     st.route_buf.clear();
   }
 
-  int64_t min_next = kNoEvent;
-  for (uint32_t r : st.racks) {
-    Time next;
-    if (racks_[r]->sim_->PeekNextEventTime(&next)) {
-      min_next = std::min(min_next, next.nanoseconds());
-    }
-  }
-  st.min_next = min_next;
+  st.min_next = *std::min_element(st.next_ns.begin(), st.next_ns.end());
 }
 
-void ShardedFleet::ComputeWindow(int64_t limit_ns) {
+void ShardedFleet::ComputeWindow() {
   int64_t min_next = kNoEvent;
   for (const ShardState& st : shards_) {
     min_next = std::min(min_next, st.min_next);
   }
-  if (min_next == kNoEvent || min_next > limit_ns) {
+  if (min_next == kNoEvent || min_next > limit_ns_) {
     // Every rack idle (or idle up to the horizon) and — since the route
     // phase fully drains every channel — no frame in flight: done.
     done_ = true;
@@ -316,31 +315,48 @@ void ShardedFleet::ComputeWindow(int64_t limit_ns) {
   // L delivers at or after the boundary.
   const int64_t la = lookahead_.nanoseconds();
   int64_t end = min_next > kNoEvent - la ? kNoEvent : min_next + la;
-  if (limit_ns < kNoEvent - 1) {
-    end = std::min(end, limit_ns + 1);  // RunUntil fires events at == limit
+  if (limit_ns_ < kNoEvent - 1) {
+    end = std::min(end, limit_ns_ + 1);  // RunUntil fires events at == limit
   }
   window_end_ns_ = end;
   ++windows_;
 }
 
-void ShardedFleet::WorkerLoop(uint32_t worker, int64_t limit_ns) {
-  (void)limit_ns;
-  for (;;) {
-    // Window state (done_, window_end_ns_) was published by the previous
-    // barrier-B completion — or, for the first window, by RunWindows
-    // before the pool dispatch — so every worker reads a settled value.
-    if (done_) {
-      return;
+void ShardedFleet::RunPhase(uint32_t s) {
+  ShardState& st = shards_[s];
+  const Time end = Time::FromNanoseconds(window_end_ns_);
+  for (size_t i = 0; i < st.racks.size(); ++i) {
+    if (st.next_ns[i] >= window_end_ns_) {
+      continue;  // nothing due in this window
     }
-    const Time end = Time::FromNanoseconds(window_end_ns_);
+    Time next;
+    st.next_ns[i] = racks_[st.racks[i]]->sim_->RunBefore(end, &next)
+                        ? next.nanoseconds()
+                        : kNoEvent;
+    ++st.rack_runs;
+  }
+  // Opportunistic drain: return ring credits while other shards are still
+  // executing; the frames just wait in staging for the router.
+  DrainInbound(s);
+}
+
+void ShardedFleet::WorkerLoop(uint32_t worker) {
+  // Window state (done_, window_end_ns_) was published by the previous
+  // ComputeWindow — barrier B's completion, or for the first window
+  // RunWindows before the pool dispatch — so every worker reads a settled
+  // value.
+  while (!done_) {
     for (uint32_t s = worker; s < num_shards_; s += num_workers_) {
-      ShardState& st = shards_[s];
-      for (uint32_t r : st.racks) {
-        st.events += racks_[r]->sim_->RunBefore(end);
+      RunPhase(s);
+    }
+    if (num_workers_ == 1) {
+      // One thread runs every phase in program order, so the barriers
+      // would order nothing: route and reduce inline, like WorkerPool(1).
+      for (uint32_t s = 0; s < num_shards_; ++s) {
+        RoutePhase(s);
       }
-      // Opportunistic drain: return ring credits while other shards are
-      // still executing; the frames just wait in staging for the router.
-      DrainInbound(s);
+      ComputeWindow();
+      continue;
     }
     run_barrier_->arrive_and_wait();
     for (uint32_t s = worker; s < num_shards_; s += num_workers_) {
@@ -351,34 +367,45 @@ void ShardedFleet::WorkerLoop(uint32_t worker, int64_t limit_ns) {
 }
 
 void ShardedFleet::RunWindows(int64_t limit_ns) {
-  // Seed the shard minima and the first window on the caller before any
+  // Everything up to the first window runs on the caller before any
   // worker starts; RunOnAll's dispatch gives the happens-before edge.
+  // Seed the next-event cache: between runs application code may have
+  // scheduled or cancelled events on any rack.
   for (ShardState& st : shards_) {
-    int64_t min_next = kNoEvent;
-    for (uint32_t r : st.racks) {
+    for (size_t i = 0; i < st.racks.size(); ++i) {
       Time next;
-      if (racks_[r]->sim_->PeekNextEventTime(&next)) {
-        min_next = std::min(min_next, next.nanoseconds());
-      }
+      st.next_ns[i] = racks_[st.racks[i]]->sim_->PeekNextEventTime(&next)
+                          ? next.nanoseconds()
+                          : kNoEvent;
     }
-    st.min_next = min_next;
+  }
+  // Route the frames Rack::Send left in transit between runs.  No window
+  // bounds them, so the boundary check is off; routing lowers the cache
+  // entries and sets every shard's min_next.
+  window_end_ns_ = std::numeric_limits<int64_t>::min();
+  for (uint32_t d = 0; d < num_shards_; ++d) {
+    RoutePhase(d);
   }
   done_ = false;
-  ComputeWindow(limit_ns);
-
   limit_ns_ = limit_ns;
-  run_barrier_ = std::make_unique<std::barrier<>>(num_workers_);
-  route_barrier_ = std::make_unique<std::barrier<BarrierCompletion>>(
-      num_workers_, BarrierCompletion{this});
-  pool_->RunOnAll([this](uint32_t worker) { WorkerLoop(worker, limit_ns_); });
+  ComputeWindow();
+
+  if (num_workers_ > 1) {
+    run_barrier_ = std::make_unique<std::barrier<>>(num_workers_);
+    route_barrier_ = std::make_unique<std::barrier<BarrierCompletion>>(
+        num_workers_, BarrierCompletion{this});
+  }
+  pool_->RunOnAll([this](uint32_t worker) { WorkerLoop(worker); });
   run_barrier_.reset();
   route_barrier_.reset();
 
   frames_routed_ = 0;
   ring_spills_ = 0;
+  rack_runs_ = 0;
   for (const ShardState& st : shards_) {
     frames_routed_ += st.routed;
     ring_spills_ += st.spills;
+    rack_runs_ += st.rack_runs;
   }
 }
 

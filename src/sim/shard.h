@@ -13,17 +13,26 @@
 //
 // Time synchronization is conservative (null-message/LBTS style, run as
 // synchronous windows): the inter-rack link latency is the lookahead L.
-// Each window, every rack may execute events strictly before
+// Each window executes, on every rack that has one, the events strictly
+// before
 //
 //   window_end = (min over all racks of next-event-time) + L,
 //
 // because any cross-rack frame generated inside the window is sent at
 // some t >= min_next with delay >= L, hence delivered at >= window_end —
-// it cannot affect the window being executed.  At the window barrier the
-// router drains every shard-pair channel, sorts each destination rack's
-// inbound frames into the canonical (deliver_ns, src_rack, src_seq)
-// order, and schedules them; destination-side seq assignment is therefore
-// identical no matter which shard or worker produced the frames.
+// it cannot affect the window being executed.  Each shard caches its
+// racks' next-event times, so a window visits only the racks with an
+// event before window_end.  At the window barrier the router drains
+// every shard-pair channel, sorts each destination rack's inbound frames
+// into the canonical (deliver_ns, src_rack, src_seq) order, and
+// schedules them; destination-side seq assignment is therefore identical
+// no matter which shard or worker produced the frames.
+//
+// The window sequence is an input to a rack's digest.  A routed frame
+// takes its destination seq in the route phase after the window that
+// sent it, so the window boundaries decide how routed frames interleave
+// with the destination's own schedules.  Digests are invariant across
+// shard and worker counts at one lookahead, not across lookaheads.
 //
 // Cross-shard transport is a netmux-style mesh of single-producer /
 // single-consumer ring channels (one per shard pair) with credit-based
@@ -37,9 +46,15 @@
 //
 // Thread discipline: a rack is only ever touched by the worker that owns
 // its shard (the mapping is fixed for a run), and the run/route phases
-// are separated by barriers, so rack Simulations need no locks.  The
-// frame handler is invoked on the owning worker and must confine itself
-// to the destination rack passed to it.
+// are separated by barriers, so rack Simulations need no locks.  With a
+// single worker the phases simply run in program order and no barrier is
+// crossed.  The frame handler is invoked on the owning worker and must
+// confine itself to the destination rack passed to it.  Within a run, a
+// rack's queue therefore changes only through its own events and through
+// routing, which is what keeps the next-event cache exact.  Between runs
+// application code may schedule, cancel, or Rack::Send freely: each run
+// first routes the frames still in transit, then re-reads every rack's
+// next-event time.
 
 #ifndef SRC_SIM_SHARD_H_
 #define SRC_SIM_SHARD_H_
@@ -247,8 +262,12 @@ class ShardedFleet {
   uint64_t frames_routed() const { return frames_routed_; }
   // Ring pushes that found no credit and took the overflow path.
   uint64_t ring_spills() const { return ring_spills_; }
-  // Conservative windows executed (two barriers each).
+  // Conservative windows executed (two barriers each with >1 worker).
   uint64_t windows() const { return windows_; }
+  // Rack visits in the run phase: one per window for each rack with an
+  // event before the window end.  Like windows(), deterministic and
+  // invariant across shard and worker counts.
+  uint64_t rack_runs() const { return rack_runs_; }
 
   // Per-rack trace digest — THE determinism invariant: byte-identical for
   // every (shards, workers) configuration of the same seeded scenario.
@@ -262,17 +281,23 @@ class ShardedFleet {
   friend class Rack;
 
   struct ShardState {
-    std::vector<uint32_t> racks;  // rack indices owned by this shard
+    // Rack indices owned by this shard: a contiguous stripe, so rack r
+    // sits at position r - racks.front().
+    std::vector<uint32_t> racks;
+    // next_ns[i]: earliest pending event of racks[i] (ns; INT64_MAX when
+    // idle), exact between phases.  Seeded by a peek once per run, then
+    // refreshed only from the peek that ends each RunBefore and lowered
+    // when the router schedules a frame into the rack.
+    std::vector<int64_t> next_ns;
     // Inbound frames staged by opportunistic drains during the run phase;
     // merged with the barrier drain and sorted canonically by the router.
     std::vector<CrossShardFrame> staged;
     std::vector<CrossShardFrame> route_buf;
-    // Earliest pending event over this shard's racks (ns; INT64_MAX when
-    // idle), recomputed in the route phase.
+    // Minimum of next_ns, recomputed in the route phase.
     int64_t min_next = 0;
-    uint64_t events = 0;
     uint64_t routed = 0;
     uint64_t spills = 0;
+    uint64_t rack_runs = 0;
   };
 
   SpscRing& ring(uint32_t src_shard, uint32_t dst_shard) {
@@ -286,15 +311,19 @@ class ShardedFleet {
   // Drains rings destined to shard d into its staging buffer (run phase:
   // returns credits early; route phase: completes the window's traffic).
   void DrainInbound(uint32_t d);
+  // Runs shard s's racks that have an event before the window end and
+  // refreshes their next_ns entries.
+  void RunPhase(uint32_t s);
   // Sorts shard d's inbound frames canonically and schedules them into
   // their destination racks, then recomputes the shard's min_next.
   void RoutePhase(uint32_t d);
   void RunWindows(int64_t limit_ns);
-  void WorkerLoop(uint32_t worker, int64_t limit_ns);
-  // Barrier-B completion: reduce shard min_next values into the next
-  // window (or set done_).  Runs on exactly one thread, with all route
-  // phases happened-before it and it happened-before every unblock.
-  void ComputeWindow(int64_t limit_ns);
+  void WorkerLoop(uint32_t worker);
+  // Reduces shard min_next values into the next window (or sets done_).
+  // With several workers it is barrier B's completion: it runs on exactly
+  // one thread, with all route phases happened-before it and it
+  // happened-before every unblock.
+  void ComputeWindow();
 
   struct BarrierCompletion {
     ShardedFleet* fleet;
@@ -311,7 +340,8 @@ class ShardedFleet {
   std::vector<std::vector<CrossShardFrame>> overflow_;  // [src * S + dst]
   std::unique_ptr<WorkerPool> pool_;
   // Barrier A (run -> route) and barrier B (route -> next window); B's
-  // completion computes the next window.  Rebuilt per run call.
+  // completion computes the next window.  Rebuilt per run call, and only
+  // built at all with more than one worker.
   std::unique_ptr<std::barrier<>> run_barrier_;
   std::unique_ptr<std::barrier<BarrierCompletion>> route_barrier_;
   int64_t limit_ns_ = 0;
@@ -322,6 +352,7 @@ class ShardedFleet {
   int64_t window_end_ns_ = 0;
   bool done_ = false;
   uint64_t windows_ = 0;
+  uint64_t rack_runs_ = 0;
   uint64_t frames_routed_ = 0;
   uint64_t ring_spills_ = 0;
 };

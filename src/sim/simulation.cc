@@ -89,17 +89,14 @@ void Simulation::RunUntil(Time horizon) {
   ReapTasks();
 }
 
-uint64_t Simulation::RunBefore(Time end) {
-  uint64_t fired = 0;
-  for (;;) {
-    Time next;
-    if (!scheduler_.PeekNextTime(&next) || next >= end) {
-      break;
+bool Simulation::RunBefore(Time end, Time* next) {
+  while (scheduler_.PeekNextTime(next)) {
+    if (*next >= end) {
+      return true;
     }
     Step();
-    ++fired;
   }
-  return fired;
+  return false;
 }
 
 bool Simulation::PeekNextEventTime(Time* next) {

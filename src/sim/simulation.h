@@ -54,10 +54,13 @@ class Simulation {
   void Run();
   void RunUntil(Time horizon);
   // Fires every event with `when` strictly before `end` — the conservative
-  // window boundary in sharded runs (src/sim/shard.h) — and returns the
-  // number fired.  Unlike RunUntil, the clock stays at the last fired
-  // event: the window end is an execution bound, not an observed instant.
-  uint64_t RunBefore(Time end);
+  // window boundary in sharded runs (src/sim/shard.h).  Returns false when
+  // the queue is then empty; otherwise sets *next to the earliest pending
+  // event time (>= end), read from the peek that ended the loop, so the
+  // caller needs no second PeekNextEventTime.  Unlike RunUntil, the clock
+  // stays at the last fired event: the window end is an execution bound,
+  // not an observed instant.
+  bool RunBefore(Time end, Time* next);
   // Fires the next event, if any; returns false when the queue is empty.
   bool Step();
 

@@ -139,6 +139,9 @@ class ShardedAcceptanceTest : public ::testing::Test {
     }
     EXPECT_EQ(oracle.fleet_digest, sharded.fleet_digest);
     EXPECT_TRUE(oracle.rack_digests == sharded.rack_digests);
+    // The window sequence is part of the contract, not just the digests.
+    EXPECT_EQ(oracle.windows, sharded.windows);
+    EXPECT_EQ(oracle.rack_runs, sharded.rack_runs);
     EXPECT_TRUE(oracle.final_states == sharded.final_states);
     EXPECT_TRUE(oracle.final_firmware == sharded.final_firmware);
     EXPECT_EQ(oracle.provisions, sharded.provisions);

@@ -457,6 +457,8 @@ TEST(ShardedScenarioTest, ShardedMatchesSingleShardOracle) {
   ASSERT_TRUE(sharded.ok()) << sharded.failures.front();
   EXPECT_EQ(oracle.fleet_digest, sharded.fleet_digest);
   EXPECT_TRUE(oracle.rack_digests == sharded.rack_digests);
+  EXPECT_EQ(oracle.windows, sharded.windows);
+  EXPECT_EQ(oracle.rack_runs, sharded.rack_runs);
   EXPECT_TRUE(oracle.final_states == sharded.final_states);
   EXPECT_TRUE(oracle.final_firmware == sharded.final_firmware);
   EXPECT_EQ(oracle.provisions, sharded.provisions);
