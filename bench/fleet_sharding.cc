@@ -72,7 +72,6 @@ struct RunResult {
   uint64_t frames = 0;
   uint64_t windows = 0;
   uint64_t rack_runs = 0;
-  uint64_t spills = 0;
   double wall_ms = 0;
   uint64_t fleet_digest = 0;
   std::vector<uint64_t> rack_digests;
@@ -163,7 +162,6 @@ RunResult RunFleet(const Config& config, uint32_t shards, uint32_t workers,
   result.frames = fleet.frames_routed();
   result.windows = fleet.windows();
   result.rack_runs = fleet.rack_runs();
-  result.spills = fleet.ring_spills();
   result.fleet_digest = fleet.fleet_digest();
   for (uint32_t r = 0; r < config.racks; ++r) {
     result.rack_digests.push_back(fleet.rack_digest(r));
@@ -277,16 +275,14 @@ int main(int argc, char** argv) {
                   "  \"sharding_shards%u_events\": %" PRIu64 ",\n"
                   "  \"sharding_shards%u_frames_routed\": %" PRIu64 ",\n"
                   "  \"sharding_shards%u_windows\": %" PRIu64 ",\n"
-                  "  \"sharding_shards%u_ring_spills\": %" PRIu64 ",\n"
                   "  \"sharding_shards%u_wall_ms\": %.3f,\n"
                   "  \"sharding_shards%u_events_per_second\": %.0f,\n"
                   "  \"sharding_shards%u_ns_per_event\": %.1f,\n"
                   "  \"sharding_speedup_shards%u\": %.3f%s\n",
                   shard_counts[i], r.events, shard_counts[i], r.frames,
-                  shard_counts[i], r.windows, shard_counts[i], r.spills,
-                  shard_counts[i], r.wall_ms, shard_counts[i], eps,
-                  shard_counts[i], ns_per_event, shard_counts[i],
-                  oracle_eps > 0 ? eps / oracle_eps : 0.0,
+                  shard_counts[i], r.windows, shard_counts[i], r.wall_ms,
+                  shard_counts[i], eps, shard_counts[i], ns_per_event,
+                  shard_counts[i], oracle_eps > 0 ? eps / oracle_eps : 0.0,
                   i + 1 == results.size() ? "" : ",");
     json += buf;
   }

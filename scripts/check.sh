@@ -128,10 +128,11 @@ fi
 
 if [[ "${want_tsan}" == 1 ]]; then
   echo "== sanitizers: sharded-runtime suite under TSan =="
-  # TSan is the sanitizer that matters for the sharded runtime: the SPSC
-  # rings, barrier phases, and worker pool are the only cross-thread code
-  # in the tree, and the sharding suite drives all of them (plus a
-  # multi-threaded fleet_sharding sweep for the window loop at scale).
+  # TSan is the sanitizer that matters for the sharded runtime: the
+  # barrier phases (which alone order the frame mailboxes) and the worker
+  # pool are the only cross-thread code in the tree, and the sharding
+  # suite drives both (plus a multi-threaded fleet_sharding sweep for the
+  # window loop at scale).
   cmake -B build-tsan -S . -DBOLTED_SANITIZE=thread
   cmake --build build-tsan -j --target sharding_test fleet_sharding \
     net_fastpath_test scenario_soak_test
@@ -143,8 +144,8 @@ if [[ "${want_tsan}" == 1 ]]; then
   ./build-tsan/tests/net_fastpath_test
   ./build-tsan/bench/fleet_sharding --nodes=512 --horizon-ms=1 \
     /tmp/bolted_tsan_bench_sharding.json
-  # The sharded scenario model layers lifecycle state on the same rings and
-  # barriers; --sharded-only skips the single-threaded oracle sweep and
+  # The sharded scenario model layers lifecycle state on the same mailboxes
+  # and barriers; --sharded-only skips the single-threaded oracle sweep and
   # runs just the threaded 1024-node acceptance scenario.
   ./build-tsan/tests/scenario_soak_test --sharded-only
 fi

@@ -3,7 +3,6 @@
 #include <array>
 #include <bit>
 #include <cassert>
-#include <vector>
 
 namespace bolted::crypto {
 
@@ -413,34 +412,6 @@ U256 Montgomery::Mul(const U256& a, const U256& b) const {
 U256 Montgomery::ToMont(const U256& a) const { return Mul(a, r2_); }
 
 U256 Montgomery::FromMont(const U256& a) const { return Mul(a, U256::One()); }
-
-U256 Montgomery::Inverse(const U256& a) const {
-  // a = xR.  ModInverseOdd gives x^-1 R^-1; two products by R^2 restore
-  // the Montgomery domain: (x^-1 R^-1)(R^2)R^-1 = x^-1, then once more
-  // yields x^-1 R.
-  const U256 plain_inverse = ModInverseOdd(a, m_);
-  return Mul(Mul(plain_inverse, r2_), r2_);
-}
-
-void Montgomery::BatchInvert(std::span<U256> values) const {
-  if (values.empty()) {
-    return;
-  }
-  // prefix[i] = product of values[0..i-1]; one inversion of the total
-  // product, then peel elements off back to front.
-  std::vector<U256> prefix(values.size());
-  U256 acc = one_mont_;
-  for (size_t i = 0; i < values.size(); ++i) {
-    prefix[i] = acc;
-    acc = Mul(acc, values[i]);
-  }
-  U256 inv = Inverse(acc);
-  for (size_t i = values.size(); i-- > 0;) {
-    const U256 original = values[i];
-    values[i] = Mul(inv, prefix[i]);
-    inv = Mul(inv, original);
-  }
-}
 
 U256 Montgomery::Reduce(const U256& a) const {
   if (a < m_) {

@@ -9,7 +9,6 @@
 
 #include <array>
 #include <cstdint>
-#include <span>
 
 #include "src/crypto/bytes.h"
 
@@ -71,7 +70,7 @@ U256 ModInverseOdd(const U256& a, const U256& m);
 
 // Montgomery arithmetic modulo a fixed odd modulus with its top bit set
 // (true for the P-256 field prime and group order).  Values passed to
-// Mul/Sqr/Inverse must be in the Montgomery domain (use ToMont/FromMont);
+// Mul/Sqr must be in the Montgomery domain (use ToMont/FromMont);
 // Add/Sub/Neg work in either domain as they are plain modular ops.
 class Montgomery {
  public:
@@ -87,14 +86,6 @@ class Montgomery {
   U256 Neg(const U256& a) const;
   U256 Mul(const U256& a, const U256& b) const;  // Montgomery product
   U256 Sqr(const U256& a) const { return Mul(a, a); }
-  // Modular inverse of a nonzero value: divsteps (ModInverseOdd) on the
-  // raw limbs, then two Montgomery products to restore the domain.
-  // Montgomery domain in and out.
-  U256 Inverse(const U256& a) const;
-  // Montgomery-trick batch inversion: replaces every element of `values`
-  // with its inverse at the cost of ONE inversion plus 3(n-1) products.
-  // All elements must be nonzero; Montgomery domain in and out.
-  void BatchInvert(std::span<U256> values) const;
   // Reduces an arbitrary 256-bit value into [0, m).
   U256 Reduce(const U256& a) const;
 

@@ -11,11 +11,12 @@
 // elastic airlock resizing under load.
 //
 // Specs come from a small line-oriented text format (examples/scenarios/)
-// or are built programmatically (ScenarioBuilder).  The runners
-// (src/scenario/runner.h for the full-fidelity single-Simulation oracle,
-// src/scenario/sharded.h for the rack-sharded fleet model) turn a spec
-// into a seed-replayable run that asserts the chaos-suite invariants
-// continuously, making every scenario an executable specification.
+// or are built programmatically (ScenarioBuilder).  The full-fidelity
+// single-Simulation runner (src/scenario/runner.h) turns a spec into a
+// seed-replayable run that asserts the chaos-suite invariants
+// continuously, making every scenario an executable specification.  The
+// rack-sharded fleet model (src/scenario/sharded.h) takes its own
+// ShardedScenarioConfig instead of a spec.
 
 #ifndef SRC_SCENARIO_SCENARIO_H_
 #define SRC_SCENARIO_SCENARIO_H_

@@ -507,7 +507,6 @@ ShardedScenarioResult Model::Run() {
   result.frames_routed = fleet.frames_routed();
   result.windows = fleet.windows();
   result.rack_runs = fleet.rack_runs();
-  result.spills = fleet.ring_spills();
 
   for (uint32_t r = 0; r < config_.racks; ++r) {
     RackModel& model = racks_[r];
@@ -583,52 +582,6 @@ ShardedScenarioResult Model::Run() {
 }
 
 }  // namespace
-
-ShardedScenarioConfig ShardedConfigFromSpec(const ScenarioSpec& spec,
-                                            uint32_t shards, uint32_t workers) {
-  ShardedScenarioConfig config;
-  const auto machines = static_cast<uint32_t>(std::max(spec.machines, 4));
-  config.racks = std::max(4u, machines / 64);
-  config.nodes_per_rack = machines / config.racks;
-  config.shards = shards;
-  config.workers = workers;
-  config.seed = spec.seed;
-  config.tenants = std::max<uint32_t>(
-      1, static_cast<uint32_t>(spec.tenants.size()));
-  config.horizon_ns = spec.duration.nanoseconds();
-  if (spec.arrival.kind == ArrivalKind::kFixed) {
-    // The oracle provisions whole tenants per arrival; here the spacing
-    // maps onto the per-node stagger, scaled down to fleet size.
-    config.arrival_spacing_ns =
-        std::max<int64_t>(1, spec.arrival.fixed_spacing.nanoseconds() / 512);
-  }
-  for (const PhaseSpec& phase : spec.phases) {
-    switch (phase.kind) {
-      case PhaseKind::kChurn:
-        config.churn_start_ns = phase.start.nanoseconds();
-        config.churn_end_ns = (phase.start + phase.duration).nanoseconds();
-        config.churn_hold_ns = std::max<int64_t>(1, phase.hold.nanoseconds());
-        config.churn_release_fraction = phase.release_fraction;
-        break;
-      case PhaseKind::kRebootStorm:
-        config.storm_at_ns = phase.start.nanoseconds();
-        config.storm_fraction = phase.storm_fraction;
-        break;
-      case PhaseKind::kRollingUpgrade:
-        config.upgrade_at_ns = phase.start.nanoseconds();
-        config.canaries = static_cast<uint32_t>(std::max(phase.canaries, 1));
-        config.bad_image = phase.bad_image;
-        break;
-      case PhaseKind::kQuarantineSweep:
-        config.sweep_at_ns = phase.start.nanoseconds();
-        config.compromise_fraction = phase.compromise_fraction;
-        break;
-      case PhaseKind::kAirlockResize:
-        break;  // airlock capacity is an oracle-side (core::Cloud) concept
-    }
-  }
-  return config;
-}
 
 ShardedScenarioResult RunShardedScenario(const ShardedScenarioConfig& config) {
   Model model(config);

@@ -2,9 +2,10 @@
 //
 // The full-fidelity runner (runner.h) drives a real core::Cloud, which
 // owns a single Simulation — it cannot span racks.  This model runs the
-// same lifecycle phases as an abstracted state machine on
-// sim::ShardedFleet, so the mixed long-horizon scenarios scale to
-// thousands of nodes and the determinism contract extends to them:
+// same kinds of lifecycle phase as an abstracted state machine on
+// sim::ShardedFleet, configured through ShardedScenarioConfig rather than
+// a ScenarioSpec, so mixed long-horizon scenarios scale to thousands of
+// nodes and the determinism contract extends to them:
 // per-rack trace digests and the final per-node verdict vector are
 // byte-identical for every (shards, workers) configuration, with
 // shards=1/workers=1 as the single-threaded oracle.
@@ -28,8 +29,6 @@
 #include <cstdint>
 #include <string>
 #include <vector>
-
-#include "src/scenario/scenario.h"
 
 namespace bolted::scenario {
 
@@ -66,13 +65,6 @@ struct ShardedScenarioConfig {
   double compromise_fraction = 0.25;
 };
 
-// Maps a parsed/built ScenarioSpec's phases onto the sharded model's
-// knobs (one phase per kind is honoured; arrival spacing, duration, and
-// seed carry over).  racks is derived from spec.machines at 64 per rack
-// (minimum 4 racks).
-ShardedScenarioConfig ShardedConfigFromSpec(const ScenarioSpec& spec,
-                                            uint32_t shards, uint32_t workers);
-
 struct ShardedScenarioResult {
   // Invariant violations merged from every rack (rack order, then
   // detection order).  Empty == the run held every in-run invariant and
@@ -93,7 +85,7 @@ struct ShardedScenarioResult {
   uint64_t frames_routed = 0;
   uint64_t windows = 0;
   uint64_t rack_runs = 0;  // sim::ShardedFleet::rack_runs()
-  uint64_t spills = 0;
+  uint64_t spills = 0;  // always 0: mailboxes never spill (fleetbench reads it)
   int64_t final_time_ns = 0;
 
   uint64_t provisions = 0;

@@ -33,17 +33,6 @@ uint64_t MixDigest(uint64_t h, uint64_t v) {
   return h;
 }
 
-uint32_t CeilPow2(uint32_t v) {
-  if (v < 2) {
-    return 2;
-  }
-  uint32_t p = 2;
-  while (p < v && p < (1u << 30)) {
-    p <<= 1;
-  }
-  return p;
-}
-
 // Canonical inbound order: delivery instant, then source rack, then the
 // source's send counter.  Total (no two frames compare equal), so the
 // destination's seq assignment is independent of which shard or worker
@@ -64,14 +53,6 @@ bool CanonicalLess(const CrossShardFrame& a, const CrossShardFrame& b) {
 }
 
 }  // namespace
-
-// --- SpscRing ---------------------------------------------------------------
-
-SpscRing::SpscRing(uint32_t capacity) {
-  const uint32_t cap = CeilPow2(capacity);
-  slots_.resize(cap);
-  mask_ = cap - 1;
-}
 
 // --- WorkerPool -------------------------------------------------------------
 
@@ -182,7 +163,7 @@ void Rack::Send(uint32_t dst_rack, Duration delay, uint32_t kind,
   frame.kind = kind;
   frame.bytes = bytes;
   frame.src_seq = send_seq_++;
-  fleet_->Submit(shard_, frame);
+  fleet_->outbox(shard_, fleet_->racks_[dst_rack]->shard_).push_back(frame);
 }
 
 // --- ShardedFleet -----------------------------------------------------------
@@ -218,52 +199,24 @@ ShardedFleet::ShardedFleet(const ShardOptions& options)
     racks_.push_back(std::move(rack));
   }
 
-  rings_.reserve(static_cast<size_t>(num_shards_) * num_shards_);
-  overflow_.resize(static_cast<size_t>(num_shards_) * num_shards_);
-  for (uint32_t i = 0; i < num_shards_ * num_shards_; ++i) {
-    rings_.push_back(std::make_unique<SpscRing>(options.ring_capacity));
-  }
+  outboxes_.resize(static_cast<size_t>(num_shards_) * num_shards_);
 
   pool_ = std::make_unique<WorkerPool>(num_workers_, options.pin_workers);
 }
 
 ShardedFleet::~ShardedFleet() = default;
 
-void ShardedFleet::Submit(uint32_t src_shard, const CrossShardFrame& frame) {
-  const uint32_t dst_shard = racks_[frame.dst_rack]->shard_;
-  if (!ring(src_shard, dst_shard).TryPush(frame)) {
-    // Out of credits: simulations may never drop or block, so spill to
-    // the producer-owned backstop the router drains at the next barrier.
-    overflow(src_shard, dst_shard).push_back(frame);
-    ++shards_[src_shard].spills;
-  }
-}
-
-void ShardedFleet::DrainInbound(uint32_t d) {
-  ShardState& st = shards_[d];
-  CrossShardFrame frame;
-  for (uint32_t s = 0; s < num_shards_; ++s) {
-    while (ring(s, d).TryPop(&frame)) {
-      st.staged.push_back(frame);
-    }
-  }
-}
-
 void ShardedFleet::RoutePhase(uint32_t d) {
   ShardState& st = shards_[d];
-  // Complete the window's traffic: whatever the opportunistic run-phase
-  // drains missed is in the rings (barrier A made every push visible),
-  // and credit-exhausted frames sit in the producers' overflow vectors
-  // (same barrier; the producers are quiesced until barrier B).
-  DrainInbound(d);
+  // Barrier A ordered every append of the window before this read, and
+  // the producers stay quiescent until barrier B.
   for (uint32_t s = 0; s < num_shards_; ++s) {
-    std::vector<CrossShardFrame>& spill = overflow(s, d);
-    st.staged.insert(st.staged.end(), spill.begin(), spill.end());
-    spill.clear();
+    std::vector<CrossShardFrame>& box = outbox(s, d);
+    st.route_buf.insert(st.route_buf.end(), box.begin(), box.end());
+    box.clear();
   }
 
-  if (!st.staged.empty()) {
-    st.route_buf.swap(st.staged);
+  if (!st.route_buf.empty()) {
     std::sort(st.route_buf.begin(), st.route_buf.end(), CanonicalLess);
     for (const CrossShardFrame& frame : st.route_buf) {
       if (frame.deliver_ns < window_end_ns_) {
@@ -306,7 +259,7 @@ void ShardedFleet::ComputeWindow() {
   }
   if (min_next == kNoEvent || min_next > limit_ns_) {
     // Every rack idle (or idle up to the horizon) and — since the route
-    // phase fully drains every channel — no frame in flight: done.
+    // phase drains every mailbox — no frame in flight: done.
     done_ = true;
     return;
   }
@@ -335,9 +288,6 @@ void ShardedFleet::RunPhase(uint32_t s) {
                         : kNoEvent;
     ++st.rack_runs;
   }
-  // Opportunistic drain: return ring credits while other shards are still
-  // executing; the frames just wait in staging for the router.
-  DrainInbound(s);
 }
 
 void ShardedFleet::WorkerLoop(uint32_t worker) {
@@ -400,11 +350,9 @@ void ShardedFleet::RunWindows(int64_t limit_ns) {
   route_barrier_.reset();
 
   frames_routed_ = 0;
-  ring_spills_ = 0;
   rack_runs_ = 0;
   for (const ShardState& st : shards_) {
     frames_routed_ += st.routed;
-    ring_spills_ += st.spills;
     rack_runs_ += st.rack_runs;
   }
 }

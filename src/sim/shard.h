@@ -23,7 +23,7 @@
 // it cannot affect the window being executed.  Each shard caches its
 // racks' next-event times, so a window visits only the racks with an
 // event before window_end.  At the window barrier the router drains
-// every shard-pair channel, sorts each destination rack's inbound frames
+// every shard-pair mailbox, sorts each destination rack's inbound frames
 // into the canonical (deliver_ns, src_rack, src_seq) order, and
 // schedules them; destination-side seq assignment is therefore identical
 // no matter which shard or worker produced the frames.
@@ -34,32 +34,32 @@
 // with the destination's own schedules.  Digests are invariant across
 // shard and worker counts at one lookahead, not across lookaheads.
 //
-// Cross-shard transport is a netmux-style mesh of single-producer /
-// single-consumer ring channels (one per shard pair) with credit-based
-// flow control in the firedancer fctl idiom: the producer spends cached
-// credits, refreshes them from the consumer's published head when they
-// run out, and — since a simulation must never drop or block — spills to
-// a producer-owned overflow vector that the router drains at the next
-// barrier (counted, so benches can size the rings to make spills rare).
-// Consumers also drain opportunistically during the run phase, returning
-// credits while producers are still executing.
+// Cross-shard transport is one plain vector mailbox per shard pair.
+// Rack::Send appends to outbox(own shard, destination shard); the route
+// phase of shard d moves every outbox(s, d) into its routing buffer and
+// clears them.  Barrier A orders every append of a window before the
+// drain that reads it, and barrier B orders that drain before the next
+// window's appends, so a mailbox has one writer phase and one reader
+// phase and needs no atomics.  A mailbox grows instead of refusing a
+// frame: a simulation may never drop or block.
 //
 // Thread discipline: a rack is only ever touched by the worker that owns
 // its shard (the mapping is fixed for a run), and the run/route phases
-// are separated by barriers, so rack Simulations need no locks.  With a
-// single worker the phases simply run in program order and no barrier is
-// crossed.  The frame handler is invoked on the owning worker and must
-// confine itself to the destination rack passed to it.  Within a run, a
-// rack's queue therefore changes only through its own events and through
-// routing, which is what keeps the next-event cache exact.  Between runs
-// application code may schedule, cancel, or Rack::Send freely: each run
-// first routes the frames still in transit, then re-reads every rack's
-// next-event time.
+// are separated by barriers, so rack Simulations need no locks.  The same
+// mapping gives each outbox row one writer (the source shard's worker, in
+// the run phase) and each outbox column one reader (the destination
+// shard's worker, in the route phase).  With a single worker the phases
+// simply run in program order and no barrier is crossed.  The frame
+// handler is invoked on the owning worker and must confine itself to the
+// destination rack passed to it.  Within a run, a rack's queue therefore
+// changes only through its own events and through routing, which is what
+// keeps the next-event cache exact.  Between runs application code may
+// schedule, cancel, or Rack::Send freely: each run first routes the
+// frames still in transit, then re-reads every rack's next-event time.
 
 #ifndef SRC_SIM_SHARD_H_
 #define SRC_SIM_SHARD_H_
 
-#include <atomic>
 #include <barrier>
 #include <condition_variable>
 #include <cstdint>
@@ -76,10 +76,10 @@ namespace bolted::sim {
 
 class ShardedFleet;
 
-// One cross-rack frame.  POD by design: frames travel through shared
-// rings between threads, so they carry plain words, not closures — the
-// destination rack's frame handler interprets kind/payload.  `bytes` is
-// the modeled wire size (accounting only; the latency is the send delay).
+// One cross-rack frame.  POD by design: frames are copied between shards'
+// mailboxes, so they carry plain words, not closures — the destination
+// rack's frame handler interprets kind/payload.  `bytes` is the modeled
+// wire size (accounting only; the latency is the send delay).
 struct CrossShardFrame {
   int64_t deliver_ns = 0;  // absolute delivery instant (simulated ns)
   uint64_t payload0 = 0;
@@ -91,57 +91,6 @@ struct CrossShardFrame {
   // Per-source-rack send counter; the third key of the canonical inbound
   // sort, so two frames from one rack can never tie.
   uint64_t src_seq = 0;
-};
-
-// Lock-free single-producer / single-consumer ring of CrossShardFrames.
-// Indices are free-running uint64s; head_ (consumer) and tail_ (producer)
-// live on their own cache lines, and each side works against a cached
-// copy of the other's index — the fctl credit pattern: TryPush only loads
-// head_ when its cached credits run out.
-class SpscRing {
- public:
-  explicit SpscRing(uint32_t capacity);
-  SpscRing(const SpscRing&) = delete;
-  SpscRing& operator=(const SpscRing&) = delete;
-
-  uint32_t capacity() const { return mask_ + 1; }
-
-  // Producer side.  False when the ring is full even after refreshing
-  // credits (the caller spills to its overflow vector).
-  bool TryPush(const CrossShardFrame& frame) {
-    const uint64_t tail = tail_.load(std::memory_order_relaxed);
-    if (tail - cached_head_ > mask_) {
-      cached_head_ = head_.load(std::memory_order_acquire);
-      if (tail - cached_head_ > mask_) {
-        return false;  // out of credits
-      }
-    }
-    slots_[tail & mask_] = frame;
-    tail_.store(tail + 1, std::memory_order_release);
-    return true;
-  }
-
-  // Consumer side.  False when the ring is empty.
-  bool TryPop(CrossShardFrame* out) {
-    const uint64_t head = head_.load(std::memory_order_relaxed);
-    if (head == cached_tail_) {
-      cached_tail_ = tail_.load(std::memory_order_acquire);
-      if (head == cached_tail_) {
-        return false;
-      }
-    }
-    *out = slots_[head & mask_];
-    head_.store(head + 1, std::memory_order_release);
-    return true;
-  }
-
- private:
-  std::vector<CrossShardFrame> slots_;
-  uint32_t mask_ = 0;
-  alignas(64) std::atomic<uint64_t> head_{0};  // consumer cursor
-  alignas(64) uint64_t cached_tail_ = 0;       // consumer's view of tail_
-  alignas(64) std::atomic<uint64_t> tail_{0};  // producer cursor
-  alignas(64) uint64_t cached_head_ = 0;       // producer's credit base
 };
 
 // Persistent team of worker threads.  Thread 0 is the calling thread, so
@@ -184,8 +133,9 @@ class WorkerPool {
 
 struct ShardOptions {
   uint32_t racks = 1;
-  // Rack partitions (the ring-channel topology).  Rack r belongs to the
-  // shard owning the contiguous stripe containing r.  Clamped to racks.
+  // Rack partitions (one mailbox per ordered shard pair).  Rack r belongs
+  // to the shard owning the contiguous stripe containing r.  Clamped to
+  // racks.
   uint32_t shards = 1;
   // Worker threads executing shards (shard s runs on worker s % workers).
   // 0 means one worker per shard.  Clamped to shards.
@@ -194,9 +144,6 @@ struct ShardOptions {
   // Rack::Send delay must be >= lookahead (checked fatally).
   Duration lookahead = Duration::Microseconds(50);
   uint64_t seed = 0x626f6c746564u;
-  // Per shard-pair ring capacity in frames (rounded up to a power of
-  // two).  Overflow spills — counted, never dropped.
-  uint32_t ring_capacity = 4096;
   bool pin_workers = false;
 };
 
@@ -208,7 +155,6 @@ class Rack {
   Simulation& sim() { return *sim_; }
   const Simulation& sim() const { return *sim_; }
   uint32_t index() const { return index_; }
-  uint32_t shard() const { return shard_; }
 
   // Sends a cross-rack frame delivered `delay` from now.  delay must be
   // >= the fleet lookahead — that bound is exactly what lets this rack's
@@ -217,8 +163,6 @@ class Rack {
   // application-owned; src/seq/deliver_ns are stamped here.
   void Send(uint32_t dst_rack, Duration delay, uint32_t kind, uint32_t bytes,
             uint64_t payload0 = 0, uint64_t payload1 = 0);
-
-  uint64_t frames_sent() const { return send_seq_; }
 
  private:
   friend class ShardedFleet;
@@ -243,8 +187,6 @@ class ShardedFleet {
   ShardedFleet& operator=(const ShardedFleet&) = delete;
 
   uint32_t num_racks() const { return static_cast<uint32_t>(racks_.size()); }
-  uint32_t num_shards() const { return num_shards_; }
-  uint32_t num_workers() const { return num_workers_; }
   Duration lookahead() const { return lookahead_; }
   Rack& rack(uint32_t index) { return *racks_[index]; }
   const Rack& rack(uint32_t index) const { return *racks_[index]; }
@@ -260,8 +202,6 @@ class ShardedFleet {
   // --- Aggregate statistics (valid between runs) ---------------------------
   uint64_t events_processed() const;
   uint64_t frames_routed() const { return frames_routed_; }
-  // Ring pushes that found no credit and took the overflow path.
-  uint64_t ring_spills() const { return ring_spills_; }
   // Conservative windows executed (two barriers each with >1 worker).
   uint64_t windows() const { return windows_; }
   // Rack visits in the run phase: one per window for each rack with an
@@ -289,33 +229,26 @@ class ShardedFleet {
     // refreshed only from the peek that ends each RunBefore and lowered
     // when the router schedules a frame into the rack.
     std::vector<int64_t> next_ns;
-    // Inbound frames staged by opportunistic drains during the run phase;
-    // merged with the barrier drain and sorted canonically by the router.
-    std::vector<CrossShardFrame> staged;
+    // The window's inbound frames, gathered from every outbox(s, d) and
+    // sorted canonically by the router.
     std::vector<CrossShardFrame> route_buf;
     // Minimum of next_ns, recomputed in the route phase.
     int64_t min_next = 0;
     uint64_t routed = 0;
-    uint64_t spills = 0;
     uint64_t rack_runs = 0;
   };
 
-  SpscRing& ring(uint32_t src_shard, uint32_t dst_shard) {
-    return *rings_[src_shard * num_shards_ + dst_shard];
-  }
-  std::vector<CrossShardFrame>& overflow(uint32_t src, uint32_t dst) {
-    return overflow_[src * num_shards_ + dst];
+  std::vector<CrossShardFrame>& outbox(uint32_t src_shard,
+                                       uint32_t dst_shard) {
+    return outboxes_[src_shard * num_shards_ + dst_shard];
   }
 
-  void Submit(uint32_t src_shard, const CrossShardFrame& frame);
-  // Drains rings destined to shard d into its staging buffer (run phase:
-  // returns credits early; route phase: completes the window's traffic).
-  void DrainInbound(uint32_t d);
   // Runs shard s's racks that have an event before the window end and
   // refreshes their next_ns entries.
   void RunPhase(uint32_t s);
-  // Sorts shard d's inbound frames canonically and schedules them into
-  // their destination racks, then recomputes the shard's min_next.
+  // Drains every outbox(s, d), sorts the frames canonically and schedules
+  // them into their destination racks, then recomputes the shard's
+  // min_next.
   void RoutePhase(uint32_t d);
   void RunWindows(int64_t limit_ns);
   void WorkerLoop(uint32_t worker);
@@ -336,8 +269,7 @@ class ShardedFleet {
   FrameHandler handler_;
   std::vector<std::unique_ptr<Rack>> racks_;
   std::vector<ShardState> shards_;
-  std::vector<std::unique_ptr<SpscRing>> rings_;      // [src * S + dst]
-  std::vector<std::vector<CrossShardFrame>> overflow_;  // [src * S + dst]
+  std::vector<std::vector<CrossShardFrame>> outboxes_;  // [src * S + dst]
   std::unique_ptr<WorkerPool> pool_;
   // Barrier A (run -> route) and barrier B (route -> next window); B's
   // completion computes the next window.  Rebuilt per run call, and only
@@ -354,7 +286,6 @@ class ShardedFleet {
   uint64_t windows_ = 0;
   uint64_t rack_runs_ = 0;
   uint64_t frames_routed_ = 0;
-  uint64_t ring_spills_ = 0;
 };
 
 }  // namespace bolted::sim

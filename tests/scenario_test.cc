@@ -487,22 +487,5 @@ TEST(ShardedScenarioTest, BadImageAbortsShardedRollout) {
   EXPECT_EQ(result.upgrades, 0u);
 }
 
-TEST(ShardedScenarioTest, ConfigFromSpecMapsPhases) {
-  const ScenarioSpec spec = MixedSpec(5);
-  const ShardedScenarioConfig config = ShardedConfigFromSpec(spec, 4, 2);
-  EXPECT_EQ(config.shards, 4u);
-  EXPECT_EQ(config.workers, 2u);
-  EXPECT_EQ(config.seed, 5u);
-  EXPECT_EQ(config.tenants, 3u);
-  EXPECT_EQ(config.horizon_ns, spec.duration.nanoseconds());
-  EXPECT_EQ(config.churn_start_ns, 300'000'000'000);
-  EXPECT_EQ(config.churn_end_ns, 420'000'000'000);
-  EXPECT_EQ(config.storm_at_ns, 600'000'000'000);
-  EXPECT_EQ(config.upgrade_at_ns, 900'000'000'000);
-  EXPECT_EQ(config.canaries, 2u);
-  EXPECT_EQ(config.sweep_at_ns, 1'260'000'000'000);
-  EXPECT_GE(config.racks, 4u);
-}
-
 }  // namespace
 }  // namespace bolted::scenario

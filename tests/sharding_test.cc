@@ -4,13 +4,14 @@
 // on the rack-sharded runtime must produce byte-identical per-rack trace
 // digests — and the same window sequence — for EVERY (shards, workers)
 // configuration, with the shards=1/workers=1 single-threaded path as the
-// oracle.  The suite exercises that invariant across seeds, ring-overflow
-// pressure, lookahead settings, partial horizons, sparse traffic over
-// mostly idle racks, frames sent between runs, and a full per-rack-Network
-// integration scenario, plus the supporting pieces: the SPSC ring, the
-// worker pool, fault-plan partitioning, merged metric export, and the
+// oracle.  The suite exercises that invariant across seeds, burst traffic
+// through every shard-pair mailbox, lookahead settings, partial horizons,
+// sparse traffic over mostly idle racks, frames sent between runs, and a
+// full per-rack-Network integration scenario, plus the supporting pieces:
+// the worker pool, fault-plan partitioning, merged metric export, and the
 // Network uplink-ingress path.
 
+#include <atomic>
 #include <cstdint>
 #include <set>
 #include <string>
@@ -29,14 +30,12 @@
 namespace bolted::sim {
 namespace {
 
-// Everything a determinism comparison cares about.  Spills are excluded
-// on purpose: they depend on ring capacity, not on the event stream.
+// Everything a determinism comparison cares about.
 struct FleetResult {
   uint64_t events = 0;
   uint64_t routed = 0;
   uint64_t windows = 0;
   uint64_t rack_runs = 0;
-  uint64_t spills = 0;
   uint64_t fleet_digest = 0;
   std::vector<uint64_t> rack_digests;
 };
@@ -47,7 +46,6 @@ FleetResult Collect(const ShardedFleet& fleet) {
   result.routed = fleet.frames_routed();
   result.windows = fleet.windows();
   result.rack_runs = fleet.rack_runs();
-  result.spills = fleet.ring_spills();
   result.fleet_digest = fleet.fleet_digest();
   for (uint32_t r = 0; r < fleet.num_racks(); ++r) {
     result.rack_digests.push_back(fleet.rack_digest(r));
@@ -63,7 +61,7 @@ constexpr uint32_t kChainKind = 7;
 // until the hop budget runs out.  Exercises all shard pairs, uneven
 // per-window load, and data-dependent delivery times.
 FleetResult RunChainScenario(uint32_t racks, uint32_t shards, uint32_t workers,
-                             uint64_t seed, uint32_t ring_capacity = 4096,
+                             uint64_t seed,
                              Duration lookahead = Duration::Microseconds(50),
                              int64_t horizon_ns = -1) {
   ShardOptions options;
@@ -71,7 +69,6 @@ FleetResult RunChainScenario(uint32_t racks, uint32_t shards, uint32_t workers,
   options.shards = shards;
   options.workers = workers;
   options.seed = seed;
-  options.ring_capacity = ring_capacity;
   options.lookahead = lookahead;
   ShardedFleet fleet(options);
 
@@ -152,28 +149,41 @@ TEST(ShardingDeterminism, DistinctSeedsProduceDistinctDigests) {
   EXPECT_NE(a.fleet_digest, b.fleet_digest);
 }
 
-TEST(ShardingDeterminism, RingOverflowPreservesDigests) {
-  // Burst scenario: each rack fires 32 frames at its neighbour in one
-  // window.  A 1-slot ring cannot hold that, so the credit path runs dry
-  // and frames take the overflow backstop — which must be invisible to
-  // the event stream.
-  auto run = [](uint32_t shards, uint32_t workers, uint32_t ring_capacity) {
+TEST(ShardingDeterminism, BurstTrafficPreservesDigests) {
+  // Two bursts, each sent by every rack in the first window.  Neighbour:
+  // 32 frames to the next rack.  All-to-all: 16 frames to every rack,
+  // itself included, which puts frames in every (src, dst) mailbox,
+  // same-shard ones included.  However the frames are spread over the
+  // mailboxes, the router's canonical sort must make the event stream
+  // that of the oracle.
+  constexpr uint32_t kRacks = 8;
+  auto run = [](uint32_t shards, uint32_t workers, bool all_to_all) {
     ShardOptions options;
-    options.racks = 8;
+    options.racks = kRacks;
     options.shards = shards;
     options.workers = workers;
     options.seed = 99;
-    options.ring_capacity = ring_capacity;
     ShardedFleet fleet(options);
     fleet.set_frame_handler([](Rack& rack, const CrossShardFrame&) {
       rack.sim().Schedule(Duration::Microseconds(1), [] {});
     });
-    for (uint32_t r = 0; r < 8; ++r) {
+    for (uint32_t r = 0; r < kRacks; ++r) {
       Rack& rack = fleet.rack(r);
-      rack.sim().Schedule(Duration::Microseconds(1), [&fleet, &rack] {
-        for (uint32_t i = 0; i < 32; ++i) {
-          rack.Send((rack.index() + 1) % fleet.num_racks(),
-                    fleet.lookahead() + Duration::Microseconds(i % 5), 1, 16);
+      rack.sim().Schedule(Duration::Microseconds(1), [&fleet, &rack,
+                                                      all_to_all] {
+        if (!all_to_all) {
+          for (uint32_t i = 0; i < 32; ++i) {
+            rack.Send((rack.index() + 1) % kRacks,
+                      fleet.lookahead() + Duration::Microseconds(i % 5), 1,
+                      16);
+          }
+          return;
+        }
+        for (uint32_t i = 0; i < 16; ++i) {
+          for (uint32_t dst = 0; dst < kRacks; ++dst) {
+            rack.Send(dst, fleet.lookahead() + Duration::Microseconds(i % 3),
+                      2, 16, i);
+          }
         }
       });
     }
@@ -181,15 +191,17 @@ TEST(ShardingDeterminism, RingOverflowPreservesDigests) {
     return Collect(fleet);
   };
 
-  const FleetResult oracle = run(1, 1, 4096);
-  EXPECT_EQ(oracle.routed, 8u * 32u);
-  const FleetResult tiny = run(4, 4, /*ring_capacity=*/1);
-  EXPECT_GT(tiny.spills, 0u);
-  ExpectSameStream(oracle, tiny, "tiny rings");
-
-  const FleetResult roomy = run(4, 4, 4096);
-  EXPECT_EQ(roomy.spills, 0u);
-  ExpectSameStream(oracle, roomy, "roomy rings");
+  for (const bool all_to_all : {false, true}) {
+    const char* what = all_to_all ? "all-to-all burst" : "neighbour burst";
+    const FleetResult oracle = run(1, 1, all_to_all);
+    EXPECT_EQ(oracle.routed, all_to_all ? kRacks * kRacks * 16 : kRacks * 32)
+        << what;
+    for (const auto& [shards, workers] :
+         {std::pair<uint32_t, uint32_t>{2, 1}, {2, 2}, {4, 1}, {4, 4},
+          {8, 8}}) {
+      ExpectSameStream(oracle, run(shards, workers, all_to_all), what);
+    }
+  }
 }
 
 // Fixed-delay chain on 4 racks.  The chain scenario keys its send delays
@@ -278,9 +290,9 @@ TEST(ShardingDeterminism, LookaheadWithLocalSchedulesIsShardInvariant) {
 TEST(ShardingDeterminism, RunUntilHorizonMatchesOracle) {
   const int64_t horizon = 200'000;  // mid-chain: frames still in flight
   const FleetResult oracle =
-      RunChainScenario(8, 1, 1, 5, 4096, Duration::Microseconds(50), horizon);
+      RunChainScenario(8, 1, 1, 5, Duration::Microseconds(50), horizon);
   const FleetResult sharded =
-      RunChainScenario(8, 4, 2, 5, 4096, Duration::Microseconds(50), horizon);
+      RunChainScenario(8, 4, 2, 5, Duration::Microseconds(50), horizon);
   ExpectSameStream(oracle, sharded, "partial horizon");
 
   const FleetResult full = RunChainScenario(8, 1, 1, 5);
@@ -452,30 +464,6 @@ TEST(Sharding, SendBelowLookaheadDies) {
     rack.Send(1, Duration::Microseconds(10), 1, 8);
   });
   EXPECT_DEATH(fleet.Run(), "lookahead");
-}
-
-TEST(SpscRing, CapacityRoundsUpAndRefusesWhenFull) {
-  SpscRing ring(3);
-  EXPECT_EQ(ring.capacity(), 4u);
-  CrossShardFrame frame;
-  for (uint64_t i = 0; i < 4; ++i) {
-    frame.src_seq = i;
-    EXPECT_TRUE(ring.TryPush(frame));
-  }
-  frame.src_seq = 99;
-  EXPECT_FALSE(ring.TryPush(frame));  // out of credits, even after refresh
-
-  CrossShardFrame out;
-  for (uint64_t i = 0; i < 4; ++i) {
-    ASSERT_TRUE(ring.TryPop(&out));
-    EXPECT_EQ(out.src_seq, i);  // FIFO
-  }
-  EXPECT_FALSE(ring.TryPop(&out));
-
-  // Credits return after the consumer advances.
-  EXPECT_TRUE(ring.TryPush(frame));
-  ASSERT_TRUE(ring.TryPop(&out));
-  EXPECT_EQ(out.src_seq, 99u);
 }
 
 TEST(WorkerPoolTest, RunOnAllCoversEveryIndexAndIsReusable) {
