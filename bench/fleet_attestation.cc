@@ -224,9 +224,10 @@ int main(int argc, char** argv) {
       }
       sweep_rows.push_back({b, 1, ms});
     }
-    // Worker rounds run the signature shards on the persistent
-    // sim::WorkerPool (real shard cores when the host has them; on a
-    // single-core host the rows measure pool overhead honestly).
+    // Worker rounds sign the quotes and verify the signature shards on
+    // the Simulation's sim::WorkerPool (real cores when the host has
+    // them; on a single-core host the rows measure pool overhead
+    // honestly).
     const int worker_counts[] = {2, 4, 8};
     for (const int w : worker_counts) {
       verifier.SetFleetOptions({.workers = w, .batch_size = batch_size});

@@ -57,36 +57,40 @@ fi
 echo "== tier-1: default build =="
 run_suite build
 
-echo "== tier-1: forced-scalar crypto backend =="
+# Every label step passes --no-tests=error, so a renamed or dropped label
+# fails the check instead of silently selecting nothing.  ctest lists gtest
+# cases (P256Test.*, DeterminismTest.*), not binaries, so the forced-scalar
+# step selects crypto_test and determinism_test by their label.
+echo "== tier-1: forced-scalar crypto backend (ctest -L force-scalar) =="
 BOLTED_FORCE_SCALAR=1 ctest --test-dir build --output-on-failure \
-  -j "$(nproc)" -R "crypto_test|determinism_test"
+  -j "$(nproc)" -L force-scalar --no-tests=error
 
 echo "== tier-1: observability suite (ctest -L obs) =="
-ctest --test-dir build --output-on-failure -L obs
+ctest --test-dir build --output-on-failure --no-tests=error -L obs
 
 echo "== tier-1: batched attestation suite (ctest -L attestation) =="
-ctest --test-dir build --output-on-failure -L attestation
+ctest --test-dir build --output-on-failure --no-tests=error -L attestation
 
 echo "== tier-1: sharded-runtime suite (ctest -L sharding) =="
-ctest --test-dir build --output-on-failure -L sharding
+ctest --test-dir build --output-on-failure --no-tests=error -L sharding
 
 # The -L argument is a regex, so "scenario" selects both the scenario_test
 # suite and the 16-seed scenario_soak sweep (incl. the 1024-node sharded
 # acceptance run).
 echo "== tier-1: scenario suite + soak (ctest -L scenario) =="
-ctest --test-dir build --output-on-failure -L scenario
+ctest --test-dir build --output-on-failure --no-tests=error -L scenario
 
 # Merkle tamper/rollback matrix, seeded fuzz-vs-oracle battery, the
 # crypt+merkle crash-point sweep, and the chunk-distribution protocol tests.
 echo "== tier-1: storage-integrity suite (ctest -L storage-integrity) =="
-ctest --test-dir build --output-on-failure -L storage-integrity
+ctest --test-dir build --output-on-failure --no-tests=error -L storage-integrity
 
 # Burst fast-path battery: flow-cache invalidation matrix, burst-vs-generic
 # digest parity under faults and topology churn, InjectFrame metric
 # reconciliation, and the deterministic pcap capture suite.  (The -L regex
 # also matches net_test's discovered entries — all the better.)
 echo "== tier-1: switch fast-path + pcap suite (ctest -L net) =="
-ctest --test-dir build --output-on-failure -L net
+ctest --test-dir build --output-on-failure --no-tests=error -L net
 
 if [[ "${want_asan}" == 1 ]]; then
   echo "== sanitizers: ASan + UBSan =="
@@ -103,12 +107,12 @@ if [[ "${want_asan}" == 1 ]]; then
   # The obs exporters shuffle strings and trace-event vectors; run the
   # registry + span machinery (and a traced provisioning flow) instrumented.
   echo "== sanitizers: observability suite under ASan =="
-  ctest --test-dir build-asan --output-on-failure -L obs
+  ctest --test-dir build-asan --output-on-failure --no-tests=error -L obs
   # The batch verifier's bisection, square-root recovery, and worker-pool
   # scatter paths all juggle raw spans and index vectors; run them
   # instrumented too.
   echo "== sanitizers: batched attestation suite under ASan =="
-  ctest --test-dir build-asan --output-on-failure -L attestation
+  ctest --test-dir build-asan --output-on-failure --no-tests=error -L attestation
   # The scenario runner drives every subsystem at once (coroutines, fault
   # injector, Keylime pipeline, sniffer) over long horizons, so it is a
   # good ASan workload; 4 seeds keep the instrumented run tractable.
@@ -118,24 +122,26 @@ if [[ "${want_asan}" == 1 ]]; then
   # of hash nodes, and parked RPC fetchers; the tamper matrix and fuzz
   # battery must fail closed under instrumentation too.
   echo "== sanitizers: storage-integrity suite under ASan =="
-  ctest --test-dir build-asan --output-on-failure -L storage-integrity
+  ctest --test-dir build-asan --output-on-failure --no-tests=error -L storage-integrity
   # The burst engine juggles a flight arena + freelist, ring-batched
   # deliveries, and pooled MessageBoxes; the pcap writer assembles frames
   # in a reused scratch buffer.  Both must stay clean instrumented.
   echo "== sanitizers: switch fast-path + pcap suite under ASan =="
-  ctest --test-dir build-asan --output-on-failure -L net
+  ctest --test-dir build-asan --output-on-failure --no-tests=error -L net
 fi
 
 if [[ "${want_tsan}" == 1 ]]; then
   echo "== sanitizers: sharded-runtime suite under TSan =="
-  # TSan is the sanitizer that matters for the sharded runtime: the
-  # barrier phases (which alone order the frame mailboxes) and the worker
-  # pool are the only cross-thread code in the tree, and the sharding
-  # suite drives both (plus a multi-threaded fleet_sharding sweep for the
-  # window loop at scale).
+  # The tree has two kinds of cross-thread code.  The sharded runtime's
+  # barrier phases alone order its frame mailboxes; the worker pool's
+  # tickets hand quote signatures and batch verdicts from its threads to
+  # the simulation thread.  The sharding suite drives the barriers and the
+  # pool (plus a multi-threaded fleet_sharding sweep for the window loop
+  # at scale); the attestation legs below drive the tickets.
   cmake -B build-tsan -S . -DBOLTED_SANITIZE=thread
   cmake --build build-tsan -j --target sharding_test fleet_sharding \
-    net_fastpath_test scenario_soak_test
+    net_fastpath_test scenario_soak_test attestation_batch_test tpm_test \
+    keylime_test fleet_attestation
   ./build-tsan/tests/sharding_test
   # The burst engine runs inside the sharded workers (per-rack Networks,
   # uplink ingress via InjectFrame); the fast-path suite's sharded cases
@@ -148,11 +154,21 @@ if [[ "${want_tsan}" == 1 ]]; then
   # and barriers; --sharded-only skips the single-threaded oracle sweep and
   # runs just the threaded 1024-node acceptance scenario.
   ./build-tsan/tests/scenario_soak_test --sharded-only
+  # Quotes signed on the pool while their latency elapses, batches verified
+  # as they fill: the TPM suite's pools of 1-4 threads, the fleet rounds at
+  # 2-8 workers, and a 128-node fleet polled at 4 workers (its sweep also
+  # rebuilds the pool and runs the per-node path beside it).
+  echo "== sanitizers: attestation threads under TSan =="
+  ./build-tsan/tests/tpm_test
+  ./build-tsan/tests/keylime_test
+  ./build-tsan/tests/attestation_batch_test
+  ./build-tsan/bench/fleet_attestation --nodes=128 --workers=4 \
+    /tmp/bolted_tsan_bench_attestation.json
 fi
 
 if [[ "${want_bench}" == 1 ]]; then
   echo "== bench smoke: ctest -L bench_smoke (uninstrumented build) =="
-  ctest --test-dir build --output-on-failure -L bench_smoke
+  ctest --test-dir build --output-on-failure --no-tests=error -L bench_smoke
   echo "== bench regression guard: full-scale runs vs committed baselines =="
   # Fresh full-scale runs (4096-node fleets, 2M-op scheduler workloads),
   # then a >25% host-time comparison against the committed BENCH_*.json

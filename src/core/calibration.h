@@ -74,8 +74,6 @@ struct Calibration {
   int max_concurrent_airlocks = 1;
 };
 
-inline Calibration DefaultCalibration() { return Calibration{}; }
-
 }  // namespace bolted::core
 
 #endif  // SRC_CORE_CALIBRATION_H_

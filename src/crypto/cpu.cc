@@ -1,5 +1,6 @@
 #include "src/crypto/cpu.h"
 
+#include <atomic>
 #include <cstdlib>
 #include <cstring>
 
@@ -52,8 +53,11 @@ bool EnvForceScalar() {
   return v != nullptr && v[0] != '\0' && std::strcmp(v, "0") != 0;
 }
 
-// Single-threaded simulator: plain statics are sufficient.
-bool g_force_scalar = EnvForceScalar();
+// Read by every primitive's constructor, including those built on the
+// worker pool's threads (quote signing, batch-verify transcripts).  Relaxed
+// suffices: the flag orders nothing else, and callers flip it only between
+// runs.
+std::atomic<bool> g_force_scalar{EnvForceScalar()};
 
 }  // namespace
 
@@ -63,14 +67,18 @@ const Features& Detect() {
 }
 
 Features Get() {
-  if (g_force_scalar) {
+  if (g_force_scalar.load(std::memory_order_relaxed)) {
     return Features{};
   }
   return Detect();
 }
 
-void SetForceScalar(bool on) { g_force_scalar = on; }
+void SetForceScalar(bool on) {
+  g_force_scalar.store(on, std::memory_order_relaxed);
+}
 
-bool ForceScalarEnabled() { return g_force_scalar; }
+bool ForceScalarEnabled() {
+  return g_force_scalar.load(std::memory_order_relaxed);
+}
 
 }  // namespace bolted::crypto::cpu

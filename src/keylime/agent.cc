@@ -167,8 +167,12 @@ sim::Task Agent::HandleQuote(const net::Message& request, net::Message* response
     co_return;
   }
   // A faulted quote command still burns the command time (plus any injected
-  // latency spike) before the agent reports the error.
+  // latency spike) before the agent reports the error.  The signature is
+  // computed on the simulation's worker pool, when it has one, while the
+  // latency elapses; FinishQuote re-signs if the PCRs or the AIK moved.
   const tpm::TpmFault fault = machine_.tpm().TakeFault("quote");
+  tpm::Tpm::PendingQuote pending = machine_.tpm().StartQuote(
+      nonce, mask, machine_.simulation().worker_pool());
   co_await sim::Delay(machine_.simulation(),
                       machine_.tpm().latency().quote + fault.extra_latency);
   ObserveTpmCommand(machine_.simulation(), "quote",
@@ -178,7 +182,7 @@ sim::Task Agent::HandleQuote(const net::Message& request, net::Message* response
     response->kind = "kl.agent.error";
     co_return;
   }
-  const tpm::Quote quote = machine_.tpm().MakeQuote(nonce, mask);
+  const tpm::Quote quote = machine_.tpm().FinishQuote(std::move(pending));
   ++quotes_served_;
 
   const tpm::EventLog empty;

@@ -7,11 +7,15 @@
 #include "src/keylime/agent.h"
 #include "src/net/wire.h"
 #include "src/obs/obs.h"
-#include "src/sim/shard.h"
+#include "src/sim/worker_pool.h"
 #include "src/tpm/tpm.h"
 
 namespace bolted::keylime {
 namespace {
+
+// Consecutive transient failures the continuous loop tolerates before it
+// quarantines the node as if it had failed integrity checks.
+constexpr int kMaxTransientStrikes = 3;
 
 // Extracts the quoted value for a PCR from a quote's (mask, values) pair.
 const crypto::Digest* QuotedPcr(const tpm::Quote& quote, int pcr) {
@@ -55,8 +59,6 @@ Verifier::Verifier(sim::Simulation& sim, net::Endpoint& endpoint,
     : sim_(sim), node_(sim, endpoint), registrar_(registrar), drbg_(seed) {
   node_.Start();
 }
-
-Verifier::~Verifier() = default;
 
 void Verifier::AddNode(const std::string& name, NodeConfig config) {
   NodeState state;
@@ -203,10 +205,13 @@ sim::Task Verifier::FetchQuote(const std::string& name, NodeState& state,
   }
   // Decode + curve-check + table build happen once per distinct wire
   // encoding; steady-state polling reuses the prepared AIK.
-  if (!state.aik_prepared.has_value() || state.aik_wire != aik_wire) {
+  if (state.aik_prepared == nullptr || state.aik_wire != aik_wire) {
     const auto aik = ParsePointUnchecked(aik_wire);
+    auto prepared = aik ? crypto::P256::Instance().Prepare(*aik) : std::nullopt;
     state.aik_prepared =
-        aik ? crypto::P256::Instance().Prepare(*aik) : std::nullopt;
+        prepared ? std::make_shared<const crypto::P256::PreparedKey>(
+                       std::move(*prepared))
+                 : nullptr;
     state.aik_wire = aik_wire;
     ++aik_cache_misses_;
     obs::Count(sim_, "keylime.aik_cache_miss");
@@ -218,7 +223,7 @@ sim::Task Verifier::FetchQuote(const std::string& name, NodeState& state,
     state.nk_decoded = crypto::EcPoint::Decode(nk_wire);
     state.nk_wire = nk_wire;
   }
-  if (!state.aik_prepared.has_value() || !state.nk_decoded.has_value()) {
+  if (state.aik_prepared == nullptr || !state.nk_decoded.has_value()) {
     out->failure = "malformed registrar response";
     co_return;
   }
@@ -362,9 +367,104 @@ uint64_t ShardHash(std::string_view s) {
 
 }  // namespace
 
+// One fleet round's signature stage (DESIGN.md §11).  Quotes join their
+// shard's open batch in arrival order, which the simulation fixes, and a
+// full batch is verified on the Simulation's worker pool while the round's
+// exchanges go on (inline without a pool).  Nothing here schedules an
+// event or touches obs, so batch size, worker count and host timing cannot
+// reach verdicts or digests.
+struct Verifier::FleetRound {
+  // A batch task's inputs and result slots.  The task shares ownership,
+  // so a round destroyed mid-flight leaves a worker nothing dangling.
+  struct Batch {
+    std::vector<size_t> nodes;  // round indices, in arrival order
+    std::vector<tpm::Quote> quotes;
+    std::vector<std::shared_ptr<const crypto::P256::PreparedKey>> aiks;
+    std::unique_ptr<bool[]> ok;
+    crypto::P256::BatchStats stats{};
+
+    void Verify() {
+      std::vector<tpm::Tpm::QuoteBatchEntry> entries(quotes.size());
+      for (size_t k = 0; k < quotes.size(); ++k) {
+        entries[k] = {&quotes[k], aiks[k].get()};
+      }
+      ok.reset(new bool[quotes.size()]());
+      tpm::Tpm::VerifyQuoteBatch(entries, ok.get(), &stats);
+    }
+  };
+  struct Shard {
+    size_t quotes = 0;
+    std::shared_ptr<Batch> open;
+    std::vector<std::shared_ptr<Batch>> batches;  // in submission order
+  };
+
+  FleetRound(sim::WorkerPool* pool, size_t workers, size_t batch_size)
+      : pool(pool), batch_size(batch_size), shards(workers) {}
+
+  void Land(std::string_view name, size_t node, const tpm::Quote& quote,
+            std::shared_ptr<const crypto::P256::PreparedKey> aik) {
+    Shard& shard = shards[ShardHash(name) % shards.size()];
+    if (shard.open == nullptr) {
+      shard.open = std::make_shared<Batch>();
+    }
+    ++shard.quotes;
+    shard.open->nodes.push_back(node);
+    shard.open->quotes.push_back(quote);
+    shard.open->aiks.push_back(std::move(aik));
+    if (shard.open->nodes.size() == batch_size) {
+      Flush(shard);
+    }
+  }
+
+  void Flush(Shard& shard) {
+    std::shared_ptr<Batch> batch = std::move(shard.open);
+    shard.batches.push_back(batch);
+    if (pool == nullptr) {
+      batch->Verify();
+      return;
+    }
+    tickets.push_back(pool->Submit([batch] { batch->Verify(); }));
+  }
+
+  // Submits the shards' partial batches and waits for every batch.
+  void Join() {
+    for (Shard& shard : shards) {
+      if (shard.open != nullptr) {
+        Flush(shard);
+      }
+    }
+    // Newest first: the workers take the oldest queued task, so once this
+    // reaches a task some worker is running, every older one is claimed
+    // too, and the caller never sleeps while a batch sits in the queue.
+    for (auto it = tickets.rbegin(); it != tickets.rend(); ++it) {
+      sim::WorkerPool::Wait(*it);
+    }
+  }
+
+  sim::WorkerPool* pool;
+  size_t batch_size;
+  std::vector<Shard> shards;
+  std::vector<sim::WorkerPool::Ticket> tickets;
+};
+
+sim::Task Verifier::FetchIntoRound(const std::string& name, NodeState& state,
+                                   QuoteExchange* out, FleetRound* round,
+                                   size_t index) {
+  co_await FetchQuote(name, state, out);
+  if (out->failure.empty()) {
+    round->Land(name, index, *out->quote, state.aik_prepared);
+  }
+}
+
 sim::Task Verifier::VerifyFleet(std::span<const std::string> names,
                                 VerificationResult* results) {
   const size_t n = names.size();
+  // The pool is rebuilt only when `workers` changes, so steady polling pays
+  // no thread spawn or join.  The agents' quotes are signed on it too.
+  const int workers = std::max(1, fleet_options_.workers);
+  sim_.SetWorkerThreads(static_cast<uint32_t>(workers));
+  FleetRound round(sim_.worker_pool(), static_cast<size_t>(workers),
+                   static_cast<size_t>(std::max(1, fleet_options_.batch_size)));
   std::vector<QuoteExchange> exchanges(n);
   std::vector<NodeState*> states(n, nullptr);
   sim::TaskGroup group(sim_);
@@ -377,84 +477,30 @@ sim::Task Verifier::VerifyFleet(std::span<const std::string> names,
     }
     states[i] = &it->second;
     ++verifications_;
-    group.Spawn(FetchQuote(names[i], it->second, &exchanges[i]));
+    group.Spawn(FetchIntoRound(names[i], it->second, &exchanges[i], &round, i));
   }
   co_await group.WaitAll();
-
-  // Every quote that landed in this round, sharded by node id and verified
-  // through the batched multi-scalar path.  This section is host CPU only —
-  // it schedules no sim event — so batch size and worker count cannot
-  // perturb the event sequence, and verdicts/digests match the workers = 1
-  // oracle byte for byte.
-  const size_t workers = static_cast<size_t>(std::max(1, fleet_options_.workers));
-  const size_t batch_size =
-      static_cast<size_t>(std::max(1, fleet_options_.batch_size));
-  std::vector<std::vector<size_t>> shards(workers);
-  for (size_t i = 0; i < n; ++i) {
-    if (exchanges[i].failure.empty()) {
-      shards[ShardHash(names[i]) % workers].push_back(i);
-    }
-  }
-  std::vector<uint8_t> signature_ok(n, 0);
-  struct ShardReport {
-    crypto::P256::BatchStats stats;
-    std::vector<uint64_t> chunk_sizes;
-  };
-  std::vector<ShardReport> reports(workers);
-  const auto run_shard = [&](size_t s) {
-    const std::vector<size_t>& index = shards[s];
-    ShardReport& report = reports[s];
-    std::vector<tpm::Tpm::QuoteBatchEntry> entries;
-    for (size_t start = 0; start < index.size(); start += batch_size) {
-      const size_t count = std::min(batch_size, index.size() - start);
-      entries.resize(count);
-      for (size_t k = 0; k < count; ++k) {
-        const size_t i = index[start + k];
-        entries[k].quote = &*exchanges[i].quote;
-        entries[k].aik = &*states[i]->aik_prepared;
-      }
-      const std::unique_ptr<bool[]> ok(new bool[count]());
-      tpm::Tpm::VerifyQuoteBatch(entries, ok.get(), &report.stats);
-      for (size_t k = 0; k < count; ++k) {
-        signature_ok[index[start + k]] = ok[k] ? 1 : 0;
-      }
-      report.chunk_sizes.push_back(count);
-    }
-  };
-  if (workers == 1 || n < 2) {
-    for (size_t s = 0; s < workers; ++s) {
-      run_shard(s);
-    }
-  } else {
-    // Shards run on the persistent sim::WorkerPool — the same pinned
-    // worker team the sharded simulation uses — striding shards across
-    // threads instead of spawning and joining a thread per shard every
-    // poll round.
-    if (worker_pool_ == nullptr || worker_pool_->threads() != workers) {
-      worker_pool_ = std::make_unique<sim::WorkerPool>(
-          static_cast<uint32_t>(workers), /*pin=*/true);
-    }
-    worker_pool_->RunOnAll([&](uint32_t t) {
-      for (size_t s = t; s < workers; s += worker_pool_->threads()) {
-        run_shard(s);
-      }
-    });
-  }
+  round.Join();
 
   // Bookkeeping in deterministic shard order (obs must not be touched from
   // the worker threads).
-  for (size_t s = 0; s < workers; ++s) {
-    const ShardReport& report = reports[s];
-    batched_verifications_ += shards[s].size();
-    batch_stats_.bisections += report.stats.bisections;
-    batch_stats_.sqrt_recoveries += report.stats.sqrt_recoveries;
-    batch_stats_.rejected_hints += report.stats.rejected_hints;
-    obs::Record(sim_, "keylime.shard_quotes", shards[s].size());
-    for (const uint64_t chunk : report.chunk_sizes) {
-      obs::Record(sim_, "keylime.batch_size", chunk);
+  std::vector<uint8_t> signature_ok(n, 0);
+  for (const FleetRound::Shard& shard : round.shards) {
+    batched_verifications_ += shard.quotes;
+    obs::Record(sim_, "keylime.shard_quotes", shard.quotes);
+    uint64_t bisections = 0;
+    for (const std::shared_ptr<FleetRound::Batch>& batch : shard.batches) {
+      bisections += batch->stats.bisections;
+      batch_stats_.bisections += batch->stats.bisections;
+      batch_stats_.sqrt_recoveries += batch->stats.sqrt_recoveries;
+      batch_stats_.rejected_hints += batch->stats.rejected_hints;
+      obs::Record(sim_, "keylime.batch_size", batch->nodes.size());
+      for (size_t k = 0; k < batch->nodes.size(); ++k) {
+        signature_ok[batch->nodes[k]] = batch->ok[k] ? 1 : 0;
+      }
     }
-    if (report.stats.bisections != 0) {
-      obs::Count(sim_, "keylime.batch_bisections", report.stats.bisections);
+    if (bisections != 0) {
+      obs::Count(sim_, "keylime.batch_bisections", bisections);
     }
   }
 
@@ -512,7 +558,7 @@ sim::Task Verifier::ContinuousLoop(std::string name, sim::Duration interval,
       continue;
     }
     if (IsTransientFailure(result.failure) &&
-        ++after->second.transient_strikes < max_transient_strikes_) {
+        ++after->second.transient_strikes < kMaxTransientStrikes) {
       // Escalation ladder: a quote timeout earns a fast re-poll (the node
       // may be mid-reboot or behind a flapping link), not an instant
       // quarantine.  Strikes accumulate until a pass resets them.

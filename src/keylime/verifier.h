@@ -34,10 +34,6 @@
 #include "src/tpm/event_log.h"
 #include "src/tpm/tpm.h"
 
-namespace bolted::sim {
-class WorkerPool;
-}  // namespace bolted::sim
-
 namespace bolted::keylime {
 
 struct Whitelist {
@@ -63,8 +59,6 @@ class Verifier {
  public:
   Verifier(sim::Simulation& sim, net::Endpoint& endpoint, net::Address registrar,
            uint64_t seed);
-  // Out of line: worker_pool_ is forward-declared here.
-  ~Verifier();
 
   net::Address address() const { return node_.address(); }
 
@@ -90,9 +84,6 @@ class Verifier {
   // resends once after a 10 s timeout — enough to ride out a dropped frame
   // without masking a genuinely dead agent from the escalation logic.
   void SetCallOptions(net::CallOptions options) { call_options_ = options; }
-  // Consecutive transient failures tolerated by the continuous loop before
-  // the node is quarantined as if it had failed integrity checks.
-  void SetMaxTransientStrikes(int strikes) { max_transient_strikes_ = strikes; }
 
   // One-shot attestation; delivers the payload on first success.  With an
   // obs::Registry attached, each round is a "keylime.verify" span on the
@@ -104,17 +95,20 @@ class Verifier {
   // so verdicts and trace digests are byte-identical across any batch size
   // and worker count (the single-threaded oracle is workers = 1).
   struct FleetOptions {
-    int workers = 1;     // deterministic worker pool for shard verification
+    // Threads, the caller included, of the Simulation's worker pool, which
+    // signs the agents' quotes and verifies the shards' batches; 1 means
+    // no pool.
+    int workers = 1;
     int batch_size = 64; // quotes per VerifyQuoteBatch call within a shard
   };
   void SetFleetOptions(const FleetOptions& options) { fleet_options_ = options; }
 
   // One poll round over the whole fleet: fans the nonce/quote exchanges out
-  // concurrently, collects every quote that lands in the round into
-  // per-shard batches (sharded by node id), verifies the signatures through
-  // Tpm::VerifyQuoteBatch on the worker pool, and completes each node's
-  // replay/whitelist pipeline in submission order.  results[i] is exactly
-  // what VerifyNode(names[i], ...) would produce.
+  // concurrently, adds each quote as it lands to its shard's batch (sharded
+  // by node id), verifies every full batch through Tpm::VerifyQuoteBatch on
+  // the Simulation's worker pool while the exchanges go on, and completes
+  // each node's replay/whitelist pipeline in submission order.  results[i]
+  // is exactly what VerifyNode(names[i], ...) would produce.
   sim::Task VerifyFleet(std::span<const std::string> names,
                         VerificationResult* results);
 
@@ -169,9 +163,10 @@ class Verifier {
     // Decoded-key cache, keyed on the registrar's wire encodings: the AIK
     // is decoded, curve-checked, and equipped with verify tables once, not
     // on every poll.  A changed encoding (re-registration) misses and
-    // rebuilds.
+    // rebuilds.  The prepared AIK is shared, so a batch task keeps the key
+    // it checks even if the node is re-keyed while the task runs.
     crypto::Bytes aik_wire;
-    std::optional<crypto::P256::PreparedKey> aik_prepared;
+    std::shared_ptr<const crypto::P256::PreparedKey> aik_prepared;
     crypto::Bytes nk_wire;
     std::optional<crypto::EcPoint> nk_decoded;
   };
@@ -203,6 +198,12 @@ class Verifier {
   // that precedes the signature verification, in VerifyNode's order.
   sim::Task FetchQuote(const std::string& name, NodeState& state,
                        QuoteExchange* out);
+  // A fleet round's batching state (verifier.cc).
+  struct FleetRound;
+  // Stage A for one node of a fleet round; a quote that passes it joins
+  // its shard's batch the moment it lands.
+  sim::Task FetchIntoRound(const std::string& name, NodeState& state,
+                           QuoteExchange* out, FleetRound* round, size_t index);
   // Stage B: everything after the signature verdict — freshness, replay,
   // whitelists, payload delivery, cursor commit.
   sim::Task FinishVerification(const std::string& name, NodeState& state,
@@ -224,13 +225,7 @@ class Verifier {
   ViolationCallback violation_callback_;
   net::CallOptions call_options_{.timeout = sim::Duration::Seconds(10),
                                  .max_attempts = 2};
-  int max_transient_strikes_ = 3;
   FleetOptions fleet_options_;
-  // Persistent worker team for the fleet poll rounds (sim::WorkerPool,
-  // the sharded-simulation runtime's pool): built lazily on the first
-  // multi-worker round and kept across rounds, so steady-state polling
-  // pays no thread spawn/join.  Rebuilt only when `workers` changes.
-  std::unique_ptr<sim::WorkerPool> worker_pool_;
   // Keyed on SHA-256 of the log's wire bytes; std::map keeps entries
   // pointer-stable for the QuoteExchange references.  Bounded by the number
   // of distinct firmware images the fleet runs, not by fleet size.

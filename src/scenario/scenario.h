@@ -124,7 +124,6 @@ class ScenarioBuilder {
   ScenarioBuilder& Duration(sim::Duration d) { spec_.duration = d; return *this; }
   ScenarioBuilder& Machines(int n) { spec_.machines = n; return *this; }
   ScenarioBuilder& AirlockSlots(int n) { spec_.airlock_slots = n; return *this; }
-  ScenarioBuilder& PaperCalibration() { spec_.fleet_calibration = false; return *this; }
   ScenarioBuilder& Tenant(std::string name, Tier tier, int nodes) {
     spec_.tenants.push_back({std::move(name), tier, nodes});
     return *this;

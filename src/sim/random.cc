@@ -1,7 +1,6 @@
 #include "src/sim/random.h"
 
 #include <cmath>
-#include <numbers>
 
 namespace bolted::sim {
 namespace {
@@ -59,16 +58,6 @@ double Rng::Exponential(double mean) {
     u = 0x1.0p-53;
   }
   return -mean * std::log(u);
-}
-
-double Rng::Normal(double mean, double stddev) {
-  double u1 = NextDouble();
-  if (u1 <= 0.0) {
-    u1 = 0x1.0p-53;
-  }
-  const double u2 = NextDouble();
-  const double r = std::sqrt(-2.0 * std::log(u1));
-  return mean + stddev * r * std::cos(2.0 * std::numbers::pi * u2);
 }
 
 Rng Rng::Fork() { return Rng(NextU64()); }

@@ -25,8 +25,6 @@ class Rng {
   double Uniform(double lo, double hi);
   // Exponential with the given mean (> 0).
   double Exponential(double mean);
-  // Normal via Box-Muller.
-  double Normal(double mean, double stddev);
   // Fork a stream that is decorrelated from this one; used to give each
   // simulated component its own generator while preserving determinism.
   Rng Fork();

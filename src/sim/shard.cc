@@ -6,11 +6,6 @@
 #include <cstdlib>
 #include <limits>
 
-#ifdef __linux__
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 namespace bolted::sim {
 namespace {
 
@@ -53,93 +48,6 @@ bool CanonicalLess(const CrossShardFrame& a, const CrossShardFrame& b) {
 }
 
 }  // namespace
-
-// --- WorkerPool -------------------------------------------------------------
-
-WorkerPool::WorkerPool(uint32_t threads, bool pin)
-    : threads_(threads == 0 ? 1 : threads), pin_(pin) {
-  if (pin_) {
-    PinTo(0);  // the caller is thread 0
-  }
-  workers_.reserve(threads_ - 1);
-  for (uint32_t t = 1; t < threads_; ++t) {
-    workers_.emplace_back(&WorkerPool::WorkerMain, this, t);
-  }
-}
-
-WorkerPool::~WorkerPool() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  start_cv_.notify_all();
-  for (std::thread& w : workers_) {
-    w.join();
-  }
-}
-
-void WorkerPool::PinTo(uint32_t index) {
-#ifdef __linux__
-  const unsigned cores = std::thread::hardware_concurrency();
-  if (cores < 2) {
-    return;  // pinning a single-core host only hurts
-  }
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(index % cores, &set);
-  // Best effort: a restricted cpuset (containers) may refuse, and the
-  // pool works fine unpinned.
-  (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-#else
-  (void)index;
-#endif
-}
-
-void WorkerPool::WorkerMain(uint32_t index) {
-  if (pin_) {
-    PinTo(index);
-  }
-  uint64_t seen_epoch = 0;
-  for (;;) {
-    const std::function<void(uint32_t)>* job = nullptr;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      start_cv_.wait(lock,
-                     [&] { return stop_ || epoch_ != seen_epoch; });
-      if (stop_) {
-        return;
-      }
-      seen_epoch = epoch_;
-      job = job_;
-    }
-    (*job)(index);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++done_;
-    }
-    done_cv_.notify_one();
-  }
-}
-
-void WorkerPool::RunOnAll(const std::function<void(uint32_t)>& job) {
-  if (threads_ == 1) {
-    job(0);  // the single-threaded oracle path: no synchronization at all
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    job_ = &job;
-    done_ = 0;
-    ++epoch_;
-  }
-  start_cv_.notify_all();
-  job(0);
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    done_cv_.wait(lock, [&] { return done_ == threads_ - 1; });
-    job_ = nullptr;
-  }
-}
 
 // --- Rack -------------------------------------------------------------------
 

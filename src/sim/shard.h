@@ -61,16 +61,14 @@
 #define SRC_SIM_SHARD_H_
 
 #include <barrier>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "src/sim/simulation.h"
 #include "src/sim/time.h"
+#include "src/sim/worker_pool.h"
 
 namespace bolted::sim {
 
@@ -91,44 +89,6 @@ struct CrossShardFrame {
   // Per-source-rack send counter; the third key of the canonical inbound
   // sort, so two frames from one rack can never tie.
   uint64_t src_seq = 0;
-};
-
-// Persistent team of worker threads.  Thread 0 is the calling thread, so
-// WorkerPool(1) is a plain inline call with no thread machinery — the
-// single-threaded oracle path.  Reused across calls (the sharded fleet
-// dispatches one RunOnAll per Run, the fleet verifier one per poll
-// round), so worker threads keep their core pinning and warm caches.
-class WorkerPool {
- public:
-  // Spawns threads-1 workers; with pin=true each thread (including the
-  // caller, as thread 0) is pinned to core t % hardware_concurrency —
-  // best effort, skipped on single-core hosts and non-Linux platforms.
-  explicit WorkerPool(uint32_t threads, bool pin = false);
-  ~WorkerPool();
-  WorkerPool(const WorkerPool&) = delete;
-  WorkerPool& operator=(const WorkerPool&) = delete;
-
-  uint32_t threads() const { return threads_; }
-
-  // Invokes job(t) for every t in [0, threads) concurrently — t = 0 runs
-  // on the calling thread — and returns when all invocations finished.
-  // Not reentrant; one RunOnAll at a time.
-  void RunOnAll(const std::function<void(uint32_t)>& job);
-
- private:
-  void WorkerMain(uint32_t index);
-  static void PinTo(uint32_t index);
-
-  uint32_t threads_;
-  bool pin_;
-  std::mutex mu_;
-  std::condition_variable start_cv_;
-  std::condition_variable done_cv_;
-  const std::function<void(uint32_t)>* job_ = nullptr;
-  uint64_t epoch_ = 0;
-  uint32_t done_ = 0;
-  bool stop_ = false;
-  std::vector<std::thread> workers_;
 };
 
 struct ShardOptions {

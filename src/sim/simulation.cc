@@ -4,6 +4,7 @@
 
 #include "src/obs/obs.h"
 #include "src/sim/task.h"
+#include "src/sim/worker_pool.h"
 
 namespace bolted::sim {
 namespace {
@@ -106,6 +107,17 @@ bool Simulation::PeekNextEventTime(Time* next) {
 void Simulation::Spawn(Task task) {
   live_tasks_.push_back(std::move(task));
   live_tasks_.back().Start();
+}
+
+void Simulation::SetWorkerThreads(uint32_t threads) {
+  if (threads <= 1) {
+    worker_pool_.reset();
+    return;
+  }
+  if (worker_pool_ == nullptr || worker_pool_->threads() != threads) {
+    worker_pool_.reset();  // join the old team before pinning a new one
+    worker_pool_ = std::make_unique<WorkerPool>(threads, /*pin=*/true);
+  }
 }
 
 void Simulation::ReapTasks() {

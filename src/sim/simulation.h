@@ -16,6 +16,7 @@
 #define SRC_SIM_SIMULATION_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "src/sim/event_fn.h"
@@ -30,6 +31,7 @@ class Registry;
 namespace bolted::sim {
 
 class Task;
+class WorkerPool;
 
 class Simulation {
  public:
@@ -97,10 +99,23 @@ class Simulation {
   // destroyed once it completes.
   void Spawn(Task task);
 
+  // --- Host worker pool ---------------------------------------------------
+  // At most one pool per simulation, for pure host-side tasks that never
+  // schedule an event: quote signatures and batch signature checks
+  // (src/sim/worker_pool.h).  Null until SetWorkerThreads(n > 1).
+  WorkerPool* worker_pool() const { return worker_pool_.get(); }
+  // Builds a pool of `threads` pinned threads, the caller being thread 0,
+  // or drops the pool for threads <= 1.  A no-op when the size is
+  // unchanged, so steady callers pay no thread spawn or join.
+  void SetWorkerThreads(uint32_t threads);
+
  private:
   void ReapTasks();
   void ReapTasksIncremental();
 
+  // Declared first so it is destroyed last: the coroutine frames destroyed
+  // below may still hold tickets of tasks it runs.
+  std::unique_ptr<WorkerPool> worker_pool_;
   Time now_;
   uint64_t next_seq_ = 0;
   uint64_t events_processed_ = 0;

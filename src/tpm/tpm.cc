@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 #include "src/crypto/hmac.h"
 
@@ -179,7 +180,7 @@ void Tpm::Reset() { pcrs_.fill(crypto::Digest{}); }
 
 bool Tpm::PcrIsClean(int index) const { return ReadPcr(index) == crypto::Digest{}; }
 
-Quote Tpm::MakeQuote(crypto::ByteView nonce, uint32_t pcr_mask) const {
+Quote Tpm::UnsignedQuote(crypto::ByteView nonce, uint32_t pcr_mask) const {
   assert(aik_private_.has_value() && "CreateAik() must be called before quoting");
   Quote quote;
   quote.nonce.assign(nonce.begin(), nonce.end());
@@ -189,6 +190,11 @@ Quote Tpm::MakeQuote(crypto::ByteView nonce, uint32_t pcr_mask) const {
       quote.pcr_values.push_back(pcrs_[static_cast<size_t>(i)]);
     }
   }
+  return quote;
+}
+
+Quote Tpm::MakeQuote(crypto::ByteView nonce, uint32_t pcr_mask) const {
+  Quote quote = UnsignedQuote(nonce, pcr_mask);
   // Sign in the batch-friendly even-y form and ship the nonce point as the
   // verifier's batch hint (the digest does not cover it; see Quote::r_hint).
   crypto::EcPoint nonce_point;
@@ -196,6 +202,42 @@ Quote Tpm::MakeQuote(crypto::ByteView nonce, uint32_t pcr_mask) const {
       *aik_private_, quote.MessageDigest(), &nonce_point);
   quote.r_hint = nonce_point;
   return quote;
+}
+
+Tpm::PendingQuote Tpm::StartQuote(crypto::ByteView nonce, uint32_t pcr_mask,
+                                  sim::WorkerPool* pool) const {
+  PendingQuote pending;
+  pending.quote = UnsignedQuote(nonce, pcr_mask);
+  if (pool == nullptr) {
+    return pending;  // nothing signed ahead: FinishQuote calls MakeQuote
+  }
+  pending.aik = *aik_private_;
+  pending.result = std::make_shared<PendingQuote::Signed>();
+  pending.ticket = pool->Submit(
+      [key = pending.aik, digest = pending.quote.MessageDigest(),
+       result = pending.result] {
+        result->signature =
+            crypto::P256::Instance().Sign(key, digest, &result->nonce_point);
+      });
+  return pending;
+}
+
+Quote Tpm::FinishQuote(PendingQuote pending) const {
+  Quote& quote = pending.quote;
+  bool unchanged = pending.ticket != nullptr && *aik_private_ == pending.aik;
+  for (int i = 0, k = 0; unchanged && i < kNumPcrs; ++i) {
+    if (quote.pcr_mask & (1u << i)) {
+      unchanged = quote.pcr_values[static_cast<size_t>(k++)] ==
+                  pcrs_[static_cast<size_t>(i)];
+    }
+  }
+  if (!unchanged) {
+    return MakeQuote(quote.nonce, quote.pcr_mask);
+  }
+  sim::WorkerPool::Wait(pending.ticket);
+  quote.signature = pending.result->signature;
+  quote.r_hint = pending.result->nonce_point;
+  return std::move(quote);
 }
 
 namespace {

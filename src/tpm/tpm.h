@@ -16,6 +16,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -28,6 +29,7 @@
 #include "src/crypto/p256.h"
 #include "src/crypto/sha256.h"
 #include "src/sim/time.h"
+#include "src/sim/worker_pool.h"
 
 namespace bolted::tpm {
 
@@ -116,6 +118,30 @@ class Tpm {
   // signed with the AIK.  Requires CreateAik() first.
   Quote MakeQuote(crypto::ByteView nonce, uint32_t pcr_mask) const;
 
+  // A quote split around its command latency.  StartQuote records the
+  // nonce, the mask, the selected PCR values and the AIK and, given a
+  // pool, signs them there while the simulated latency elapses.
+  // FinishQuote keeps that signature only if the selected PCRs and the AIK
+  // still hold the recorded values, and otherwise calls MakeQuote — so its
+  // result is byte-identical to MakeQuote at the instant it runs.  A
+  // PendingQuote may be dropped unfinished: the signing task owns copies
+  // of everything it reads and writes.
+  class PendingQuote {
+   private:
+    friend class Tpm;
+    struct Signed {
+      crypto::EcdsaSignature signature;
+      crypto::EcPoint nonce_point;
+    };
+    Quote quote;  // unsigned: nonce, mask and the selected PCR values
+    crypto::U256 aik;
+    std::shared_ptr<Signed> result;
+    sim::WorkerPool::Ticket ticket;  // null: nothing was signed ahead
+  };
+  PendingQuote StartQuote(crypto::ByteView nonce, uint32_t pcr_mask,
+                          sim::WorkerPool* pool) const;
+  Quote FinishQuote(PendingQuote pending) const;
+
   // Verifies signature and internal consistency of a quote against an
   // expected AIK public key.  The PreparedKey overload is the polling hot
   // path: the caller validates and tables the AIK once, and every
@@ -157,6 +183,8 @@ class Tpm {
 
  private:
   crypto::Digest PolicyDigest(uint32_t pcr_mask) const;
+  // The quote's nonce, mask and selected PCR values, not yet signed.
+  Quote UnsignedQuote(crypto::ByteView nonce, uint32_t pcr_mask) const;
 
   TpmLatencyModel latency_;
   FaultHook fault_hook_;

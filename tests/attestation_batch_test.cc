@@ -384,9 +384,13 @@ TEST(FleetTest, VerdictsAndDigestsInvariantAcrossBatchAndWorkers) {
       {.workers = 1, .batch_size = 7},
       {.workers = 1, .batch_size = 64},
       {.workers = 2, .batch_size = 16},
+      {.workers = 4, .batch_size = 5},
+      {.workers = 4, .batch_size = 64},
       {.workers = 8, .batch_size = 64},
   };
   uint64_t expected_digest = 0;
+  uint64_t expected_frames = 0;
+  crypto::P256::BatchStats expected_stats;
   std::vector<std::string> expected_failures;
   for (size_t c = 0; c < std::size(configs); ++c) {
     FleetFixture fleet;
@@ -402,16 +406,26 @@ TEST(FleetTest, VerdictsAndDigestsInvariantAcrossBatchAndWorkers) {
     for (const auto& r : second) {
       failures.push_back(r.failure);
     }
+    const crypto::P256::BatchStats& stats = fleet.verifier.batch_stats();
     if (c == 0) {
       expected_digest = fleet.sim.trace_digest();
+      expected_frames = fleet.fabric.frame_digest();
+      expected_stats = stats;
       expected_failures = failures;
     } else {
-      // The whole point of host-side batching: the simulated event stream
-      // (and so the chaos trace digest) cannot depend on the batch size or
-      // worker count.
+      // The whole point of host-side batching and signing: the simulated
+      // event stream (and so the chaos trace digest) cannot depend on the
+      // batch size or worker count.  The trace digest never sees quote
+      // bytes; the frame digest hashes them.
       EXPECT_EQ(fleet.sim.trace_digest(), expected_digest)
           << "batch=" << configs[c].batch_size
           << " workers=" << configs[c].workers;
+      EXPECT_EQ(fleet.fabric.frame_digest(), expected_frames)
+          << "batch=" << configs[c].batch_size
+          << " workers=" << configs[c].workers;
+      EXPECT_EQ(stats.bisections, expected_stats.bisections);
+      EXPECT_EQ(stats.sqrt_recoveries, expected_stats.sqrt_recoveries);
+      EXPECT_EQ(stats.rejected_hints, expected_stats.rejected_hints);
       EXPECT_EQ(failures, expected_failures);
     }
   }

@@ -13,7 +13,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -26,6 +28,7 @@
 #include "src/obs/obs.h"
 #include "src/sim/shard.h"
 #include "src/sim/simulation.h"
+#include "src/sim/worker_pool.h"
 
 namespace bolted::sim {
 namespace {
@@ -487,6 +490,67 @@ TEST(WorkerPoolTest, SingleThreadPoolRunsInline) {
     seen = std::this_thread::get_id();
   });
   EXPECT_EQ(seen, caller);
+}
+
+TEST(WorkerPoolTest, SubmittedTasksRunExactlyOnce) {
+  for (const uint32_t threads : {1u, 2u, 4u}) {
+    WorkerPool pool(threads);
+    std::vector<std::atomic<uint32_t>> runs(64);
+    std::vector<WorkerPool::Ticket> tickets;
+    for (size_t i = 0; i < runs.size(); ++i) {
+      tickets.push_back(pool.Submit([&runs, i] { runs[i].fetch_add(1); }));
+    }
+    // Every other ticket is waited twice: a finished task is not rerun.
+    for (size_t i = 0; i < tickets.size(); ++i) {
+      WorkerPool::Wait(tickets[i]);
+      if (i % 2 == 0) {
+        WorkerPool::Wait(tickets[i]);
+      }
+      EXPECT_EQ(runs[i].load(), 1u) << "threads=" << threads << " task " << i;
+    }
+  }
+}
+
+TEST(WorkerPoolTest, SingleThreadPoolRunsTasksInsideWait) {
+  WorkerPool pool(1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::thread::id seen;
+  const WorkerPool::Ticket ticket =
+      pool.Submit([&seen] { seen = std::this_thread::get_id(); });
+  EXPECT_EQ(seen, std::thread::id());  // queued, not run
+  WorkerPool::Wait(ticket);
+  EXPECT_EQ(seen, caller);
+}
+
+TEST(WorkerPoolTest, TaskExceptionReachesTheWaiter) {
+  for (const uint32_t threads : {1u, 4u}) {
+    WorkerPool pool(threads);
+    const WorkerPool::Ticket ticket =
+        pool.Submit([] { throw std::runtime_error("task failed"); });
+    EXPECT_THROW(WorkerPool::Wait(ticket), std::runtime_error)
+        << "threads=" << threads;
+    // The pool survives: a worker thread that ran the task is still there.
+    std::atomic<int> ran{0};
+    WorkerPool::Wait(pool.Submit([&ran] { ran.fetch_add(1); }));
+    EXPECT_EQ(ran.load(), 1);
+  }
+}
+
+TEST(WorkerPoolTest, TicketOutlivesItsPool) {
+  // Whatever the workers had not claimed when the pool went away runs on
+  // the thread that waits for it.
+  auto result = std::make_shared<std::vector<int>>(32, 0);
+  std::vector<WorkerPool::Ticket> tickets;
+  {
+    WorkerPool pool(4);
+    for (size_t i = 0; i < result->size(); ++i) {
+      tickets.push_back(pool.Submit([result, i] { (*result)[i] += 1; }));
+    }
+  }
+  for (const WorkerPool::Ticket& ticket : tickets) {
+    WorkerPool::Wait(ticket);
+  }
+  EXPECT_EQ(*result, std::vector<int>(32, 1));
 }
 
 TEST(FaultPlanPartition, RoutesAndReindexesTargets) {

@@ -1,11 +1,18 @@
-// TPM emulator tests: PCR semantics, quote signing/verification,
-// serialization, credential activation binding, and event-log replay.
+// TPM emulator tests: PCR semantics, quote signing/verification, quotes
+// signed ahead on a worker pool, serialization, credential activation
+// binding, and event-log replay.
+
+#include <memory>
+#include <optional>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
 #include "src/crypto/bytes.h"
 #include "src/crypto/drbg.h"
 #include "src/crypto/sha256.h"
+#include "src/sim/worker_pool.h"
 #include "src/tpm/event_log.h"
 #include "src/tpm/tpm.h"
 
@@ -134,6 +141,104 @@ TEST(TpmTest, QuoteDeserializeRejectsGarbage) {
   Bytes wire = tpm.MakeQuote(ToBytes("n"), 1).Serialize();
   wire.pop_back();
   EXPECT_FALSE(Quote::Deserialize(wire).has_value());
+}
+
+// A TPM in a booted state: AIK plus measurements in every quoted PCR.
+Tpm BootedTpm() {
+  Tpm tpm = MakeTpm();
+  tpm.CreateAik();
+  tpm.ExtendPcr(kPcrFirmware, Sha256::Hash("fw"));
+  tpm.ExtendPcr(kPcrBootloader, Sha256::Hash("ipxe"));
+  tpm.ExtendPcr(kPcrKernel, Sha256::Hash("kernel"));
+  tpm.ExtendPcr(kPcrIma, Sha256::Hash("ima"));
+  return tpm;
+}
+
+constexpr uint32_t kMask = (1u << kPcrFirmware) | (1u << kPcrBootloader) |
+                           (1u << kPcrKernel) | (1u << kPcrIma);
+
+// No pool (threads 0) and pools of 1, 2 and 4 threads.
+std::unique_ptr<sim::WorkerPool> MakePool(uint32_t threads) {
+  return threads == 0 ? nullptr : std::make_unique<sim::WorkerPool>(threads);
+}
+
+TEST(TpmTest, StartFinishQuoteEqualsMakeQuoteWithAnyPool) {
+  for (const uint32_t threads : {0u, 1u, 2u, 4u}) {
+    const std::unique_ptr<sim::WorkerPool> pool = MakePool(threads);
+    Tpm tpm = BootedTpm();
+    for (int round = 0; round < 8; ++round) {
+      const Bytes nonce = ToBytes("nonce-" + std::to_string(round));
+      Tpm::PendingQuote pending = tpm.StartQuote(nonce, kMask, pool.get());
+      const Quote quote = tpm.FinishQuote(std::move(pending));
+      EXPECT_EQ(quote.Serialize(), tpm.MakeQuote(nonce, kMask).Serialize())
+          << "threads=" << threads << " round=" << round;
+      EXPECT_TRUE(Tpm::VerifyQuote(quote, tpm.aik_public()));
+    }
+  }
+}
+
+TEST(TpmTest, FinishQuoteResignsWhenAQuotedPcrMoves) {
+  for (const uint32_t threads : {0u, 1u, 2u, 4u}) {
+    const std::unique_ptr<sim::WorkerPool> pool = MakePool(threads);
+    Tpm tpm = BootedTpm();
+    const Bytes nonce = ToBytes("nonce");
+    Tpm::PendingQuote pending = tpm.StartQuote(nonce, kMask, pool.get());
+    const Quote before = tpm.MakeQuote(nonce, kMask);
+    tpm.ExtendPcr(kPcrIma, Sha256::Hash("late-measurement"));
+    const Quote quote = tpm.FinishQuote(std::move(pending));
+    EXPECT_EQ(quote.Serialize(), tpm.MakeQuote(nonce, kMask).Serialize())
+        << "threads=" << threads;
+    EXPECT_NE(quote.Serialize(), before.Serialize());
+    EXPECT_EQ(quote.pcr_values.back(), tpm.ReadPcr(kPcrIma));
+    EXPECT_TRUE(Tpm::VerifyQuote(quote, tpm.aik_public()));
+
+    // A PCR outside the selection does not touch the quote.
+    pending = tpm.StartQuote(nonce, kMask, pool.get());
+    tpm.ExtendPcr(kPcrFirmwareConfig, Sha256::Hash("bios-setting"));
+    EXPECT_EQ(tpm.FinishQuote(std::move(pending)).Serialize(),
+              tpm.MakeQuote(nonce, kMask).Serialize());
+  }
+}
+
+TEST(TpmTest, FinishQuoteResignsWhenTheAikIsRegenerated) {
+  for (const uint32_t threads : {0u, 1u, 2u, 4u}) {
+    const std::unique_ptr<sim::WorkerPool> pool = MakePool(threads);
+    Tpm tpm = BootedTpm();
+    const crypto::EcPoint old_aik = tpm.aik_public();
+    const Bytes nonce = ToBytes("nonce");
+    Tpm::PendingQuote pending = tpm.StartQuote(nonce, kMask, pool.get());
+    tpm.CreateAik();
+    const Quote quote = tpm.FinishQuote(std::move(pending));
+    EXPECT_EQ(quote.Serialize(), tpm.MakeQuote(nonce, kMask).Serialize())
+        << "threads=" << threads;
+    EXPECT_TRUE(Tpm::VerifyQuote(quote, tpm.aik_public()));
+    EXPECT_FALSE(Tpm::VerifyQuote(quote, old_aik));
+  }
+}
+
+TEST(TpmTest, DroppedPendingQuoteLeavesNothingBehind) {
+  // The faulted path: the agent starts the quote, the command fails, and
+  // the pending quote is destroyed while its signature may still be queued
+  // or running.  Run under ASan, this is the use-after-free check.
+  for (const uint32_t threads : {1u, 2u, 4u}) {
+    auto pool = std::make_unique<sim::WorkerPool>(threads);
+    auto tpm = std::make_unique<Tpm>(BootedTpm());
+    for (int i = 0; i < 16; ++i) {
+      std::optional<Tpm::PendingQuote> pending =
+          tpm->StartQuote(ToBytes("dropped"), kMask, pool.get());
+      pending.reset();
+    }
+    tpm.reset();  // the TPM goes too, as when its machine is destroyed
+    pool.reset();
+  }
+  // A ticket outlives its pool: a quote started on a pool that is then
+  // destroyed still finishes, on the caller's thread if no worker took it.
+  Tpm tpm = BootedTpm();
+  auto pool = std::make_unique<sim::WorkerPool>(4);
+  Tpm::PendingQuote pending = tpm.StartQuote(ToBytes("orphan"), kMask, pool.get());
+  pool.reset();
+  EXPECT_EQ(tpm.FinishQuote(std::move(pending)).Serialize(),
+            tpm.MakeQuote(ToBytes("orphan"), kMask).Serialize());
 }
 
 TEST(TpmTest, CredentialActivationSucceedsForMatchingTpm) {
