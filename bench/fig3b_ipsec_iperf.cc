@@ -90,8 +90,8 @@ void RunEspExchange(const std::string& pcap_spec) {
     network.AttachPcapTap(tap->address(), &writer);
   }
 
-  net::IpsecContext client_sa;
-  net::IpsecContext server_sa;
+  net::IpsecContext client_sa(client.address());
+  net::IpsecContext server_sa(server.address());
   const crypto::Bytes key(32, 0x42);
   client_sa.InstallSa(server.address(), key);
   server_sa.InstallSa(client.address(), key);

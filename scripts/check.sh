@@ -57,6 +57,35 @@ fi
 echo "== tier-1: default build =="
 run_suite build
 
+# The AES-NI CTR and XTS loops pay off only with all 8 lanes in registers
+# across the 13 middle rounds, which shows in the object file as the
+# rounds unrolled: at least 8 x 13 = 104 aesenc (and aesdec for XTS).  A
+# compiler or flag change that spills the lanes fails here instead of
+# silently making AES ~3x slower.
+if [[ "$(uname -m)" == x86_64 ]]; then
+  echo "== tier-1: AES-NI kernels keep their lanes in registers =="
+  aes_obj=build/src/CMakeFiles/bolted_crypto.dir/crypto/aes_ni.cc.o
+  if [[ ! -f "${aes_obj}" ]]; then
+    echo "${aes_obj} not found" >&2
+    exit 1
+  fi
+  aes_asm="$(objdump -d --no-show-raw-insn "${aes_obj}")"
+  for kernel_op in AesNiCtr32Xor:aesenc AesNiXtsSector:aesenc AesNiXtsSector:aesdec; do
+    kernel="${kernel_op%%:*}"
+    op="${kernel_op##*:}"
+    count="$(awk -v fn="${kernel}" -v op="${op}" '
+      /^[0-9a-f]+ <.*>:$/ { in_fn = index($0, fn) > 0; next }
+      in_fn && $2 == op { n++ }
+      END { print n + 0 }' <<< "${aes_asm}")"
+    if (( count < 104 )); then
+      echo "${kernel}: ${count} ${op} in ${aes_obj}, want >= 104 (8 lanes x 13 rounds);" \
+        "its lanes are not kept in registers" >&2
+      exit 1
+    fi
+    echo "${kernel}: ${count} ${op}"
+  done
+fi
+
 # Every label step passes --no-tests=error, so a renamed or dropped label
 # fails the check instead of silently selecting nothing.  ctest lists gtest
 # cases (P256Test.*, DeterminismTest.*), not binaries, so the forced-scalar

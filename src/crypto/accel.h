@@ -40,11 +40,11 @@ inline constexpr size_t kAesRoundKeyBytes = 240;  // (14 + 1) * 16
 
 void AesNiMakeDecryptKeys(const uint8_t enc_rk[kAesRoundKeyBytes],
                           uint8_t dec_rk[kAesRoundKeyBytes]);
-// ECB encrypt/decrypt of `nblocks` 16-byte blocks, pipelined 8 wide.
-void AesNiEncryptBlocks(const uint8_t enc_rk[kAesRoundKeyBytes], const uint8_t* in,
-                        uint8_t* out, size_t nblocks);
-void AesNiDecryptBlocks(const uint8_t dec_rk[kAesRoundKeyBytes], const uint8_t* in,
-                        uint8_t* out, size_t nblocks);
+// One 16-byte block (Aes256::EncryptBlock / DecryptBlock).
+void AesNiEncryptBlock(const uint8_t enc_rk[kAesRoundKeyBytes], const uint8_t in[16],
+                       uint8_t out[16]);
+void AesNiDecryptBlock(const uint8_t dec_rk[kAesRoundKeyBytes], const uint8_t in[16],
+                       uint8_t out[16]);
 
 // One XTS sector, in place.  `data_rk` is the data-key schedule matching
 // the direction (encryption schedule when encrypt, AESIMC decryption

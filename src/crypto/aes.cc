@@ -179,7 +179,7 @@ Aes256::Aes256(ByteView key) {
 
 void Aes256::EncryptBlock(const uint8_t in[16], uint8_t out[16]) const {
   if (accel_) {
-    internal::AesNiEncryptBlocks(rk_bytes_, in, out, 1);
+    internal::AesNiEncryptBlock(rk_bytes_, in, out);
     return;
   }
   uint8_t state[16];
@@ -199,7 +199,7 @@ void Aes256::EncryptBlock(const uint8_t in[16], uint8_t out[16]) const {
 
 void Aes256::DecryptBlock(const uint8_t in[16], uint8_t out[16]) const {
   if (accel_) {
-    internal::AesNiDecryptBlocks(drk_bytes_, in, out, 1);
+    internal::AesNiDecryptBlock(drk_bytes_, in, out);
     return;
   }
   uint8_t state[16];
@@ -215,26 +215,6 @@ void Aes256::DecryptBlock(const uint8_t in[16], uint8_t out[16]) const {
   InvSubBytes(state);
   AddRoundKey(state, round_keys_);
   std::memcpy(out, state, 16);
-}
-
-void Aes256::EncryptBlocks(const uint8_t* in, uint8_t* out, size_t nblocks) const {
-  if (accel_) {
-    internal::AesNiEncryptBlocks(rk_bytes_, in, out, nblocks);
-    return;
-  }
-  for (size_t i = 0; i < nblocks; ++i) {
-    EncryptBlock(in + 16 * i, out + 16 * i);
-  }
-}
-
-void Aes256::DecryptBlocks(const uint8_t* in, uint8_t* out, size_t nblocks) const {
-  if (accel_) {
-    internal::AesNiDecryptBlocks(drk_bytes_, in, out, nblocks);
-    return;
-  }
-  for (size_t i = 0; i < nblocks; ++i) {
-    DecryptBlock(in + 16 * i, out + 16 * i);
-  }
 }
 
 }  // namespace bolted::crypto

@@ -28,11 +28,6 @@ class Aes256 {
   void EncryptBlock(const uint8_t in[16], uint8_t out[16]) const;
   void DecryptBlock(const uint8_t in[16], uint8_t out[16]) const;
 
-  // Bulk ECB over nblocks consecutive 16-byte blocks (in may equal out).
-  // The AES-NI backend pipelines 8 blocks through the round sequence.
-  void EncryptBlocks(const uint8_t* in, uint8_t* out, size_t nblocks) const;
-  void DecryptBlocks(const uint8_t* in, uint8_t* out, size_t nblocks) const;
-
   // Dispatch plumbing for the XTS/GCM/CTR kernels (src/crypto/accel.h).
   bool accelerated() const { return accel_; }
   const uint8_t* enc_round_key_bytes() const { return rk_bytes_; }

@@ -1,11 +1,16 @@
-// AES-NI / PCLMULQDQ kernels: pipelined ECB, XTS sector transform, GCM
-// CTR keystream, and carry-less-multiply GHASH with a precomputed H-power
-// table (4-block aggregated reduction).
+// AES-NI / PCLMULQDQ kernels: single-block encrypt/decrypt, the XTS
+// sector transform and GCM CTR keystream (both 8 lanes wide), and
+// carry-less-multiply GHASH with a precomputed H-power table (4-block
+// aggregated reduction).
 //
 // Compiled with -maes -mpclmul -msse4.1 -mssse3; reachable only through
 // the cpu::Get() dispatch, so binaries still run on CPUs without the
-// extensions.  The GHASH reduction follows the classic Intel CLMUL white
-// paper (bit-reflected operands, shift-left-one then fold modulo
+// extensions.  The 8-lane loops pay off only when every lane stays in a
+// register across the 14 rounds, which GCC does at -O3 and not at -O2,
+// so this file is always built -O3 (src/CMakeLists.txt) and
+// scripts/check.sh counts the unrolled rounds in the object file.  The
+// GHASH reduction follows the classic Intel CLMUL white paper
+// (bit-reflected operands, shift-left-one then fold modulo
 // x^128 + x^7 + x^2 + x + 1).
 
 #include "src/crypto/accel.h"
@@ -134,56 +139,22 @@ void AesNiMakeDecryptKeys(const uint8_t enc_rk[kAesRoundKeyBytes],
   _mm_storeu_si128(out + kRounds, enc[0]);
 }
 
-void AesNiEncryptBlocks(const uint8_t enc_rk[kAesRoundKeyBytes], const uint8_t* in,
-                        uint8_t* out, size_t nblocks) {
+void AesNiEncryptBlock(const uint8_t enc_rk[kAesRoundKeyBytes], const uint8_t in[16],
+                       uint8_t out[16]) {
   __m128i rk[kRounds + 1];
   LoadSchedule(enc_rk, rk);
-  while (nblocks >= 8) {
-    __m128i b[8];
-    for (int j = 0; j < 8; ++j) {
-      b[j] = _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + 16 * j));
-    }
-    EncryptLanes<8>(rk, b);
-    for (int j = 0; j < 8; ++j) {
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(out + 16 * j), b[j]);
-    }
-    in += 128;
-    out += 128;
-    nblocks -= 8;
-  }
-  while (nblocks-- > 0) {
-    __m128i b[1] = {_mm_loadu_si128(reinterpret_cast<const __m128i*>(in))};
-    EncryptLanes<1>(rk, b);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out), b[0]);
-    in += 16;
-    out += 16;
-  }
+  __m128i b[1] = {_mm_loadu_si128(reinterpret_cast<const __m128i*>(in))};
+  EncryptLanes<1>(rk, b);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(out), b[0]);
 }
 
-void AesNiDecryptBlocks(const uint8_t dec_rk[kAesRoundKeyBytes], const uint8_t* in,
-                        uint8_t* out, size_t nblocks) {
+void AesNiDecryptBlock(const uint8_t dec_rk[kAesRoundKeyBytes], const uint8_t in[16],
+                       uint8_t out[16]) {
   __m128i rk[kRounds + 1];
   LoadSchedule(dec_rk, rk);
-  while (nblocks >= 8) {
-    __m128i b[8];
-    for (int j = 0; j < 8; ++j) {
-      b[j] = _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + 16 * j));
-    }
-    DecryptLanes<8>(rk, b);
-    for (int j = 0; j < 8; ++j) {
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(out + 16 * j), b[j]);
-    }
-    in += 128;
-    out += 128;
-    nblocks -= 8;
-  }
-  while (nblocks-- > 0) {
-    __m128i b[1] = {_mm_loadu_si128(reinterpret_cast<const __m128i*>(in))};
-    DecryptLanes<1>(rk, b);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out), b[0]);
-    in += 16;
-    out += 16;
-  }
+  __m128i b[1] = {_mm_loadu_si128(reinterpret_cast<const __m128i*>(in))};
+  DecryptLanes<1>(rk, b);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(out), b[0]);
 }
 
 void AesNiXtsSector(const uint8_t data_rk[kAesRoundKeyBytes],
@@ -340,12 +311,8 @@ namespace bolted::crypto::internal {
 
 // Stubs: the dispatch layer never selects these off x86-64.
 void AesNiMakeDecryptKeys(const uint8_t*, uint8_t*) { std::abort(); }
-void AesNiEncryptBlocks(const uint8_t*, const uint8_t*, uint8_t*, size_t) {
-  std::abort();
-}
-void AesNiDecryptBlocks(const uint8_t*, const uint8_t*, uint8_t*, size_t) {
-  std::abort();
-}
+void AesNiEncryptBlock(const uint8_t*, const uint8_t*, uint8_t*) { std::abort(); }
+void AesNiDecryptBlock(const uint8_t*, const uint8_t*, uint8_t*) { std::abort(); }
 void AesNiXtsSector(const uint8_t*, const uint8_t*, uint64_t, uint8_t*, size_t,
                     bool) {
   std::abort();

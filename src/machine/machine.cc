@@ -13,6 +13,7 @@ Machine::Machine(sim::Simulation& sim, net::Network& network, std::string name,
       rpc_(sim, endpoint_),
       cpu_(sim, static_cast<double>(config.cores) * config.core_hz, name_ + ".cpu"),
       crypto_cpu_(sim, config.core_hz, name_ + ".crypto"),
+      ipsec_(endpoint_.address()),
       tpm_(crypto::ToBytes(name_ + ".tpm"), config.tpm_latency),
       local_disk_(std::make_unique<storage::DiskModel>(
           sim, config.local_disk_sectors,

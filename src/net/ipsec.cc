@@ -1,5 +1,6 @@
 #include "src/net/ipsec.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
@@ -36,12 +37,26 @@ double IpsecCpuBoundThroughput(const IpsecCostModel& model, bool hardware_aes,
   return model.cpu_hz / cycles_per_app_byte;
 }
 
-IpsecContext::SecurityAssociation::SecurityAssociation(const crypto::Bytes& key)
-    : salt(crypto::Hkdf({}, key, crypto::ToBytes("esp-salt"), 4)), gcm(key) {}
+// Both ends derive one base salt from the key and the unordered pair;
+// its top bit then names the direction (set when the sender has the
+// larger address), so the two directions' salts differ by construction.
+IpsecContext::SecurityAssociation::SecurityAssociation(const crypto::Bytes& key,
+                                                       Address self, Address peer)
+    : gcm(key) {
+  assert(self != peer);
+  crypto::Bytes info = crypto::ToBytes("esp-salt");
+  crypto::AppendU32(info, std::min(self, peer));
+  crypto::AppendU32(info, std::max(self, peer));
+  const crypto::Bytes base = crypto::Hkdf({}, key, info, 4);
+  std::memcpy(tx_salt, base.data(), 4);
+  std::memcpy(rx_salt, base.data(), 4);
+  tx_salt[0] = static_cast<uint8_t>((base[0] & 0x7f) | (self > peer ? 0x80 : 0));
+  rx_salt[0] = static_cast<uint8_t>(tx_salt[0] ^ 0x80);
+}
 
 void IpsecContext::InstallSa(Address peer, const crypto::Bytes& key) {
   assert(key.size() == 32);
-  sas_.insert_or_assign(peer, SecurityAssociation(key));
+  sas_.insert_or_assign(peer, SecurityAssociation(key, self_, peer));
 }
 
 void IpsecContext::RemoveSa(Address peer) { sas_.erase(peer); }
@@ -63,7 +78,7 @@ std::optional<crypto::Bytes> IpsecContext::Seal(Address peer,
   }
   // Nonce = 4-byte salt || 8-byte sequence (RFC 4106 style).
   uint8_t nonce[crypto::AesGcm::kNonceSize];
-  std::memcpy(nonce, sa.salt.data(), 4);
+  std::memcpy(nonce, sa.tx_salt, 4);
   std::memcpy(nonce + 4, seq_be, 8);
 
   // Wire = 8-byte sequence || ciphertext || tag, sealed in place so the
@@ -92,7 +107,7 @@ std::optional<crypto::Bytes> IpsecContext::Open(Address peer, crypto::ByteView w
   }
 
   uint8_t nonce[crypto::AesGcm::kNonceSize];
-  std::memcpy(nonce, sa.salt.data(), 4);
+  std::memcpy(nonce, sa.rx_salt, 4);
   std::memcpy(nonce + 4, wire.data(), 8);
 
   auto plaintext = sa.gcm.Open(crypto::ByteView(nonce, sizeof(nonce)),

@@ -57,7 +57,13 @@ double IpsecCpuBoundThroughput(const IpsecCostModel& model, bool hardware_aes,
 // followed by AES-256-GCM ciphertext.
 class IpsecContext {
  public:
-  // key must be 32 bytes; both peers install the same key.
+  // `self` is the owning host's address.  Both peers install the same
+  // key, and each direction of the pair seals under its own nonce salt,
+  // fixed by the ordered (sender, receiver) pair: the two directions never
+  // share a nonce, and a frame reflected back to its sender fails to open.
+  explicit IpsecContext(Address self) : self_(self) {}
+
+  // key must be 32 bytes.
   void InstallSa(Address peer, const crypto::Bytes& key);
   void RemoveSa(Address peer);
   bool HasSa(Address peer) const;
@@ -71,15 +77,18 @@ class IpsecContext {
  private:
   struct SecurityAssociation {
     // Builds the AES key schedule and GHASH tables once at SA install;
-    // Seal/Open reuse them for every packet on the association.
-    explicit SecurityAssociation(const crypto::Bytes& key);
+    // Seal/Open reuse them for every packet on the association, in both
+    // directions.
+    SecurityAssociation(const crypto::Bytes& key, Address self, Address peer);
 
-    crypto::Bytes salt;  // 4 bytes, IV prefix
+    uint8_t tx_salt[4] = {};  // IV prefix of frames sealed to the peer
+    uint8_t rx_salt[4] = {};  // IV prefix of frames the peer sealed to us
     crypto::AesGcm gcm;
     uint64_t tx_sequence = 0;
     uint64_t rx_window = 0;  // highest sequence accepted
   };
 
+  Address self_;
   std::map<Address, SecurityAssociation> sas_;
 };
 

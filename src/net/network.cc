@@ -1,5 +1,7 @@
 #include "src/net/network.h"
 
+#include <bit>
+#include <cstring>
 #include <utility>
 
 #include "src/net/pcap.h"
@@ -37,28 +39,70 @@ inline uint64_t Mix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-inline uint64_t HashBytes(const void* data, size_t size) {
-  // FNV-1a 64.
-  const auto* p = static_cast<const uint8_t*>(data);
-  uint64_t h = 0xcbf29ce484222325ull;
-  for (size_t i = 0; i < size; ++i) {
-    h = (h ^ p[i]) * 0x100000001b3ull;
-  }
-  return h;
+// One step of a WordHash lane.  The fold after the multiply carries the
+// high half down: without it, flipping bit 63 of x flips only bit 63 of
+// x * kWordMul, so the same flip in a later word of the lane cancels it.
+inline uint64_t WordStep(uint64_t h, uint64_t w) {
+  constexpr uint64_t kWordMul = 0xff51afd7ed558ccdull;  // odd: a bijection
+  h = (h ^ w) * kWordMul;
+  return h ^ (h >> 32);
 }
+
+inline uint64_t LoadWord(const uint8_t* p) {
+  uint64_t w;
+  std::memcpy(&w, p, sizeof(w));
+  if constexpr (std::endian::native == std::endian::big) {
+    w = __builtin_bswap64(w);
+  }
+  return w;
+}
+
+// Word-at-a-time hash of a byte string: little-endian 8-byte words go
+// round-robin into four independent lanes (so no single multiply chain
+// serializes the payload), and the tail is zero-padded into one more
+// round.  The lanes then join through the same step, starting from the
+// length.  Every step is a bijection of its lane and of the running
+// value, so a change confined to one lane, or to the length alone,
+// always changes the result.  FrameTag's Mix64 spreads it.
+uint64_t WordHash(const uint8_t* p, size_t size) {
+  uint64_t h0 = 0x776f726431ull;  // "word1".."word4"
+  uint64_t h1 = 0x776f726432ull;
+  uint64_t h2 = 0x776f726433ull;
+  uint64_t h3 = 0x776f726434ull;
+  size_t i = 0;
+  for (; i + 32 <= size; i += 32) {
+    h0 = WordStep(h0, LoadWord(p + i));
+    h1 = WordStep(h1, LoadWord(p + i + 8));
+    h2 = WordStep(h2, LoadWord(p + i + 16));
+    h3 = WordStep(h3, LoadWord(p + i + 24));
+  }
+  if (i < size) {
+    uint8_t tail[32] = {};
+    std::memcpy(tail, p + i, size - i);
+    h0 = WordStep(h0, LoadWord(tail));
+    h1 = WordStep(h1, LoadWord(tail + 8));
+    h2 = WordStep(h2, LoadWord(tail + 16));
+    h3 = WordStep(h3, LoadWord(tail + 24));
+  }
+  uint64_t h = WordStep(size, h0);
+  h = WordStep(h, h1);
+  h = WordStep(h, h2);
+  return WordStep(h, h3);
+}
+
+}  // namespace
 
 uint64_t FrameTag(VlanId vlan, const Message& m) {
   uint64_t h = Mix64(0x6672616d65ull ^ m.src);  // "frame"
   h = Mix64(h ^ m.dst);
   h = Mix64(h ^ vlan);
   h = Mix64(h ^ m.EffectiveWireBytes());
-  h = Mix64(h ^ HashBytes(m.kind.data(), m.kind.size()));
-  h = Mix64(h ^ HashBytes(m.payload.data(), m.payload.size()));
+  h = Mix64(h ^ WordHash(reinterpret_cast<const uint8_t*>(m.kind.data()),
+                         m.kind.size()));
+  h = Mix64(h ^ WordHash(m.payload.data(), m.payload.size()));
   h = Mix64(h ^ ((m.rpc_id << 1) | (m.rpc_response ? 1u : 0u)));
   return h;
 }
-
-}  // namespace
 
 Endpoint::Endpoint(sim::Simulation& sim, Network& network, Address address,
                    std::string name, double bandwidth_bytes_per_second)

@@ -47,6 +47,11 @@ namespace bolted::net {
 class Network;
 class PcapWriter;
 
+// The tag one delivered frame folds into Network::frame_digest(): src,
+// dst, vlan, wire bytes, kind, payload and rpc header.  Kind and payload
+// go through a four-lane word-at-a-time hash (DESIGN.md §15).
+uint64_t FrameTag(VlanId vlan, const Message& m);
+
 // Switch-port VLAN membership as a bitset.  The per-frame reachability
 // check (SharedVlan on the send and delivery paths) is a word-AND scan
 // with an early exit — no tree walk, no per-frame allocation — and

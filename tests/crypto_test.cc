@@ -798,11 +798,11 @@ TEST(BackendTest, HmacScalarMatchesDispatched) {
 
 TEST(BackendTest, AesGcmScalarMatchesDispatched) {
   Drbg drbg(uint64_t{47});
-  for (size_t len : {0u, 1u, 15u, 16u, 17u, 63u, 64u, 65u, 128u, 1500u, 9000u}) {
+  auto check = [&](size_t len, size_t aad_len) {
     const Bytes key = drbg.Generate(32);
     const Bytes nonce = drbg.Generate(12);
     const Bytes plaintext = drbg.Generate(len);
-    const Bytes aad = drbg.Generate(len % 48);
+    const Bytes aad = drbg.Generate(aad_len);
     Bytes scalar_sealed;
     {
       ScopedForceScalar scalar(true);
@@ -813,6 +813,14 @@ TEST(BackendTest, AesGcmScalarMatchesDispatched) {
     const auto opened = gcm.Open(nonce, scalar_sealed, aad);
     ASSERT_TRUE(opened.has_value()) << "len=" << len;
     EXPECT_EQ(*opened, plaintext) << "len=" << len;
+  };
+  for (size_t len : {0u, 1u, 15u, 16u, 17u, 63u, 64u, 65u, 128u, 1500u, 9000u}) {
+    check(len, len % 48);
+  }
+  // The ESP shape (an 8-byte sequence-number AAD) on both sides of the
+  // 128-byte CTR lane loop, with and without a tail.
+  for (size_t len : {127u, 129u, 255u, 256u, 257u, 8192u, 8200u}) {
+    check(len, 8);
   }
 }
 

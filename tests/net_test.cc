@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "src/net/ipsec.h"
 #include "src/net/network.h"
 #include "src/net/resource.h"
@@ -271,8 +274,8 @@ TEST(IpsecModelTest, CpuBoundThroughputOrdering) {
 }
 
 TEST(IpsecContextTest, SealOpenRoundTrip) {
-  IpsecContext alice;
-  IpsecContext bob;
+  IpsecContext alice(1);
+  IpsecContext bob(2);
   const Bytes key(32, 0x11);
   alice.InstallSa(2, key);
   bob.InstallSa(1, key);
@@ -285,15 +288,15 @@ TEST(IpsecContextTest, SealOpenRoundTrip) {
 }
 
 TEST(IpsecContextTest, NoSaMeansNoTraffic) {
-  IpsecContext ctx;
+  IpsecContext ctx(1);
   EXPECT_FALSE(ctx.Seal(9, ToBytes("x")).has_value());
   EXPECT_FALSE(ctx.Open(9, Bytes(64, 0)).has_value());
   EXPECT_FALSE(ctx.HasSa(9));
 }
 
 TEST(IpsecContextTest, ReplayIsRejected) {
-  IpsecContext alice;
-  IpsecContext bob;
+  IpsecContext alice(1);
+  IpsecContext bob(2);
   const Bytes key(32, 0x22);
   alice.InstallSa(2, key);
   bob.InstallSa(1, key);
@@ -308,8 +311,8 @@ TEST(IpsecContextTest, ReplayIsRejected) {
 }
 
 TEST(IpsecContextTest, TamperAndWrongKeyRejected) {
-  IpsecContext alice;
-  IpsecContext bob;
+  IpsecContext alice(1);
+  IpsecContext bob(2);
   alice.InstallSa(2, Bytes(32, 0x33));
   bob.InstallSa(1, Bytes(32, 0x44));  // mismatched key
 
@@ -324,8 +327,8 @@ TEST(IpsecContextTest, TamperAndWrongKeyRejected) {
 }
 
 TEST(IpsecContextTest, RevocationCutsTraffic) {
-  IpsecContext alice;
-  IpsecContext bob;
+  IpsecContext alice(1);
+  IpsecContext bob(2);
   const Bytes key(32, 0x55);
   alice.InstallSa(2, key);
   bob.InstallSa(1, key);
@@ -336,6 +339,118 @@ TEST(IpsecContextTest, RevocationCutsTraffic) {
   const auto wire = alice.Seal(2, ToBytes("post"));
   ASSERT_TRUE(wire.has_value());
   EXPECT_FALSE(bob.Open(1, *wire).has_value());
+}
+
+TEST(IpsecContextTest, DirectionsSealUnderDifferentNonces) {
+  IpsecContext alice(1);
+  IpsecContext bob(2);
+  const Bytes key(32, 0x66);
+  alice.InstallSa(2, key);
+  bob.InstallSa(1, key);
+
+  // The first frame each way carries sequence 1 under the same pair key;
+  // only the direction's salt keeps the two (key, nonce) pairs apart.
+  const auto a_to_b = alice.Seal(2, ToBytes("same plaintext"));
+  const auto b_to_a = bob.Seal(1, ToBytes("same plaintext"));
+  ASSERT_TRUE(a_to_b.has_value());
+  ASSERT_TRUE(b_to_a.has_value());
+  EXPECT_NE(*a_to_b, *b_to_a);
+}
+
+TEST(IpsecContextTest, ReflectedFrameDoesNotOpen) {
+  IpsecContext alice(1);
+  IpsecContext bob(2);
+  const Bytes key(32, 0x77);
+  alice.InstallSa(2, key);
+  bob.InstallSa(1, key);
+
+  // A network that bounces Alice's frame back to her as if Bob sent it.
+  const auto wire = alice.Seal(2, ToBytes("to bob"));
+  ASSERT_TRUE(wire.has_value());
+  EXPECT_FALSE(alice.Open(2, *wire).has_value());
+  // The frame is still good for its real receiver.
+  EXPECT_TRUE(bob.Open(1, *wire).has_value());
+}
+
+TEST(IpsecContextTest, BothDirectionsRoundTrip) {
+  IpsecContext alice(7);
+  IpsecContext bob(3);
+  const Bytes key(32, 0x88);
+  alice.InstallSa(3, key);
+  bob.InstallSa(7, key);
+
+  for (int i = 0; i < 3; ++i) {
+    const Bytes ping = ToBytes("ping " + std::to_string(i));
+    const Bytes pong = ToBytes("pong " + std::to_string(i));
+    const auto to_bob = alice.Seal(3, ping);
+    ASSERT_TRUE(to_bob.has_value());
+    const auto at_bob = bob.Open(7, *to_bob);
+    ASSERT_TRUE(at_bob.has_value());
+    EXPECT_EQ(*at_bob, ping);
+    const auto to_alice = bob.Seal(7, pong);
+    ASSERT_TRUE(to_alice.has_value());
+    const auto at_alice = alice.Open(3, *to_alice);
+    ASSERT_TRUE(at_alice.has_value());
+    EXPECT_EQ(*at_alice, pong);
+  }
+}
+
+// The frame digest sees a payload only through FrameTag, so a payload
+// change the tag misses is invisible to every digest-equality test.
+TEST(FrameTagTest, EveryPayloadBitAndLengthChangesTheTag) {
+  Message m;
+  m.src = 3;
+  m.dst = 4;
+  m.kind = "esp";
+  // Fixed wire bytes, so a payload length change reaches the tag only
+  // through the payload hash.
+  m.wire_bytes = 9000;
+  m.payload.resize(256);
+  for (size_t i = 0; i < m.payload.size(); ++i) {
+    m.payload[i] = static_cast<uint8_t>(i * 37 + 11);
+  }
+  const uint64_t base = FrameTag(9, m);
+  auto flip = [&m](size_t bit) {
+    m.payload[bit / 8] = static_cast<uint8_t>(m.payload[bit / 8] ^ (1u << (bit % 8)));
+  };
+
+  int single_misses = 0;
+  for (size_t bit = 0; bit < m.payload.size() * 8; ++bit) {
+    flip(bit);
+    single_misses += FrameTag(9, m) == base ? 1 : 0;
+    flip(bit);
+  }
+  EXPECT_EQ(single_misses, 0);
+
+  // The same bit flipped in two 8-byte words: the pair that cancels in a
+  // plain (h ^ w) * P lane is bit 63 in two words of one lane.
+  constexpr size_t kWords = 256 / 8;
+  int pair_misses = 0;
+  std::string first_miss;
+  for (size_t a = 0; a < kWords; ++a) {
+    for (size_t b = a + 1; b < kWords; ++b) {
+      for (size_t bit = 0; bit < 64; ++bit) {
+        flip(64 * a + bit);
+        flip(64 * b + bit);
+        if (FrameTag(9, m) == base && pair_misses++ == 0) {
+          first_miss = "words " + std::to_string(a) + " and " +
+                       std::to_string(b) + ", bit " + std::to_string(bit);
+        }
+        flip(64 * a + bit);
+        flip(64 * b + bit);
+      }
+    }
+  }
+  EXPECT_EQ(pair_misses, 0) << "first: " << first_miss;
+
+  // Zero padding: the payload hash mixes in the length.
+  std::set<uint64_t> padded_tags;
+  for (size_t zeros = 0; zeros <= 40; ++zeros) {
+    Message padded = m;
+    padded.payload.resize(m.payload.size() + zeros, 0);
+    padded_tags.insert(FrameTag(9, padded));
+  }
+  EXPECT_EQ(padded_tags.size(), 41u);
 }
 
 TEST(BulkTransferTest, IpsecSlowerThanPlainAndMtuMatters) {

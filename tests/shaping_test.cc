@@ -32,8 +32,8 @@ struct ShapingFixture : public ::testing::Test {
   Network fabric{sim, Duration::Microseconds(10), 1.25e9};
   Endpoint& a{fabric.CreateEndpoint("a")};
   Endpoint& b{fabric.CreateEndpoint("b")};
-  IpsecContext ipsec_a;
-  IpsecContext ipsec_b;
+  IpsecContext ipsec_a{a.address()};
+  IpsecContext ipsec_b{b.address()};
 
   void SetUp() override {
     fabric.AttachToVlan(a.address(), 9);
@@ -120,7 +120,7 @@ TEST_F(ShapingFixture, ChaffIsIndistinguishableCiphertext) {
 
 TEST_F(ShapingFixture, NoSaMeansNoEmission) {
   const ShapingPolicy policy;
-  IpsecContext empty;
+  IpsecContext empty(a.address());
   ShapedChannel channel(sim, a, b.address(), empty, policy);
   channel.Submit(Bytes(100, 1));
   sim.Spawn(channel.RunClock(5));
