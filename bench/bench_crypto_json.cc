@@ -159,8 +159,9 @@ int main(int argc, char** argv) {
     verify.dispatched = MeasureRate([&] { curve.Verify(*prepared, hash, sig); });
     rows.push_back(verify);
 
-    // Cold verify: previously unseen key, on-curve check and odd-multiple
-    // table built per call.
+    // Cold verify: a previously unseen key is prepared (on-curve check and
+    // the four PreparedKey tables) and then verified — what the verifier
+    // pays on an AIK-cache miss.
     Row verify_cold{"ecdsa_p256_verify_cold", "ops_per_second", 0, 0};
     verify_cold.scalar = verify.scalar;
     verify_cold.dispatched = MeasureRate([&] { curve.Verify(pub, hash, sig); });

@@ -12,8 +12,9 @@
 //   pingpong — 64 chains of back-to-back 1 ns events: pure drain-path
 //              throughput, batches of same-instant events every step.
 //   mixed    — a steady population of events with log-uniform delays from
-//              100 ns to ~11 days (so the top wheel levels and the spill
-//              heap both participate), with random cancel/re-arm churn.
+//              100 ns to ~11 days (so wheel levels 0–8 all hold events;
+//              level 8 starts at 2^48 ns ≈ 3.3 days), with random
+//              cancel/re-arm churn.
 //
 // Each runs on the production Simulation and reports host-side events per
 // second.  tests/scheduler_test.cc holds the wheel equivalent to the
@@ -169,7 +170,7 @@ class MixedDriver {
  private:
   Duration RandomDelay() {
     // Log-uniform over [100 ns, ~10^15 ns): most events are near-term, but
-    // every wheel level and the overflow spill see traffic.
+    // wheel levels 0–8 all see traffic.
     const double exponent = 2.0 + rng_.NextDouble() * 13.0;
     return Duration::Nanoseconds(static_cast<int64_t>(std::pow(10.0, exponent)));
   }
@@ -185,7 +186,7 @@ class MixedDriver {
     --remaining_;
     Spawn(slot);
     // A third of operations also cancel and re-arm a random other slot —
-    // its pending event may sit anywhere in the wheel or the spill.
+    // its pending event may sit on any of wheel levels 0–8.
     if (rng_.NextDouble() < 0.33) {
       const auto victim =
           static_cast<uint32_t>(rng_.NextBelow(slots_.size()));

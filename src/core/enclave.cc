@@ -184,11 +184,6 @@ machine::Machine* Enclave::node_machine(const std::string& node) {
   return it == nodes_.end() ? nullptr : it->second.machine;
 }
 
-ima::Ima* Enclave::node_ima(const std::string& node) {
-  const auto it = nodes_.find(node);
-  return it == nodes_.end() ? nullptr : it->second.ima.get();
-}
-
 net::IpsecParams Enclave::ipsec_params() const {
   net::IpsecParams params;
   params.enabled = profile_.encrypt_network;

@@ -90,7 +90,6 @@ class Enclave {
   // profile encrypts the disk).  Null until the node is allocated.
   storage::BlockDevice* node_root_device(const std::string& node);
   machine::Machine* node_machine(const std::string& node);
-  ima::Ima* node_ima(const std::string& node);
   net::IpsecParams ipsec_params() const;
 
   // Extends the tenant's runtime whitelist (application rollout).

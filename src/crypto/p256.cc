@@ -380,48 +380,12 @@ P256::Jacobian P256::MulWnaf(const U256& k, const std::array<AffineMont, 16>& od
   return acc;
 }
 
-P256::Jacobian P256::MulShamir(const U256& u1, const U256& u2,
-                               const std::array<AffineMont, 16>& q_odd) const {
-  // Strauss–Shamir: one shared doubling chain.  u2's digits come from the
-  // per-key odd-multiple table (width-6 NAF, |digit| ≤ 31 odd).  u1 rides
-  // along for free through the comb: injecting d·G from row 0 at ladder
-  // position 12w leaves exactly the doublings that raise it to
-  // d·2^{12w}·G, so u1 contributes at most 22 mixed additions and no
-  // doublings of its own.
-  int8_t q_digits[kNafDigits];
-  const int q_top = RecodeWnaf(u2, /*width=*/6, q_digits);
-  uint64_t g_windows[kCombWindows];
-  int g_top = -1;
-  for (int w = 0; w < kCombWindows; ++w) {
-    g_windows[w] = CombWindow(u1, w);
-    if (g_windows[w] != 0) {
-      g_top = 12 * w;
-    }
-  }
-  Jacobian acc{};
-  for (int i = g_top > q_top ? g_top : q_top; i >= 0; --i) {
-    DoubleFast(acc);
-    if (i % 12 == 0) {
-      const uint64_t gd = g_windows[i / 12];
-      if (gd != 0) {
-        AddMixed(acc, fixed_[gd - 1], /*negate=*/false);
-      }
-    }
-    const int qd = q_digits[i];
-    if (qd != 0) {
-      const size_t index = static_cast<size_t>((qd < 0 ? -qd : qd) - 1) / 2;
-      AddMixed(acc, q_odd[index], /*negate=*/qd < 0);
-    }
-  }
-  return acc;
-}
-
-P256::Jacobian P256::MulShamirPrepared(
+P256::Jacobian P256::MulStraussShamir(
     const U256& u1, const U256& u2,
     const std::array<AffineMont, 128>& q_tables) const {
   // The PreparedKey tables cover 2^{64j}·Q for j ∈ [0, 4), so u2 splits
   // limb-wise into four 64-bit scalars that share one 64-position doubling
-  // chain — a quarter of the one-shot ladder's doublings.  u1·G costs no
+  // chain — a quarter of a full 256-bit ladder's doublings.  u1·G costs no
   // doublings at all: after the chain, each nonzero comb window is added
   // straight from its own table row.
   int8_t digits[4][kNafDigits];
@@ -526,9 +490,14 @@ EcdsaSignature P256::Sign(const U256& private_key, const Digest& message_hash,
   }
 }
 
-template <typename Ladder>
-bool P256::VerifyCommon(const Digest& message_hash, const EcdsaSignature& signature,
-                        const Ladder& ladder) const {
+bool P256::Verify(const EcPoint& public_key, const Digest& message_hash,
+                  const EcdsaSignature& signature) const {
+  const std::optional<PreparedKey> key = Prepare(public_key);
+  return key.has_value() && Verify(*key, message_hash, signature);
+}
+
+bool P256::Verify(const PreparedKey& public_key, const Digest& message_hash,
+                  const EcdsaSignature& signature) const {
   if (signature.r.IsZero() || signature.s.IsZero() || signature.r >= n_ ||
       signature.s >= n_) {
     return false;
@@ -539,7 +508,7 @@ bool P256::VerifyCommon(const Digest& message_hash, const EcdsaSignature& signat
   const U256 u1 = fn_.FromMont(field::Fn::Mul(fn_.ToMont(z), w_mont));
   const U256 u2 = fn_.FromMont(field::Fn::Mul(fn_.ToMont(signature.r), w_mont));
 
-  const Jacobian sum = ladder(u1, u2);
+  const Jacobian sum = MulStraussShamir(u1, u2, public_key.odd_);
   if (sum.z.IsZero()) {
     return false;
   }
@@ -556,18 +525,6 @@ bool P256::VerifyCommon(const Digest& message_hash, const EcdsaSignature& signat
     return Fp::Mul(fp_.ToMont(r_plus_n), z2) == sum.x;
   }
   return false;
-}
-
-bool P256::Verify(const EcPoint& public_key, const Digest& message_hash,
-                  const EcdsaSignature& signature) const {
-  if (!IsOnCurve(public_key) || public_key.infinity) {
-    return false;
-  }
-  std::array<AffineMont, 16> q_odd;
-  BuildOddMultiples(public_key, q_odd);
-  return VerifyCommon(message_hash, signature, [&](const U256& u1, const U256& u2) {
-    return MulShamir(u1, u2, q_odd);
-  });
 }
 
 std::optional<P256::PreparedKey> P256::Prepare(const EcPoint& public_key) const {
@@ -599,13 +556,6 @@ std::optional<P256::PreparedKey> P256::Prepare(const EcPoint& public_key) const 
   }
   NormalizeBatch(jac, key.odd_.data());
   return key;
-}
-
-bool P256::Verify(const PreparedKey& public_key, const Digest& message_hash,
-                  const EcdsaSignature& signature) const {
-  return VerifyCommon(message_hash, signature, [&](const U256& u1, const U256& u2) {
-    return MulShamirPrepared(u1, u2, public_key.odd_);
-  });
 }
 
 // --- Batch verification ------------------------------------------------------

@@ -10,10 +10,10 @@
 // paths: a fixed-base comb table for multiples of G (Sign, PublicKey,
 // ECIES ephemeral keys), width-6 wNAF with precomputed odd multiples for
 // arbitrary points (ECDH), and Strauss–Shamir interleaving so Verify
-// computes u1·G + u2·Q in one joint double-and-add chain.  Table points
-// are normalized with Montgomery-trick batch inversion.  The tests and
-// the crypto bench check every path against a textbook double-and-add
-// ladder kept outside this library.
+// computes u1·G + u2·Q in one joint double-and-add chain over a
+// PreparedKey's tables.  Table points are normalized with Montgomery-trick
+// batch inversion.  The tests and the crypto bench check every path
+// against a textbook double-and-add ladder kept outside this library.
 //
 // Scalar multiplication is not constant-time; this library runs inside a
 // simulator, not against live adversaries.
@@ -69,6 +69,9 @@ class P256 {
   // output is unchanged, so its known-answer vectors still hold.
   EcdsaSignature Sign(const U256& private_key, const Digest& message_hash,
                       EcPoint* r_point) const;
+  // Prepare followed by Verify(PreparedKey, ...): false for a key that is
+  // off the curve or infinity.  Callers that check one key repeatedly
+  // should keep the PreparedKey.
   bool Verify(const EcPoint& public_key, const Digest& message_hash,
               const EcdsaSignature& signature) const;
 
@@ -83,9 +86,9 @@ class P256 {
   // precomputed tables exactly once.  Verify(PreparedKey, ...) skips the
   // per-call on-curve check and table build, and — because the tables
   // cover Q, 2^64·Q, 2^128·Q and 2^192·Q — runs the joint ladder over
-  // four 64-bit scalar chunks, quartering the doubling count.  This is
-  // the hot path of the continuous-attestation loop (the verifier checks
-  // the same AIK every poll).
+  // four 64-bit scalar chunks, a 64-doubling chain.  This is the hot path
+  // of the continuous-attestation loop (the verifier checks the same AIK
+  // every poll).
   class PreparedKey {
    public:
     PreparedKey() = default;
@@ -171,19 +174,11 @@ class P256 {
 
   Jacobian MulBaseComb(const U256& k) const;
   Jacobian MulWnaf(const U256& k, const std::array<AffineMont, 16>& odd) const;
-  // Joint ladders for u1·G + u2·Q.  The one-shot variant runs u2's wNAF
-  // over a fresh 16-entry odd table (256 doublings); the prepared variant
-  // splits u2 into four 64-bit chunks over the PreparedKey's four tables
-  // (64 doublings).  Both fold u1 in through the fixed-base comb.
-  Jacobian MulShamir(const U256& u1, const U256& u2,
-                     const std::array<AffineMont, 16>& q_odd) const;
-  Jacobian MulShamirPrepared(const U256& u1, const U256& u2,
-                             const std::array<AffineMont, 128>& q_tables) const;
-  // Computes u1/u2 from the signature and checks x(sum) mod n == r via the
-  // Jacobian-coordinate candidate comparison (no field inversion).
-  template <typename Ladder>
-  bool VerifyCommon(const Digest& message_hash, const EcdsaSignature& signature,
-                    const Ladder& ladder) const;
+  // Joint ladder for u1·G + u2·Q: u2 splits into four 64-bit chunks over
+  // the PreparedKey's four tables (64 doublings), and u1 is folded in
+  // through the fixed-base comb.
+  Jacobian MulStraussShamir(const U256& u1, const U256& u2,
+                            const std::array<AffineMont, 128>& q_tables) const;
 
   // Per-entry state shared between the batch RLC check and its bisection
   // retries (defined in p256.cc).
@@ -207,9 +202,7 @@ class P256 {
   Jacobian g_;        // base point
   // Fixed-base comb: fixed_[w*4095 + b - 1] = b · 2^{12w} · G for
   // w ∈ [0, 22), b ∈ [1, 4095], so any scalar is a sum of at most 22
-  // table points with no doublings.  Row 0 also serves the joint verify
-  // ladders: adding b·G from row 0 at ladder position 12w leaves the
-  // remaining doublings to raise it to b·2^{12w}·G.
+  // table points with no doublings.
   std::vector<AffineMont> fixed_;
 };
 

@@ -1,17 +1,10 @@
 #include "src/faults/faults.h"
 
 #include "src/obs/obs.h"
+#include "src/sim/random.h"
 
 namespace bolted::faults {
 namespace {
-
-// splitmix64 finalizer: spreads an address+salt into group bits.
-uint64_t Mix(uint64_t x) {
-  x += 0x9e3779b97f4a7c15u;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9u;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebu;
-  return x ^ (x >> 31);
-}
 
 // Uniform offset in the middle of the active window, so every scheduled
 // fault has room to land before the horizon.
@@ -32,9 +25,9 @@ FaultPlan FaultPlan::Generate(uint64_t seed, const FaultProfile& profile,
   plan.profile = profile;
   // A dedicated stream per fault class keeps the plan stable under profile
   // tweaks to one class (e.g. more crashes never reshuffles the flaps).
-  sim::Rng flap_rng(Mix(seed ^ 0x666c6170u));       // "flap"
-  sim::Rng partition_rng(Mix(seed ^ 0x70617274u));  // "part"
-  sim::Rng crash_rng(Mix(seed ^ 0x63726173u));      // "cras"
+  sim::Rng flap_rng(sim::SplitMix64(seed ^ 0x666c6170u));       // "flap"
+  sim::Rng partition_rng(sim::SplitMix64(seed ^ 0x70617274u));  // "part"
+  sim::Rng crash_rng(sim::SplitMix64(seed ^ 0x63726173u));      // "cras"
   if (num_targets > 0) {
     for (int i = 0; i < profile.link_flaps; ++i) {
       LinkFlapEvent flap;
@@ -98,7 +91,7 @@ FaultInjector::FaultInjector(sim::Simulation& sim, net::Network& network,
     : sim_(sim),
       network_(network),
       plan_(std::move(plan)),
-      rng_(Mix(plan_.seed ^ 0x6672616du)) {}  // "fram"
+      rng_(sim::SplitMix64(plan_.seed ^ 0x6672616du)) {}  // "fram"
 
 void FaultInjector::AddTarget(machine::Machine* machine) {
   targets_.push_back(machine);
@@ -109,7 +102,7 @@ bool FaultInjector::Active() const {
 }
 
 bool FaultInjector::PartitionGroup(net::Address address) const {
-  return (Mix(partition_salt_ ^ address) & 1) != 0;
+  return (sim::SplitMix64(partition_salt_ ^ address) & 1) != 0;
 }
 
 net::FrameFault FaultInjector::FrameVerdict(const net::Message& message) {

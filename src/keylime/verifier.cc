@@ -123,17 +123,6 @@ sim::Task Verifier::VerifyNodeTraced(const std::string& name,
   span.End();
 }
 
-void Verifier::InvalidateKeyCache(const std::string& name) {
-  const auto it = nodes_.find(name);
-  if (it == nodes_.end()) {
-    return;
-  }
-  it->second.aik_prepared.reset();
-  it->second.aik_wire.clear();
-  it->second.nk_decoded.reset();
-  it->second.nk_wire.clear();
-}
-
 const Verifier::BootReplay* Verifier::ReplayBootLog(const crypto::Bytes& wire) {
   const crypto::Digest key = crypto::Sha256::Hash(wire);
   const auto it = boot_log_cache_.find(key);

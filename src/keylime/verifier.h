@@ -112,12 +112,6 @@ class Verifier {
   sim::Task VerifyFleet(std::span<const std::string> names,
                         VerificationResult* results);
 
-  // Drops the node's cached prepared AIK / NK.  The cache already keys on
-  // the registrar's wire bytes, so a re-registered AIK can never validate
-  // against the stale tables; this hook additionally frees the stale entry
-  // eagerly when the control plane knows the node was re-provisioned.
-  void InvalidateKeyCache(const std::string& name);
-
   // Continuous attestation loop.  Stops on violation (after running the
   // revocation flow) or StopContinuous().
   void StartContinuous(const std::string& name, sim::Duration interval);

@@ -6,6 +6,7 @@
 
 #include "src/net/pcap.h"
 #include "src/obs/obs.h"
+#include "src/sim/random.h"
 
 namespace bolted::net {
 namespace {
@@ -30,14 +31,8 @@ const NetMetricIds& Ids() {
   return ids;
 }
 
-// splitmix64 finalizer — the same mixing family the kernel trace digest
-// uses, so frame tags have full avalanche.
-inline uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
+// Frame tags and the frame digest mix with splitmix64 for full avalanche.
+using sim::SplitMix64;
 
 // One step of a WordHash lane.  The fold after the multiply carries the
 // high half down: without it, flipping bit 63 of x flips only bit 63 of
@@ -63,7 +58,7 @@ inline uint64_t LoadWord(const uint8_t* p) {
 // round.  The lanes then join through the same step, starting from the
 // length.  Every step is a bijection of its lane and of the running
 // value, so a change confined to one lane, or to the length alone,
-// always changes the result.  FrameTag's Mix64 spreads it.
+// always changes the result.  FrameTag's SplitMix64 spreads it.
 uint64_t WordHash(const uint8_t* p, size_t size) {
   uint64_t h0 = 0x776f726431ull;  // "word1".."word4"
   uint64_t h1 = 0x776f726432ull;
@@ -93,14 +88,14 @@ uint64_t WordHash(const uint8_t* p, size_t size) {
 }  // namespace
 
 uint64_t FrameTag(VlanId vlan, const Message& m) {
-  uint64_t h = Mix64(0x6672616d65ull ^ m.src);  // "frame"
-  h = Mix64(h ^ m.dst);
-  h = Mix64(h ^ vlan);
-  h = Mix64(h ^ m.EffectiveWireBytes());
-  h = Mix64(h ^ WordHash(reinterpret_cast<const uint8_t*>(m.kind.data()),
-                         m.kind.size()));
-  h = Mix64(h ^ WordHash(m.payload.data(), m.payload.size()));
-  h = Mix64(h ^ ((m.rpc_id << 1) | (m.rpc_response ? 1u : 0u)));
+  uint64_t h = SplitMix64(0x6672616d65ull ^ m.src);  // "frame"
+  h = SplitMix64(h ^ m.dst);
+  h = SplitMix64(h ^ vlan);
+  h = SplitMix64(h ^ m.EffectiveWireBytes());
+  h = SplitMix64(h ^ WordHash(reinterpret_cast<const uint8_t*>(m.kind.data()),
+                              m.kind.size()));
+  h = SplitMix64(h ^ WordHash(m.payload.data(), m.payload.size()));
+  h = SplitMix64(h ^ ((m.rpc_id << 1) | (m.rpc_response ? 1u : 0u)));
   return h;
 }
 
@@ -638,9 +633,10 @@ void Network::SealFrameInstant() {
     return;
   }
   uint64_t h = frame_digest_rolling_;
-  h = Mix64(h ^ static_cast<uint64_t>(frame_digest_instant_.nanoseconds()));
-  h = Mix64(h ^ frame_digest_acc_);
-  h = Mix64(h ^ frame_digest_count_);
+  h = SplitMix64(
+      h ^ static_cast<uint64_t>(frame_digest_instant_.nanoseconds()));
+  h = SplitMix64(h ^ frame_digest_acc_);
+  h = SplitMix64(h ^ frame_digest_count_);
   frame_digest_rolling_ = h;
   frame_digest_acc_ = 0;
   frame_digest_count_ = 0;
@@ -649,9 +645,10 @@ void Network::SealFrameInstant() {
 uint64_t Network::frame_digest() const {
   uint64_t h = frame_digest_rolling_;
   if (frame_digest_count_ != 0) {
-    h = Mix64(h ^ static_cast<uint64_t>(frame_digest_instant_.nanoseconds()));
-    h = Mix64(h ^ frame_digest_acc_);
-    h = Mix64(h ^ frame_digest_count_);
+    h = SplitMix64(
+        h ^ static_cast<uint64_t>(frame_digest_instant_.nanoseconds()));
+    h = SplitMix64(h ^ frame_digest_acc_);
+    h = SplitMix64(h ^ frame_digest_count_);
   }
   return h;
 }

@@ -38,8 +38,6 @@ ShapedChannel::ShapedChannel(sim::Simulation& sim, Endpoint& source,
   assert(policy.cell_bytes > 8);
 }
 
-uint64_t ShapedChannel::queued_cells() const { return queue_.size(); }
-
 void ShapedChannel::Submit(crypto::Bytes payload) {
   // Segment into cells; each carries a 4-byte length header so the
   // receiver can strip padding.

@@ -58,7 +58,6 @@ class ShapedChannel {
 
   uint64_t data_cells_sent() const { return data_cells_; }
   uint64_t chaff_cells_sent() const { return chaff_cells_; }
-  uint64_t queued_cells() const;
 
  private:
   void EmitCell(crypto::ByteView plaintext_cell, bool chaff);

@@ -1,14 +1,12 @@
-// EventFn: a move-only callable for scheduled events with inline storage
-// for small captures.
+// EventFn: a move-only callable for scheduled events, always stored
+// inline.
 //
-// The previous event-queue entry held a std::shared_ptr<std::function>,
-// costing two heap allocations (control block + std::function target) per
-// scheduled event plus an atomic refcount on every copy.  Almost every
-// event in the simulator is a tiny lambda (a coroutine handle, a pointer
-// or two), so EventFn stores callables up to kInlineSize bytes in place
-// and only falls back to the heap for large captures.  Entries become
-// move-only, which the hand-rolled binary heap in Simulation supports
-// directly.
+// Every event in the simulator is a small lambda (a coroutine handle, a
+// pointer or two, a routed frame), so EventFn keeps the callable in place
+// and scheduling never touches the allocator.  A callable that does not
+// fit is a compile error, not a silent heap fallback: capture a pointer
+// to large state instead.  The timing wheel's records hold EventFns by
+// value and move them out when they fire.
 
 #ifndef SRC_SIM_EVENT_FN_H_
 #define SRC_SIM_EVENT_FN_H_
@@ -22,9 +20,8 @@ namespace bolted::sim {
 
 class EventFn {
  public:
-  // Sized so Entry (when/seq/id + EventFn) stays within one cache line
-  // pair while still fitting every lambda the simulator schedules today.
-  static constexpr size_t kInlineSize = 48;
+  // sizeof(EventFn) is one cache line: the storage plus the ops pointer.
+  static constexpr size_t kInlineSize = 56;
 
   EventFn() = default;
 
@@ -32,16 +29,13 @@ class EventFn {
             typename = std::enable_if_t<!std::is_same_v<D, EventFn> &&
                                         std::is_invocable_r_v<void, D&>>>
   EventFn(F&& f) {  // NOLINT(google-explicit-constructor): converting by design
-    constexpr bool kFitsInline = sizeof(D) <= kInlineSize &&
-                                 alignof(D) <= alignof(std::max_align_t) &&
-                                 std::is_nothrow_move_constructible_v<D>;
-    if constexpr (kFitsInline) {
-      ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
-      ops_ = &kInlineOps<D>;
-    } else {
-      *reinterpret_cast<D**>(storage_) = new D(std::forward<F>(f));
-      ops_ = &kHeapOps<D>;
-    }
+    static_assert(sizeof(D) <= kInlineSize, "event callable too large");
+    static_assert(alignof(D) <= alignof(std::max_align_t),
+                  "event callable over-aligned");
+    static_assert(std::is_nothrow_move_constructible_v<D>,
+                  "event callable must be nothrow-movable");
+    ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
+    ops_ = &kOps<D>;
   }
 
   EventFn(EventFn&& other) noexcept : ops_(other.ops_) {
@@ -76,13 +70,13 @@ class EventFn {
   struct Ops {
     void (*invoke)(void* storage);
     // Moves the callable from src storage into dst storage and destroys
-    // the source (for heap targets this is a pointer copy).
+    // the source.
     void (*relocate)(void* dst, void* src) noexcept;
     void (*destroy)(void* storage) noexcept;
   };
 
   template <typename D>
-  static constexpr Ops kInlineOps = {
+  static constexpr Ops kOps = {
       [](void* storage) { (*std::launder(reinterpret_cast<D*>(storage)))(); },
       [](void* dst, void* src) noexcept {
         D* from = std::launder(reinterpret_cast<D*>(src));
@@ -92,14 +86,6 @@ class EventFn {
       [](void* storage) noexcept {
         std::launder(reinterpret_cast<D*>(storage))->~D();
       }};
-
-  template <typename D>
-  static constexpr Ops kHeapOps = {
-      [](void* storage) { (**reinterpret_cast<D**>(storage))(); },
-      [](void* dst, void* src) noexcept {
-        *reinterpret_cast<D**>(dst) = *reinterpret_cast<D**>(src);
-      },
-      [](void* storage) noexcept { delete *reinterpret_cast<D**>(storage); }};
 
   void Reset() {
     if (ops_ != nullptr) {
@@ -111,6 +97,8 @@ class EventFn {
   alignas(std::max_align_t) unsigned char storage_[kInlineSize];
   const Ops* ops_ = nullptr;
 };
+
+static_assert(sizeof(EventFn) == 64);
 
 }  // namespace bolted::sim
 

@@ -5,22 +5,15 @@
 namespace bolted::sim {
 namespace {
 
-uint64_t SplitMix64(uint64_t& x) {
-  x += 0x9e3779b97f4a7c15u;
-  uint64_t z = x;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9u;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebu;
-  return z ^ (z >> 31);
-}
-
 uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
-  uint64_t sm = seed;
+  // splitmix64 as a generator: s_[k] = SplitMix64(seed + k·0x9e37…7c15).
   for (auto& s : s_) {
-    s = SplitMix64(sm);
+    s = SplitMix64(seed);
+    seed += 0x9e3779b97f4a7c15u;
   }
 }
 

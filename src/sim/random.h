@@ -11,6 +11,25 @@
 
 namespace bolted::sim {
 
+// splitmix64's output function: a bijective 64-bit mix with full
+// avalanche.  Seeds the Rng, derives per-rack and per-fault-stream seeds
+// from a scenario seed, and hashes frame tags.
+inline uint64_t SplitMix64(uint64_t x) {
+  x += 0x9e3779b97f4a7c15u;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9u;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebu;
+  return x ^ (x >> 31);
+}
+
+// One step of a trace digest.  Order-sensitive, so a digest pins the
+// exact sequence of folded values and not just their multiset.
+inline uint64_t MixDigest(uint64_t h, uint64_t v) {
+  h ^= v + 0x9e3779b97f4a7c15u + (h << 6) + (h >> 2);
+  h *= 0xbf58476d1ce4e5b9u;
+  h ^= h >> 27;
+  return h;
+}
+
 // xoshiro256++ generator with splitmix64 seeding.
 class Rng {
  public:

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <functional>
 #include <utility>
 
 namespace bolted::sim {
@@ -12,17 +11,17 @@ namespace bolted::sim {
 //
 //  * Placement invariant: a record at level k satisfies
 //      when >> (6*(k+1)) == wheel_time_ >> (6*(k+1))   (shares the parent
-//      window) and, for k >= 1, when >> (6*k) != wheel_time_ >> (6*k).
+//      window; the top level's parent window is all of time) and, for
+//      k >= 1, when >> (6*k) != wheel_time_ >> (6*k).
 //    This holds at insertion by construction and is preserved as
 //    wheel_time_ advances, because the cursor never passes the earliest
 //    live event and prefix equality is monotone over [wheel_time_, when].
 //
 //  * Cross-level order: level-k events fire before all level-(k+1) events
 //    (their level-(k+1) slot index equals the cursor's, which is strictly
-//    below any occupied level-(k+1) slot), and all wheel events fire
-//    before all spill events (spill records live in a later 2^48 epoch).
-//    Hence the earliest live event is always in the earliest occupied
-//    slot of the lowest occupied level — found with two ctz scans.
+//    below any occupied level-(k+1) slot).  Hence the earliest live event
+//    is always in the earliest occupied slot of the lowest occupied
+//    level — found with two ctz scans.
 //
 //  * Same-instant order: a level-0 slot spans exactly one nanosecond, so
 //    a drained slot is one instant.  Slot lists are not seq-sorted
@@ -106,20 +105,16 @@ void WheelScheduler::UnlinkFromSlot(uint32_t index) {
 }
 
 void WheelScheduler::Place(uint32_t index) {
-  Rec& rec = recs_[index];
-  const int64_t when = rec.when;
-  for (int k = 0; k < kLevels; ++k) {
-    const int shift = kSlotBits * (k + 1);
-    if ((when >> shift) == (wheel_time_ >> shift)) {
-      const int slot =
-          static_cast<int>((when >> (kSlotBits * k)) & (kSlots - 1));
-      PushSlot(k, slot, index);
-      return;
-    }
-  }
-  rec.state = State::kSpill;
-  spill_.push_back(SpillEntry{when, rec.seq, index});
-  std::push_heap(spill_.begin(), spill_.end(), std::greater<>());
+  // The highest bit where `when` and the cursor differ picks the level:
+  // every bit above that level's slot index matches.  Both times are
+  // non-negative, so that bit is at most 62 and the level at most 10.
+  const int64_t when = recs_[index].when;
+  const int level =
+      (std::bit_width(static_cast<uint64_t>(when ^ wheel_time_) | 1) - 1) /
+      kSlotBits;
+  PushSlot(level,
+           static_cast<int>((when >> (kSlotBits * level)) & (kSlots - 1)),
+           index);
 }
 
 EventId WheelScheduler::Schedule(Time now_t, Time when_t, uint64_t seq,
@@ -172,42 +167,10 @@ void WheelScheduler::Cancel(EventId id) {
       --drain_live_;
       --live_;
       break;
-    case State::kSpill:
-      rec.state = State::kDead;
-      rec.fn = EventFn();
-      ++spill_dead_;
-      --live_;
-      MaybeCompactSpill();
-      break;
     case State::kFree:
     case State::kDead:
       break;  // double cancel of a still-referenced tombstone
   }
-}
-
-void WheelScheduler::PruneSpillTop() {
-  while (!spill_.empty() && recs_[spill_.front().rec].state == State::kDead) {
-    const uint32_t index = spill_.front().rec;
-    std::pop_heap(spill_.begin(), spill_.end(), std::greater<>());
-    spill_.pop_back();
-    --spill_dead_;
-    FreeRec(index);
-  }
-}
-
-void WheelScheduler::MaybeCompactSpill() {
-  if (spill_dead_ < 64 || spill_dead_ * 2 < spill_.size()) {
-    return;
-  }
-  std::erase_if(spill_, [this](const SpillEntry& e) {
-    if (recs_[e.rec].state == State::kDead) {
-      FreeRec(e.rec);
-      return true;
-    }
-    return false;
-  });
-  std::make_heap(spill_.begin(), spill_.end(), std::greater<>());
-  spill_dead_ = 0;
 }
 
 bool WheelScheduler::RefillDrain() {
@@ -223,71 +186,42 @@ bool WheelScheduler::RefillDrain() {
   drain_live_ = 0;
 
   for (;;) {
-    int level = -1;
-    for (int k = 0; k < kLevels; ++k) {
-      if (occupancy_[k] != 0) {
-        level = k;
-        break;
-      }
+    int level = 0;
+    while (level < kLevels && occupancy_[level] == 0) {
+      ++level;
+    }
+    if (level == kLevels) {
+      return false;
     }
 
-    if (level < 0) {
-      // Wheel empty: promote the spill's earliest epoch into the wheel.
-      PruneSpillTop();
-      if (spill_.empty()) {
-        return false;
-      }
-      const int64_t epoch = spill_.front().when >> kEpochBits;
-      wheel_time_ = epoch << kEpochBits;
-      while (!spill_.empty() && (spill_.front().when >> kEpochBits) == epoch) {
-        const SpillEntry top = spill_.front();
-        std::pop_heap(spill_.begin(), spill_.end(), std::greater<>());
-        spill_.pop_back();
-        if (recs_[top.rec].state == State::kDead) {
-          --spill_dead_;
-          FreeRec(top.rec);
-        } else {
-          Place(top.rec);  // same epoch => lands in the wheel
-        }
-      }
-      continue;
-    }
-
+    // Advance the cursor to the start of the earliest occupied slot (no
+    // lower level holds anything, so nothing is skipped): keep the parent
+    // window, set this level's slot index, clear everything below.
     const int slot = std::countr_zero(occupancy_[level]);
+    const int shift = kSlotBits * level;
+    wheel_time_ =
+        (((wheel_time_ >> shift) & ~int64_t{kSlots - 1}) | slot) << shift;
+    uint32_t index = heads_[level][slot];
+    heads_[level][slot] = kNil;
+    tails_[level][slot] = kNil;
+    occupancy_[level] &= ~(uint64_t{1} << slot);
 
     if (level == 0) {
       // One exact instant: move the slot into the drain batch.
-      const int64_t t =
-          ((wheel_time_ >> kSlotBits) << kSlotBits) | int64_t{slot};
-      wheel_time_ = t;
-      for (uint32_t index = heads_[0][slot]; index != kNil;) {
-        const uint32_t next = recs_[index].next;
+      for (; index != kNil; index = recs_[index].next) {
         recs_[index].state = State::kDrain;
         drain_.push_back(index);
-        index = next;
       }
-      heads_[0][slot] = kNil;
-      tails_[0][slot] = kNil;
-      occupancy_[0] &= ~(uint64_t{1} << slot);
       std::sort(drain_.begin(), drain_.end(),
                 [this](uint32_t a, uint32_t b) {
                   return recs_[a].seq < recs_[b].seq;
                 });
       drain_live_ = drain_.size();
-      drain_time_ = t;
+      drain_time_ = wheel_time_;
       return true;
     }
 
-    // Cascade: advance the cursor to the start of the earliest occupied
-    // slot (no lower level holds anything, so nothing is skipped) and
-    // redistribute its records, which now fit below this level.
-    const int parent_shift = kSlotBits * (level + 1);
-    wheel_time_ = ((wheel_time_ >> parent_shift) << parent_shift) |
-                  (int64_t{slot} << (kSlotBits * level));
-    uint32_t index = heads_[level][slot];
-    heads_[level][slot] = kNil;
-    tails_[level][slot] = kNil;
-    occupancy_[level] &= ~(uint64_t{1} << slot);
+    // Cascade: the slot's records now fit below this level.
     while (index != kNil) {
       const uint32_t next = recs_[index].next;
       Place(index);
@@ -315,11 +249,6 @@ bool WheelScheduler::PeekNextTime(Time* when) {
       earliest = std::min(earliest, recs_[index].when);
     }
     *when = Time::FromNanoseconds(earliest);
-    return true;
-  }
-  PruneSpillTop();
-  if (!spill_.empty()) {
-    *when = Time::FromNanoseconds(spill_.front().when);
     return true;
   }
   return false;

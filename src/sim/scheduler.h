@@ -12,14 +12,14 @@
 //     samples it.
 //   * Returned EventIds are never 0, so callers may use 0 as "no event".
 //
-// Layout (DESIGN.md §10): 8 levels of 64 slots.  Level k buckets time by
-// 2^(6k) ns, so level 0 resolves single nanoseconds and the wheel's total
-// horizon is 2^48 ns ≈ 3.26 days past the current cursor; anything later
-// sits in a sorted spill heap until the cursor's 2^48 ns epoch reaches
-// it.  Cancellation is O(1): handles carry a pool index plus a generation
-// tag, and wheel records are doubly linked within their slot, so Cancel
-// unlinks immediately — no tombstone hash set, no compaction sweeps on
-// the wheel itself.
+// Layout (DESIGN.md §10): 11 levels of 64 slots.  Level k buckets time by
+// 2^(6k) ns, so level 0 resolves single nanoseconds, and 11 × 6 = 66 bits
+// cover every non-negative int64_t instant: the top level's parent window
+// is all of simulated time, and every event, however far out, sits in
+// the wheel.  Cancellation is O(1): handles carry a pool index plus a
+// generation tag, and records are doubly linked within their slot, so
+// Cancel unlinks immediately — no tombstone hash set, no compaction
+// sweeps.
 
 #ifndef SRC_SIM_SCHEDULER_H_
 #define SRC_SIM_SCHEDULER_H_
@@ -58,16 +58,14 @@ class WheelScheduler {
  private:
   static constexpr int kSlotBits = 6;
   static constexpr int kSlots = 1 << kSlotBits;
-  static constexpr int kLevels = 8;
-  static constexpr int kEpochBits = kSlotBits * kLevels;  // 48
+  static constexpr int kLevels = 11;  // 66 bits >= any non-negative int64_t
   static constexpr uint32_t kNil = 0xffffffffu;
 
   enum class State : uint8_t {
     kFree,   // on the freelist
     kWheel,  // linked into a wheel slot
     kDrain,  // in the current same-instant drain batch
-    kSpill,  // in the overflow heap (beyond the wheel horizon)
-    kDead,   // cancelled but still referenced by drain_/spill_
+    kDead,   // cancelled but still referenced by drain_
   };
 
   // One scheduled event.  Records live in a pool and are addressed by
@@ -85,36 +83,21 @@ class WheelScheduler {
     uint8_t slot = 0;
   };
 
-  struct SpillEntry {
-    int64_t when;
-    uint64_t seq;
-    uint32_t rec;
-    bool operator>(const SpillEntry& other) const {
-      if (when != other.when) {
-        return when > other.when;
-      }
-      return seq > other.seq;
-    }
-  };
-
   static EventId MakeId(uint32_t gen, uint32_t index) {
     return (static_cast<uint64_t>(gen) << 32) | index;
   }
 
   uint32_t AllocRec(int64_t when, uint64_t seq, EventFn fn);
   void FreeRec(uint32_t index);
-  // Places a record relative to wheel_time_: the lowest level whose slot
-  // span contains `when` within the current rotation, else the spill.
+  // Places a record relative to wheel_time_: the lowest level whose
+  // parent window holds both `when` and the cursor.
   void Place(uint32_t index);
   void PushSlot(int level, int slot, uint32_t index);
   void UnlinkFromSlot(uint32_t index);
-  // Drops cancelled entries off the spill top.
-  void PruneSpillTop();
-  void MaybeCompactSpill();
-  // Advances wheel_time_ (cascading higher-level slots downward and
-  // promoting the spill when the wheel runs dry) until the earliest live
-  // events sit in a level-0 slot, then moves that slot — one exact
-  // instant — into drain_, sorted by seq.  False when nothing is pending.
+  // Advances wheel_time_ (cascading higher-level slots downward) until the
+  // earliest live events sit in a level-0 slot, then moves that slot — one
+  // exact instant — into drain_, sorted by seq.  False when nothing is
+  // pending.
   bool RefillDrain();
 
   std::vector<Rec> recs_;
@@ -123,15 +106,8 @@ class WheelScheduler {
   uint32_t tails_[kLevels][kSlots];
   uint64_t occupancy_[kLevels] = {};  // bit s set <=> slot s non-empty
 
-  // Overflow min-heap (std::greater) ordered by (when, seq); cancelled
-  // entries are tombstoned and pruned lazily, with a compaction pass once
-  // they dominate.
-  std::vector<SpillEntry> spill_;
-  size_t spill_dead_ = 0;
-
-  // The wheel cursor.  Invariants: wheel_time_ <= every live event's
-  // `when`; every wheel-resident event shares wheel_time_'s 2^48 ns epoch;
-  // every spill event is in a later epoch.
+  // The wheel cursor.  Invariant: 0 <= wheel_time_ <= every live event's
+  // `when`.
   int64_t wheel_time_ = 0;
   // The instant currently being drained (-1 before the first drain).
   // Events scheduled *at* the drain instant during the drain join the

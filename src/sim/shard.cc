@@ -6,27 +6,12 @@
 #include <cstdlib>
 #include <limits>
 
+#include "src/sim/random.h"
+
 namespace bolted::sim {
 namespace {
 
 constexpr int64_t kNoEvent = std::numeric_limits<int64_t>::max();
-
-// splitmix64: derives per-rack seeds from the fleet seed so rack Rng
-// streams are independent but reproducible.  (The same finalizer the
-// kernel's MixDigest uses, full-strength.)
-uint64_t SplitMix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15u;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9u;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebu;
-  return x ^ (x >> 31);
-}
-
-uint64_t MixDigest(uint64_t h, uint64_t v) {
-  h ^= v + 0x9e3779b97f4a7c15u + (h << 6) + (h >> 2);
-  h *= 0xbf58476d1ce4e5b9u;
-  h ^= h >> 27;
-  return h;
-}
 
 // Canonical inbound order: delivery instant, then source rack, then the
 // source's send counter.  Total (no two frames compare equal), so the
@@ -94,6 +79,7 @@ ShardedFleet::ShardedFleet(const ShardOptions& options)
   shards_.resize(num_shards_);
   for (uint32_t r = 0; r < racks; ++r) {
     auto rack = std::make_unique<Rack>();
+    // Per-rack seeds: independent but reproducible rack Rng streams.
     rack->sim_ = std::make_unique<Simulation>(
         SplitMix64(options.seed ^ (0x7261636bu + r)));
     rack->fleet_ = this;
@@ -136,15 +122,16 @@ void ShardedFleet::RoutePhase(uint32_t d) {
       ShardedFleet* fleet = this;
       CrossShardFrame f = frame;
       rack->sim_->ScheduleAt(
-          Time::FromNanoseconds(frame.deliver_ns), [fleet, rack, f] {
+          Time::FromNanoseconds(frame.deliver_ns), [fleet, f] {
+            Rack& dst = *fleet->racks_[f.dst_rack];
             // Fold the frame identity into the destination digest so the
             // replay invariant covers payload routing, not just timing.
-            rack->sim_->RecordTraceEvent((f.src_seq * 0x100000001b3u) ^
-                                         (static_cast<uint64_t>(f.src_rack)
-                                          << 32) ^
-                                         f.kind);
+            dst.sim_->RecordTraceEvent((f.src_seq * 0x100000001b3u) ^
+                                       (static_cast<uint64_t>(f.src_rack)
+                                        << 32) ^
+                                       f.kind);
             if (fleet->handler_) {
-              fleet->handler_(*rack, f);
+              fleet->handler_(dst, f);
             }
           });
       // ScheduleAt clamps to the rack clock, which a rack that ran ahead

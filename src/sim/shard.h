@@ -2,7 +2,7 @@
 // (DESIGN.md §12).
 //
 // The fabric is partitioned into racks; each rack owns a full Simulation
-// (its own 8×64 timing wheel, seq counter, Rng stream, and trace digest),
+// (its own 11×64 timing wheel, seq counter, Rng stream, and trace digest),
 // so the unit of determinism is the rack, not the thread.  Racks are
 // grouped into shards — the transport topology — and shards are executed
 // by a pool of pinned worker threads.  Because every rack's event stream

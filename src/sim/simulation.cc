@@ -3,22 +3,11 @@
 #include <utility>
 
 #include "src/obs/obs.h"
+#include "src/sim/random.h"
 #include "src/sim/task.h"
 #include "src/sim/worker_pool.h"
 
 namespace bolted::sim {
-namespace {
-
-// splitmix64-style mixing step; order-sensitive, so the digest pins the
-// exact firing sequence and not just the multiset of events.
-uint64_t MixDigest(uint64_t h, uint64_t v) {
-  h ^= v + 0x9e3779b97f4a7c15u + (h << 6) + (h >> 2);
-  h *= 0xbf58476d1ce4e5b9u;
-  h ^= h >> 27;
-  return h;
-}
-
-}  // namespace
 
 Simulation::Simulation(uint64_t seed) : rng_(seed) {}
 

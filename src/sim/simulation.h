@@ -45,7 +45,7 @@ class Simulation {
   Rng& rng() { return rng_; }
 
   // Schedules fn to run after delay (>= 0) of simulated time.  EventFn
-  // converts from any void() callable; small captures stay allocation-free.
+  // converts from any void() callable that fits its inline storage.
   EventId Schedule(Duration delay, EventFn fn);
   EventId ScheduleAt(Time when, EventFn fn);
   // Cancels a pending event; a no-op if it already fired or was cancelled

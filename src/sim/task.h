@@ -27,8 +27,9 @@
 // interior-pointer double frees under ASan).  Types with user-declared
 // constructors are promoted correctly.  Use a named local and std::move
 // it instead; by-value aggregate coroutine *parameters* are affected the
-// same way, so route them through std::shared_ptr boxes (see
-// net::Endpoint::Send / net::RpcNode::Call).
+// same way, so route them through a type with user-declared constructors
+// (net::Endpoint::Send and net::RpcNode::Call pass the pooled
+// net::MessageBox).
 
 #ifndef SRC_SIM_TASK_H_
 #define SRC_SIM_TASK_H_

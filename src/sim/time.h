@@ -10,7 +10,6 @@
 #define SRC_SIM_TIME_H_
 
 #include <cstdint>
-#include <limits>
 #include <string>
 
 namespace bolted::sim {
@@ -29,9 +28,6 @@ class Duration {
     return Duration(static_cast<int64_t>(s * 1e9));
   }
   static constexpr Duration Zero() { return Duration(0); }
-  static constexpr Duration Max() {
-    return Duration(std::numeric_limits<int64_t>::max());
-  }
 
   constexpr int64_t nanoseconds() const { return ns_; }
   constexpr double ToSecondsF() const { return static_cast<double>(ns_) / 1e9; }
@@ -72,7 +68,6 @@ class Time {
   constexpr Time() = default;
 
   static constexpr Time FromNanoseconds(int64_t ns) { return Time(ns); }
-  static constexpr Time Max() { return Time(std::numeric_limits<int64_t>::max()); }
 
   constexpr int64_t nanoseconds() const { return ns_; }
   constexpr double ToSecondsF() const { return static_cast<double>(ns_) / 1e9; }

@@ -162,18 +162,6 @@ sim::Task MerkleBlockDevice::ReadBackingSector(uint64_t sector, crypto::Bytes* o
   co_await backing_->ReadSectors(sector, 1, out);
 }
 
-int MerkleBlockDevice::LevelOfSector(uint64_t sector) const {
-  for (int level = geometry_.levels() - 1; level >= 0; --level) {
-    if (sector >= geometry_.level_offsets[static_cast<size_t>(level)]) {
-      return sector < geometry_.level_offsets[static_cast<size_t>(level)] +
-                          geometry_.level_nodes[static_cast<size_t>(level)]
-                 ? level
-                 : -1;
-    }
-  }
-  return -1;
-}
-
 void MerkleBlockDevice::InsertCache(uint64_t sector, crypto::Bytes data, bool dirty) {
   CacheEntry& entry = cache_[sector];
   entry.data = std::move(data);

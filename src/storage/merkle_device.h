@@ -161,9 +161,6 @@ class MerkleBlockDevice : public BlockDevice {
 
   void InsertCache(uint64_t sector, crypto::Bytes data, bool dirty);
   void EvictCleanOverflow();
-  // Maps a cache sector number back to its hash-tree level, or -1 for a
-  // data sector.
-  int LevelOfSector(uint64_t sector) const;
 
   sim::Simulation& sim_;
   BlockDevice* backing_;

@@ -25,12 +25,6 @@ int ObjectStore::PrimaryOsdFor(ObjectId id) const {
   return static_cast<int>(h % static_cast<uint64_t>(config_.num_osd_hosts));
 }
 
-double ObjectStore::aggregate_bandwidth() const {
-  return config_.spindle_bandwidth_bytes_per_second *
-         static_cast<double>(config_.spindles_per_host) *
-         static_cast<double>(config_.num_osd_hosts);
-}
-
 sim::Task ObjectStore::ReadObject(ObjectId id, uint64_t bytes) {
   assert(bytes <= config_.object_size);
   co_await sim::Delay(sim_, config_.op_latency);

@@ -63,7 +63,6 @@ class ObjectStore {
 
   int PrimaryOsdFor(ObjectId id) const;
   net::SharedResource& osd_resource(int host) { return *osds_[static_cast<size_t>(host)]; }
-  double aggregate_bandwidth() const;
 
  private:
   sim::Simulation& sim_;

@@ -4,9 +4,12 @@
 // steady-state Endpoint::Send — message boxing, the send coroutine's
 // frame, the NIC demand list, resource jobs, the scheduler record, and
 // delivery into the receiver's inbox — touches the global allocator
-// exactly zero times.  This binary replaces ::operator new/delete with
-// counting shims and asserts that a measured send burst performs no
-// allocations at all, not "few".
+// exactly zero times.  The same holds for a frame the sharded runtime
+// routes between racks: the route phase schedules it on the destination
+// rack as an inline event.  This binary replaces ::operator new/delete
+// with counting shims and asserts that a measured send burst, and a
+// measured run of rack-to-rack traffic, perform no allocations at all,
+// not "few".
 
 #include <gtest/gtest.h>
 
@@ -15,6 +18,7 @@
 #include <new>
 
 #include "src/net/network.h"
+#include "src/sim/shard.h"
 #include "src/sim/simulation.h"
 #include "src/sim/task.h"
 
@@ -108,3 +112,52 @@ TEST(SendPathAllocTest, SteadyStateSendsAreAllocationFree) {
 
 }  // namespace
 }  // namespace bolted::net
+
+namespace bolted::sim {
+namespace {
+
+TEST(ShardRouteAllocTest, SteadyStateRoutedFramesAreAllocationFree) {
+  ShardOptions options;
+  options.racks = 4;
+  options.shards = 2;
+  options.workers = 1;
+  ShardedFleet fleet(options);
+
+  // Every delivered frame goes on to the next rack until its hop budget
+  // (payload0) runs out, so each run routes racks * (hops + 1) frames and
+  // crosses both shard pairs.
+  uint64_t delivered = 0;
+  fleet.set_frame_handler(
+      [&fleet, &delivered](Rack& rack, const CrossShardFrame& frame) {
+        ++delivered;
+        if (frame.payload0 > 0) {
+          rack.Send((rack.index() + 1) % fleet.num_racks(), fleet.lookahead(),
+                    frame.kind, frame.bytes, frame.payload0 - 1);
+        }
+      });
+  constexpr uint64_t kHops = 999;
+  const auto bounce = [&] {
+    for (uint32_t r = 0; r < fleet.num_racks(); ++r) {
+      fleet.rack(r).Send((r + 1) % fleet.num_racks(), fleet.lookahead(),
+                         /*kind=*/1, /*bytes=*/64, kHops);
+    }
+    fleet.Run();
+  };
+
+  // Warm-up sizes the mailboxes, the route buffers and every rack's
+  // scheduler record pool for exactly the traffic measured next.
+  bounce();
+  ASSERT_EQ(delivered, 4 * (kHops + 1));
+
+  const uint64_t before = g_allocations;
+  bounce();
+  const uint64_t during = g_allocations - before;
+
+  EXPECT_EQ(delivered, 8 * (kHops + 1));
+  EXPECT_EQ(during, 0u) << "routing " << 4 * (kHops + 1)
+                        << " steady-state frames performed " << during
+                        << " heap allocations";
+}
+
+}  // namespace
+}  // namespace bolted::sim

@@ -477,16 +477,16 @@ TEST(FleetTest, StaleAikCannotValidateReRegisteredNode) {
   fleet.sim.Spawn(rereg());
   fleet.sim.Run();
   ASSERT_TRUE(ok);
-  fleet.verifier.InvalidateKeyCache(fleet.names[0]);
 
+  // Nobody tells the verifier: its key cache keys on the registrar's wire
+  // bytes, so the new AIK misses on its own and is re-prepared.
   const uint64_t misses_before = fleet.verifier.aik_cache_misses();
   auto second = fleet.Poll();
   EXPECT_TRUE(second[0].passed) << second[0].failure;
-  // The re-registered key had to be re-prepared from the new wire bytes.
   EXPECT_GT(fleet.verifier.aik_cache_misses(), misses_before);
 
   // Negative: a quote from the NEW AIK must not validate against the
-  // STALE prepared key — neither one-shot nor through the batch path.
+  // STALE prepared key — neither alone nor through the batch path.
   const tpm::Quote quote =
       fleet.machines[0]->tpm().MakeQuote(crypto::ToBytes("fresh-nonce"), 1);
   EXPECT_FALSE(tpm::Tpm::VerifyQuote(quote, *stale_prepared));

@@ -6,14 +6,15 @@
 // digest, same pending() count after every step.  Both queues run under
 // one small test kernel (Kernel below) through identical operation
 // sequences: fixed scripts for the edge cases (same-instant batches,
-// far-future spill, cancel storms), a seeded randomized driver that
-// schedules and cancels from inside running events the way live protocol
-// code does, and a lockstep driver that interleaves peeks and pops the
-// way windowed (sharded) execution does.
+// far-future events on the top wheel levels, cancel storms), a seeded
+// randomized driver that schedules and cancels from inside running events
+// the way live protocol code does, and lockstep drivers that interleave
+// peeks and pops the way windowed (sharded) execution does.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <set>
 #include <string>
@@ -32,7 +33,9 @@ namespace {
 
 using oracle::ReferenceScheduler;
 
-constexpr int64_t kWheelHorizonNs = int64_t{1} << 48;  // one wheel epoch
+// From a cursor at 0, the first instant on wheel level 8; levels 8-10
+// hold everything from here to INT64_MAX.
+constexpr int64_t kTopLevelsNs = int64_t{1} << 48;
 
 // The slice of sim::Simulation a queue is observable through — a clock, a
 // kernel-issued seq counter, a seeded Rng, and the (when, seq) trace
@@ -169,19 +172,19 @@ TEST(SchedulerEquivalence, SameInstantBatchesFireInInsertionOrder) {
 
 TEST(SchedulerEquivalence, FarFutureEventsCascadeThroughEveryLevel) {
   ExpectEquivalent(2, [](auto& sim, RunLog& log) {
-    // One event per wheel level boundary, plus several past the 2^48 ns
-    // horizon (the spill heap), plus multi-epoch stragglers.
+    // One event per boundary of levels 0-7, plus several past 2^48 ns on
+    // level 8, plus stragglers several 2^48 ns spans further out.
     for (int level = 0; level < 8; ++level) {
       const int64_t span = int64_t{1} << (6 * level);
       Probe(sim, log, Duration::Nanoseconds(span - 1), 1000 + static_cast<uint64_t>(level));
       Probe(sim, log, Duration::Nanoseconds(span), 2000 + static_cast<uint64_t>(level));
       Probe(sim, log, Duration::Nanoseconds(span + 1), 3000 + static_cast<uint64_t>(level));
     }
-    Probe(sim, log, Duration::Nanoseconds(kWheelHorizonNs - 1), 4000);
-    Probe(sim, log, Duration::Nanoseconds(kWheelHorizonNs), 4001);
-    Probe(sim, log, Duration::Nanoseconds(kWheelHorizonNs + 1), 4002);
-    Probe(sim, log, Duration::Nanoseconds(3 * kWheelHorizonNs + 12345), 4003);
-    Probe(sim, log, Duration::Nanoseconds(7 * kWheelHorizonNs), 4004);
+    Probe(sim, log, Duration::Nanoseconds(kTopLevelsNs - 1), 4000);
+    Probe(sim, log, Duration::Nanoseconds(kTopLevelsNs), 4001);
+    Probe(sim, log, Duration::Nanoseconds(kTopLevelsNs + 1), 4002);
+    Probe(sim, log, Duration::Nanoseconds(3 * kTopLevelsNs + 12345), 4003);
+    Probe(sim, log, Duration::Nanoseconds(7 * kTopLevelsNs), 4004);
   });
 }
 
@@ -273,9 +276,9 @@ class FuzzDriver {
         return Duration::Nanoseconds(
             static_cast<int64_t>(sim_.rng().NextBelow(uint64_t{1} << 40)));
       default:
-        // Past the wheel horizon: spill heap, multiple epochs out.
+        // Past 2^48 ns: level 8, several 2^48 ns spans out.
         return Duration::Nanoseconds(
-            kWheelHorizonNs +
+            kTopLevelsNs +
             static_cast<int64_t>(sim_.rng().NextBelow(uint64_t{3} << 48)));
     }
   }
@@ -294,8 +297,8 @@ class FuzzDriver {
     log_.fired.push_back(Fired{sim_.now().nanoseconds(), tag});
     log_.pending_at_fire.push_back(sim_.pending_events());
     // Respawn, and sometimes cancel a random tracked id — which may be
-    // live anywhere in the wheel or spill, already fired, or already
-    // cancelled.  All must be handled identically.
+    // live anywhere in the wheel, already fired, or already cancelled.
+    // All must be handled identically.
     SpawnOne();
     if (sim_.rng().NextBelow(4) == 0 && !tracked_.empty()) {
       sim_.Cancel(tracked_[sim_.rng().NextBelow(tracked_.size())]);
@@ -330,8 +333,8 @@ TEST(SchedulerEquivalence, RandomizedOperationStreams) {
 }
 
 // Delays for the lockstep driver: pile-ups on the draining instant and on
-// nearby instants (so cancels can land inside a same-instant batch), every
-// wheel level, and the spill beyond the wheel horizon.
+// nearby instants (so cancels can land inside a same-instant batch), and
+// every wheel level up to level 8 past 2^48 ns.
 Duration LockstepDelay(Rng& rng) {
   switch (rng.NextBelow(6)) {
     case 0:
@@ -348,7 +351,7 @@ Duration LockstepDelay(Rng& rng) {
           static_cast<int64_t>(rng.NextBelow(uint64_t{1} << 40)));
     default:
       return Duration::Nanoseconds(
-          kWheelHorizonNs +
+          kTopLevelsNs +
           static_cast<int64_t>(rng.NextBelow(uint64_t{3} << 48)));
   }
 }
@@ -496,6 +499,80 @@ TEST(SchedulerEquivalence, PeekAndPopAgreeUnderInterleavedOperations) {
   EXPECT_GT(windows, 0u);
 }
 
+// Levels 9 and 10 see no traffic above, and level 10, whose parent window
+// is all of time, is the one the placement and cascade arithmetic treat
+// specially.  From a cursor at 0 and one just below 2^60 (the last instant
+// of level 10's slot 0), both queues must peek and pop the same extreme
+// instants in lockstep: a pair sharing INT64_MAX, and a cancelled event
+// alone in its level-10 slot.
+TEST(SchedulerEquivalence, TopLevelsReachTheEndOfTime) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  const int64_t targets[] = {kTopLevelsNs - 1,       kTopLevelsNs,
+                             int64_t{1} << 54,       (int64_t{1} << 60) + 7,
+                             int64_t{1} << 62,       kMax - 1,
+                             kMax,                   kMax};
+  for (const int64_t cursor : {int64_t{0}, (int64_t{1} << 60) - 1}) {
+    SCOPED_TRACE("cursor " + std::to_string(cursor));
+    WheelKernel wheel(11);
+    ReferenceKernel heap(11);
+    std::vector<Fired> wheel_fired;
+    std::vector<Fired> heap_fired;
+    const auto schedule = [&](int64_t at, uint64_t tag) {
+      const Duration delay = Time::FromNanoseconds(at) - wheel.now();
+      return std::pair{
+          wheel.Schedule(delay,
+                         [&wheel, &wheel_fired, tag] {
+                           wheel_fired.push_back(
+                               Fired{wheel.now().nanoseconds(), tag});
+                         }),
+          heap.Schedule(delay, [&heap, &heap_fired, tag] {
+            heap_fired.push_back(Fired{heap.now().nanoseconds(), tag});
+          })};
+    };
+    // Park both clocks, and the wheel's cursor, on `cursor`.
+    schedule(cursor, 0);
+    ASSERT_TRUE(wheel.Step());
+    ASSERT_TRUE(heap.Step());
+    wheel_fired.clear();
+    heap_fired.clear();
+
+    // targets ascend, so `expected` is already in (when, seq) order.
+    std::vector<Fired> expected;
+    uint64_t tag = 1;
+    for (const int64_t at : targets) {
+      if (at >= cursor) {
+        schedule(at, tag);
+        expected.push_back(Fired{at, tag});
+      }
+      ++tag;
+    }
+    const auto [wheel_id, heap_id] = schedule(int64_t{1} << 61, tag);
+    wheel.Cancel(wheel_id);
+    heap.Cancel(heap_id);
+
+    for (size_t i = 0; i < expected.size(); ++i) {
+      Time w;
+      Time h;
+      ASSERT_TRUE(wheel.PeekNextTime(&w)) << "pop #" << i;
+      ASSERT_TRUE(heap.PeekNextTime(&h)) << "pop #" << i;
+      EXPECT_EQ(w.nanoseconds(), expected[i].when_ns) << "pop #" << i;
+      EXPECT_EQ(h.nanoseconds(), expected[i].when_ns) << "pop #" << i;
+      EXPECT_EQ(wheel.pending_events(), expected.size() - i);
+      EXPECT_EQ(heap.pending_events(), expected.size() - i);
+      ASSERT_TRUE(wheel.Step());
+      ASSERT_TRUE(heap.Step());
+    }
+    Time none;
+    EXPECT_FALSE(wheel.PeekNextTime(&none));
+    EXPECT_FALSE(heap.PeekNextTime(&none));
+    EXPECT_FALSE(wheel.Step());
+    EXPECT_FALSE(heap.Step());
+    EXPECT_EQ(wheel_fired, expected);
+    EXPECT_EQ(heap_fired, expected);
+    EXPECT_EQ(wheel.trace_digest(), heap.trace_digest());
+  }
+}
+
 TEST(SchedulerContract, EventIdsAreNeverZeroAndCancelIsIdempotent) {
   const auto check = [](auto& sim) {
     std::vector<EventId> ids;
@@ -523,7 +600,7 @@ TEST(SchedulerContract, PendingTracksLiveEventsExactly) {
     EXPECT_EQ(sim.pending_events(), 0u);
     const EventId a = sim.Schedule(Duration::Seconds(1), []() {});
     const EventId b = sim.Schedule(Duration::Seconds(2), []() {});
-    sim.Schedule(Duration::Nanoseconds(kWheelHorizonNs * 2), []() {});  // spill
+    sim.Schedule(Duration::Nanoseconds(kTopLevelsNs * 2), []() {});  // level 8
     EXPECT_EQ(sim.pending_events(), 3u);
     sim.Cancel(a);
     EXPECT_EQ(sim.pending_events(), 2u);
