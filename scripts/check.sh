@@ -2,24 +2,27 @@
 # Tier-1 verification plus optional sanitizer and bench-smoke passes.
 #
 #   scripts/check.sh          # plain build + full test suite
+#   scripts/check.sh --no-obs # additionally build/test with -DBOLTED_OBS=OFF
 #   scripts/check.sh --asan   # additionally build/test with ASan + UBSan
 #   scripts/check.sh --tsan   # additionally build/run the sharding suite under TSan
 #   scripts/check.sh --bench  # additionally smoke-run the JSON bench runners
 #   scripts/check.sh --scenario  # additionally run the full 16-seed scenario soak
 #
-# Flags combine (e.g. `scripts/check.sh --asan --bench`).  The sanitizer
-# builds live in build-asan/ and build-tsan/ so they never disturb the
-# regular build tree (benchmarks must not run instrumented).
+# Flags combine (e.g. `scripts/check.sh --asan --bench`).  The extra
+# builds live in build-noobs/, build-asan/ and build-tsan/ so they never
+# disturb the regular build tree (benchmarks must not run instrumented).
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+want_noobs=0
 want_asan=0
 want_tsan=0
 want_bench=0
 want_scenario=0
 for arg in "$@"; do
   case "${arg}" in
+    --no-obs) want_noobs=1 ;;
     --asan) want_asan=1 ;;
     --tsan) want_tsan=1 ;;
     --bench) want_bench=1 ;;
@@ -35,8 +38,9 @@ run_suite() {
   local build_dir="$1"
   shift
   cmake -B "${build_dir}" -S . "$@"
-  cmake --build "${build_dir}" -j
-  ctest --test-dir "${build_dir}" --output-on-failure -j "$(nproc)"
+  cmake --build "${build_dir}" -j "$(nproc)"
+  ctest --test-dir "${build_dir}" --output-on-failure -j "$(nproc)" \
+    --no-tests=error
 }
 
 # One implementation per mechanism in production code: src/ reads no
@@ -121,6 +125,14 @@ ctest --test-dir build --output-on-failure --no-tests=error -L storage-integrity
 echo "== tier-1: switch fast-path + pcap suite (ctest -L net) =="
 ctest --test-dir build --output-on-failure --no-tests=error -L net
 
+# BOLTED_OBS=OFF compiles every instrumentation site away; the whole suite
+# must pass without it (tests that read obs counters gate those checks on
+# BOLTED_OBS), so the option cannot rot unbuilt.
+if [[ "${want_noobs}" == 1 ]]; then
+  echo "== obs compiled out: -DBOLTED_OBS=OFF =="
+  run_suite build-noobs -DBOLTED_OBS=OFF
+fi
+
 if [[ "${want_asan}" == 1 ]]; then
   echo "== sanitizers: ASan + UBSan =="
   run_suite build-asan -DBOLTED_SANITIZE=ON
@@ -168,7 +180,7 @@ if [[ "${want_tsan}" == 1 ]]; then
   # pool (plus a multi-threaded fleet_sharding sweep for the window loop
   # at scale); the attestation legs below drive the tickets.
   cmake -B build-tsan -S . -DBOLTED_SANITIZE=thread
-  cmake --build build-tsan -j --target sharding_test fleet_sharding \
+  cmake --build build-tsan -j "$(nproc)" --target sharding_test fleet_sharding \
     net_fastpath_test scenario_soak_test attestation_batch_test tpm_test \
     keylime_test fleet_attestation
   ./build-tsan/tests/sharding_test

@@ -1,6 +1,6 @@
 #include "src/bmi/bmi.h"
 
-#include "src/net/wire.h"
+#include "src/crypto/wire.h"
 
 namespace bolted::bmi {
 
@@ -79,7 +79,7 @@ std::optional<Artifact> BmiService::FindArtifact(const std::string& name) const 
 
 sim::Task BmiService::HandleFetch(const net::Message& request,
                                   net::Message* response) {
-  net::WireReader reader(request.payload);
+  crypto::WireReader reader(request.payload);
   const std::string name = reader.Str();
   const auto artifact = FindArtifact(name);
   if (!reader.AtEnd() || !artifact) {
@@ -91,7 +91,7 @@ sim::Task BmiService::HandleFetch(const net::Message& request,
                                   static_cast<double>(artifact->bytes) / http_rate_));
   }
   response->payload =
-      net::WireWriter().U64(artifact->bytes).Digest(artifact->digest).Take();
+      crypto::WireWriter().U64(artifact->bytes).Digest(artifact->digest).Take();
   response->wire_bytes = artifact->bytes;  // the artifact body itself
 }
 
@@ -108,7 +108,7 @@ const storage::ChunkManifest* BmiService::FindChunkManifest(
 
 sim::Task BmiService::HandleManifest(const net::Message& request,
                                      net::Message* response) {
-  net::WireReader reader(request.payload);
+  crypto::WireReader reader(request.payload);
   const std::string image = reader.Str();
   const storage::ChunkManifest* manifest =
       reader.AtEnd() ? FindChunkManifest(image) : nullptr;
@@ -126,14 +126,14 @@ sim::Task FetchArtifact(net::RpcNode& rpc, net::Address service,
   *ok = false;
   net::Message request;
   request.kind = std::string(kRpcFetchArtifact);
-  request.payload = net::WireWriter().Str(name).Take();
+  request.payload = crypto::WireWriter().Str(name).Take();
   net::Message response;
   bool rpc_ok = false;
   co_await rpc.Call(service, std::move(request), &response, &rpc_ok);
   if (!rpc_ok || response.kind == "prov.error") {
     co_return;
   }
-  net::WireReader reader(response.payload);
+  crypto::WireReader reader(response.payload);
   *bytes = reader.U64();
   *digest = reader.Digest();
   *ok = reader.AtEnd();
@@ -145,7 +145,7 @@ sim::Task FetchChunkManifest(net::RpcNode& rpc, net::Address service,
   *ok = false;
   net::Message request;
   request.kind = std::string(net::kRpcChunkManifest);
-  request.payload = net::WireWriter().Str(image).Take();
+  request.payload = crypto::WireWriter().Str(image).Take();
   net::Message response;
   bool rpc_ok = false;
   co_await rpc.Call(service, std::move(request), &response, &rpc_ok);

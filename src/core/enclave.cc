@@ -2,7 +2,7 @@
 
 #include "src/bmi/bmi.h"
 #include "src/crypto/ecies.h"
-#include "src/net/wire.h"
+#include "src/crypto/wire.h"
 #include "src/obs/obs.h"
 
 namespace bolted::core {
@@ -19,13 +19,14 @@ constexpr sim::Duration kFetchRetryBackoff = sim::Duration::Seconds(2);
 constexpr int kMaxAttestAttempts = 3;
 constexpr sim::Duration kAttestRetryBackoff = sim::Duration::Seconds(5);
 
-bool TransientProvisionFailure(const std::string& failure) {
-  return failure == "agent download failed" || failure == "registration failed" ||
-         failure == "U-half delivery failed" ||
-         keylime::IsTransientFailure(failure);
-}
-
 }  // namespace
+
+bool IsTransientProvisionFailure(std::string_view failure) {
+  return failure == "agent download failed" || failure == "registration failed" ||
+         failure == "U-half delivery failed" || failure == "iPXE download failed" ||
+         failure == "LinuxBoot download failed" || failure == "kernel download failed" ||
+         failure == "node unavailable" || keylime::IsTransientFailure(failure);
+}
 
 Enclave::Enclave(Cloud& cloud, std::string project, TrustProfile profile,
                  uint64_t seed)
@@ -209,13 +210,47 @@ sim::Task Enclave::EnterAirlock(const std::string& node, NodeRuntime& rt) {
   rt.state = NodeState::kAirlock;
 }
 
-sim::Task Enclave::LeaveAirlockToEnclave(const std::string& node, NodeRuntime& rt) {
-  hil::Hil& hil = cloud_.hil();
+void Enclave::DismantleAirlock(const std::string& node, NodeRuntime& rt) {
   for (const net::Address service : ServiceAddresses()) {
     cloud_.UnbridgeServiceFromVlan(service, rt.airlock_vlan);
   }
-  hil.DetachNodeFromNetwork(project_, node, rt.airlock_name);
-  hil.DeleteNetwork(project_, rt.airlock_name);
+  cloud_.hil().DetachNodeFromNetwork(project_, node, rt.airlock_name);
+  cloud_.hil().DeleteNetwork(project_, rt.airlock_name);
+}
+
+void Enclave::DeregisterFromVerifier(const std::string& node) {
+  if (profile_.use_attestation) {
+    verifier_->StopContinuous(node);
+    verifier_->RemoveNode(node);
+  }
+}
+
+void Enclave::ParkAgentAndFetcher(NodeRuntime& rt) {
+  if (rt.agent != nullptr) {
+    rt.agent->AttachIma(nullptr);
+    retired_agents_.push_back(std::move(rt.agent));
+  }
+  if (rt.fetcher != nullptr) {
+    retired_fetchers_.push_back(std::move(rt.fetcher));
+  }
+}
+
+sim::Task Enclave::FetchWithRetry(machine::Machine& machine, std::string artifact,
+                                  crypto::Digest* digest, bool* ok) {
+  uint64_t bytes = 0;
+  *ok = false;
+  for (int attempt = 1; attempt <= kMaxFetchAttempts && !*ok; ++attempt) {
+    if (attempt > 1) {
+      co_await sim::Delay(cloud_.sim(), kFetchRetryBackoff * (attempt - 1));
+    }
+    co_await bmi::FetchArtifact(machine.rpc(), cloud_.bmi().address(), artifact, digest,
+                                &bytes, ok);
+  }
+}
+
+sim::Task Enclave::LeaveAirlockToEnclave(const std::string& node, NodeRuntime& rt) {
+  hil::Hil& hil = cloud_.hil();
+  DismantleAirlock(node, rt);
   hil.ConnectNodeToNetwork(project_, node, project_ + std::string(kEnclaveNetSuffix));
   // Data path to BMI (iSCSI) and, when attesting, the verifier's path to
   // the agent for continuous attestation.
@@ -228,13 +263,8 @@ sim::Task Enclave::LeaveAirlockToEnclave(const std::string& node, NodeRuntime& r
 
 sim::Task Enclave::RejectNode(const std::string& node, NodeRuntime& rt,
                               const std::string& reason, ProvisionOutcome* outcome) {
-  hil::Hil& hil = cloud_.hil();
-  for (const net::Address service : ServiceAddresses()) {
-    cloud_.UnbridgeServiceFromVlan(service, rt.airlock_vlan);
-  }
-  hil.DetachNodeFromNetwork(project_, node, rt.airlock_name);
-  hil.DeleteNetwork(project_, rt.airlock_name);
-  hil.ConnectNodeToNetwork(project_, node, "bolted-rejected");
+  DismantleAirlock(node, rt);
+  cloud_.hil().ConnectNodeToNetwork(project_, node, "bolted-rejected");
   co_await sim::Delay(cloud_.sim(), cloud_.cal().switch_reconfig_time);
   rt.state = NodeState::kRejected;
   obs::Count(cloud_.sim(), "enclave.provision_reject");
@@ -244,24 +274,9 @@ sim::Task Enclave::RejectNode(const std::string& node, NodeRuntime& rt,
   // so a rejection never leaks verifier entries, payload splits, or image
   // clones.  The machine itself stays powered in the rejected pool for
   // examination (§4) until ReleaseNode reclaims it.
-  if (profile_.use_attestation) {
-    verifier_->StopContinuous(node);
-    verifier_->RemoveNode(node);
-  }
+  DeregisterFromVerifier(node);
   splits_.erase(node);
-  // The agent's RPC handlers (and any in-flight handler coroutine stuck on
-  // a TPM delay) hold raw pointers to it, so it is parked rather than
-  // destroyed; the next provisioning of this machine replaces the handlers.
-  // Its IMA log dies with rt.ima below, so detach it first — a quote
-  // already in flight then reports an empty list instead of reading freed
-  // memory.
-  if (rt.agent != nullptr) {
-    rt.agent->AttachIma(nullptr);
-    retired_agents_.push_back(std::move(rt.agent));
-  }
-  if (rt.fetcher != nullptr) {
-    retired_fetchers_.push_back(std::move(rt.fetcher));
-  }
+  ParkAgentAndFetcher(rt);
   rt.ima.reset();
   rt.merkle.reset();
   rt.crypt.reset();
@@ -287,7 +302,7 @@ sim::Task Enclave::DeliverUHalf(const std::string& node, NodeRuntime& rt, bool* 
   const crypto::Bytes sealed_u = crypto::EciesSeal(keys->nk, split.u_half, drbg_);
   net::Message message;
   message.kind = std::string(keylime::kRpcDeliverU);
-  message.payload = net::WireWriter().Blob(sealed_u).Take();
+  message.payload = crypto::WireWriter().Blob(sealed_u).Take();
   net::Message response;
   bool rpc_ok = false;
   co_await controller_.Call(rt.machine->address(), std::move(message), &response,
@@ -295,7 +310,7 @@ sim::Task Enclave::DeliverUHalf(const std::string& node, NodeRuntime& rt, bool* 
   if (!rpc_ok) {
     co_return;
   }
-  net::WireReader reader(response.payload);
+  crypto::WireReader reader(response.payload);
   *ok = reader.U32() == 1 && reader.AtEnd();
 }
 
@@ -529,17 +544,9 @@ sim::Task Enclave::ProvisionNode(const std::string& node, ProvisionOutcome* outc
     co_return;
   }
   NodeRuntime& rt = nodes_[node];
-  if (rt.agent != nullptr) {
-    // Left over from a prior life of this node (e.g. a violation without a
-    // release): park it, handlers may still reference it.  The runtime —
-    // including the IMA log the agent points at — is replaced below, so
-    // detach the log before parking.
-    rt.agent->AttachIma(nullptr);
-    retired_agents_.push_back(std::move(rt.agent));
-  }
-  if (rt.fetcher != nullptr) {
-    retired_fetchers_.push_back(std::move(rt.fetcher));
-  }
+  // An agent or fetcher left over from a prior life of this node (e.g. a
+  // violation without a release) is parked before the runtime is replaced.
+  ParkAgentAndFetcher(rt);
   rt = NodeRuntime{};
   rt.machine = machine;
 
@@ -554,15 +561,8 @@ sim::Task Enclave::ProvisionNode(const std::string& node, ProvisionOutcome* outc
     // Vendor UEFI path: PXE -> measured iPXE -> download + measure the
     // Heads/LinuxBoot runtime -> boot it.
     crypto::Digest digest{};
-    uint64_t bytes = 0;
     bool ok = false;
-    for (int attempt = 1; attempt <= kMaxFetchAttempts && !ok; ++attempt) {
-      if (attempt > 1) {
-        co_await sim::Delay(sim, kFetchRetryBackoff * (attempt - 1));
-      }
-      co_await bmi::FetchArtifact(machine->rpc(), cloud_.bmi().address(), "ipxe",
-                                  &digest, &bytes, &ok);
-    }
+    co_await FetchWithRetry(*machine, "ipxe", &digest, &ok);
     if (!ok) {
       co_await RejectNode(node, rt, "iPXE download failed", outcome);
       co_return;
@@ -570,14 +570,7 @@ sim::Task Enclave::ProvisionNode(const std::string& node, ProvisionOutcome* outc
     machine->MeasureIntoPcr(tpm::kPcrBootloader, digest, "ipxe");
     trace.Mark("PXE/iPXE");
 
-    ok = false;
-    for (int attempt = 1; attempt <= kMaxFetchAttempts && !ok; ++attempt) {
-      if (attempt > 1) {
-        co_await sim::Delay(sim, kFetchRetryBackoff * (attempt - 1));
-      }
-      co_await bmi::FetchArtifact(machine->rpc(), cloud_.bmi().address(),
-                                  "heads-runtime", &digest, &bytes, &ok);
-    }
+    co_await FetchWithRetry(*machine, "heads-runtime", &digest, &ok);
     if (!ok) {
       co_await RejectNode(node, rt, "LinuxBoot download failed", outcome);
       co_return;
@@ -610,7 +603,7 @@ sim::Task Enclave::ProvisionNode(const std::string& node, ProvisionOutcome* outc
           co_await sim::Delay(sim, kAttestRetryBackoff * (attempt - 1));
         }
         co_await AttestInAirlock(node, rt, &ok, &failure);
-        if (ok || !TransientProvisionFailure(failure)) {
+        if (ok || !IsTransientProvisionFailure(failure)) {
           break;
         }
       }
@@ -623,15 +616,8 @@ sim::Task Enclave::ProvisionNode(const std::string& node, ProvisionOutcome* outc
   } else {
     // Alice: fetch the kernel straight from the provisioning service.
     crypto::Digest digest{};
-    uint64_t bytes = 0;
     bool ok = false;
-    for (int attempt = 1; attempt <= kMaxFetchAttempts && !ok; ++attempt) {
-      if (attempt > 1) {
-        co_await sim::Delay(sim, kFetchRetryBackoff * (attempt - 1));
-      }
-      co_await bmi::FetchArtifact(machine->rpc(), cloud_.bmi().address(),
-                                  project_ + "-kernel-zip", &digest, &bytes, &ok);
-    }
+    co_await FetchWithRetry(*machine, project_ + "-kernel-zip", &digest, &ok);
     if (!ok) {
       co_await RejectNode(node, rt, "kernel download failed", outcome);
       co_return;
@@ -662,21 +648,9 @@ sim::Task Enclave::ReleaseNode(const std::string& node, bool keep_snapshot) {
     co_return;
   }
   NodeRuntime& rt = it->second;
-  if (profile_.use_attestation) {
-    verifier_->StopContinuous(node);
-    verifier_->RemoveNode(node);
-  }
+  DeregisterFromVerifier(node);
   splits_.erase(node);
-  if (rt.agent != nullptr) {
-    // The parked agent outlives this runtime (in-flight RPC handlers hold
-    // raw pointers to it), but the IMA log it points at dies with the
-    // nodes_.erase below — detach so a late quote serves an empty list.
-    rt.agent->AttachIma(nullptr);
-    retired_agents_.push_back(std::move(rt.agent));
-  }
-  if (rt.fetcher != nullptr) {
-    retired_fetchers_.push_back(std::move(rt.fetcher));
-  }
+  ParkAgentAndFetcher(rt);
   if (rt.image != 0) {
     cloud_.bmi().ReleaseNodeImage(node, keep_snapshot);
   }

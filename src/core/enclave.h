@@ -21,6 +21,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/core/cloud.h"
@@ -59,6 +60,13 @@ struct TrustProfile {
 };
 
 enum class NodeState { kFree, kAirlock, kAllocated, kRejected };
+
+// The transient half of provisioning failures: the fabric's weather (lost
+// frames, an unreachable service, a node that went away), which a retry
+// or a later attempt can cure.  Everything else is integrity evidence —
+// bad measurements, an EK mismatch — and is never retried.  Folds in the
+// verifier's own list, keylime::IsTransientFailure.
+bool IsTransientProvisionFailure(std::string_view failure);
 
 struct ProvisionOutcome {
   bool success = false;
@@ -137,6 +145,23 @@ class Enclave {
   std::vector<net::Address> ServiceAddresses() const;
   keylime::Whitelist BuildWhitelist() const;
   sim::Task EnterAirlock(const std::string& node, NodeRuntime& rt);
+  // Unbridges the services from the node's airlock VLAN, takes the node
+  // off it and deletes it.
+  void DismantleAirlock(const std::string& node, NodeRuntime& rt);
+  // Stops continuous attestation of the node and drops it from the
+  // verifier (no-op without attestation).
+  void DeregisterFromVerifier(const std::string& node);
+  // Parks the runtime's agent and chunk fetcher: in-flight RPC handlers
+  // hold raw pointers to them, so they outlive the runtime.  The agent's
+  // IMA log dies with the runtime, so it is detached first — a quote
+  // already in flight then reports an empty list instead of reading freed
+  // memory.
+  void ParkAgentAndFetcher(NodeRuntime& rt);
+  // Downloads a BMI artifact, retrying failed fetches with a growing
+  // backoff.  The artifact name is taken by value: the coroutine outlives
+  // the caller's temporaries.
+  sim::Task FetchWithRetry(machine::Machine& machine, std::string artifact,
+                           crypto::Digest* digest, bool* ok);
   sim::Task LeaveAirlockToEnclave(const std::string& node, NodeRuntime& rt);
   sim::Task RejectNode(const std::string& node, NodeRuntime& rt,
                        const std::string& reason, ProvisionOutcome* outcome);

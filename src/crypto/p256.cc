@@ -8,12 +8,9 @@
 namespace bolted::crypto {
 namespace {
 
+using field::Fn;
 using field::Fp;
 
-constexpr std::string_view kPrimeHex =
-    "ffffffff00000001000000000000000000000000ffffffffffffffffffffffff";
-constexpr std::string_view kOrderHex =
-    "ffffffff00000000ffffffffffffffffbce6faada7179e84f3b9cac2fc632551";
 constexpr std::string_view kBHex =
     "5ac635d8aa3a93e7b3ebbd55769886bc651d06b0cc53b0f63bce3c3e27d2604b";
 constexpr std::string_view kGxHex =
@@ -36,13 +33,12 @@ constexpr int kNafDigits = 257;
 // compiled into this TU so it inlines under the ladder's optimization
 // flags.  a = xR; ModInverseOdd yields x^-1 R^-1, and two products by R^2
 // land on x^-1 R.
-U256 InvMontFp(const U256& a, const U256& r2) {
-  return Fp::Mul(Fp::Mul(ModInverseOdd(a, Fp::Modulus()), r2), r2);
+U256 InvMontFp(const U256& a) {
+  return Fp::Mul(Fp::Mul(ModInverseOdd(a, Fp::Modulus()), Fp::R2()), Fp::R2());
 }
 
-U256 InvMontFn(const U256& a, const U256& r2) {
-  using field::Fn;
-  return Fn::Mul(Fn::Mul(ModInverseOdd(a, Fn::Modulus()), r2), r2);
+U256 InvMontFn(const U256& a) {
+  return Fn::Mul(Fn::Mul(ModInverseOdd(a, Fn::Modulus()), Fn::R2()), Fn::R2());
 }
 
 // Recodes k into width-`width` NAF: every nonzero digit is odd with
@@ -136,18 +132,12 @@ const P256& P256::Instance() {
 }
 
 P256::P256()
-    : p_(U256::FromHexString(kPrimeHex)),
-      n_(U256::FromHexString(kOrderHex)),
-      fp_(p_),
-      fn_(n_) {
-  b_mont_ = fp_.ToMont(U256::FromHexString(kBHex));
-  three_mont_ = fp_.ToMont(U256{{3, 0, 0, 0}});
-  g_.x = fp_.ToMont(U256::FromHexString(kGxHex));
-  g_.y = fp_.ToMont(U256::FromHexString(kGyHex));
-  g_.z = fp_.one_mont();
-  // ToMont(x) = x*R, so ToMont(R mod m) = R^2 mod m.
-  r2_fp_ = fp_.ToMont(fp_.one_mont());
-  r2_fn_ = fn_.ToMont(fn_.one_mont());
+    : p_(Fp::Modulus()), n_(Fn::Modulus()) {
+  b_mont_ = Fp::ToMont(U256::FromHexString(kBHex));
+  three_mont_ = Fp::ToMont(U256{{3, 0, 0, 0}});
+  g_.x = Fp::ToMont(U256::FromHexString(kGxHex));
+  g_.y = Fp::ToMont(U256::FromHexString(kGyHex));
+  g_.z = Fp::One();
 
   // Build the comb table: row w holds 1..4095 times 2^{12w}·G.  The rows
   // are accumulated in Jacobian coordinates and normalized to affine in
@@ -174,7 +164,7 @@ U256 P256::PrivateKeyFromSeed(ByteView seed) const {
     AppendU32(material, counter);
     const Digest d = Sha256::Hash(material);
     U256 candidate = U256::FromBytes(DigestView(d));
-    candidate = fn_.Reduce(candidate);
+    candidate = Fn::Reduce(candidate);
     if (!candidate.IsZero()) {
       return candidate;
     }
@@ -188,8 +178,8 @@ bool P256::IsOnCurve(const EcPoint& point) const {
   if (point.x >= p_ || point.y >= p_) {
     return false;
   }
-  const U256 x = fp_.ToMont(point.x);
-  const U256 y = fp_.ToMont(point.y);
+  const U256 x = Fp::ToMont(point.x);
+  const U256 y = Fp::ToMont(point.y);
   // y^2 == x^3 - 3x + b
   const U256 y2 = Fp::Sqr(y);
   const U256 x3 = Fp::Mul(Fp::Sqr(x), x);
@@ -201,7 +191,7 @@ P256::Jacobian P256::ToJacobian(const EcPoint& p) const {
   if (p.infinity) {
     return Jacobian{};
   }
-  return Jacobian{fp_.ToMont(p.x), fp_.ToMont(p.y), fp_.one_mont()};
+  return Jacobian{Fp::ToMont(p.x), Fp::ToMont(p.y), Fp::One()};
 }
 
 // --- Group law -------------------------------------------------------------
@@ -275,7 +265,7 @@ void P256::AddJacobianFast(Jacobian& p, const Jacobian& q) const {
 void P256::AddMixed(Jacobian& p, const AffineMont& q, bool negate) const {
   const U256 qy = negate ? Fp::Neg(q.y) : q.y;
   if (p.z.IsZero()) {
-    p = Jacobian{q.x, qy, fp_.one_mont()};
+    p = Jacobian{q.x, qy, Fp::One()};
     return;
   }
   // madd (Z2 = 1): 8M + 3S.
@@ -305,12 +295,12 @@ EcPoint P256::ToAffineFast(const Jacobian& p) const {
   if (p.z.IsZero()) {
     return EcPoint{U256::Zero(), U256::Zero(), /*infinity=*/true};
   }
-  const U256 z_inv = InvMontFp(p.z, r2_fp_);
+  const U256 z_inv = InvMontFp(p.z);
   const U256 z_inv2 = Fp::Sqr(z_inv);
   const U256 z_inv3 = Fp::Mul(z_inv2, z_inv);
   EcPoint out;
-  out.x = fp_.FromMont(Fp::Mul(p.x, z_inv2));
-  out.y = fp_.FromMont(Fp::Mul(p.y, z_inv3));
+  out.x = Fp::FromMont(Fp::Mul(p.x, z_inv2));
+  out.y = Fp::FromMont(Fp::Mul(p.y, z_inv3));
   return out;
 }
 
@@ -319,13 +309,13 @@ void P256::NormalizeBatch(std::span<const Jacobian> in, AffineMont* out) const {
   // product of all z's before i, so peeling the total inverse back to
   // front yields each individual z^-1 with three products per point.
   std::vector<U256> prefix(in.size());
-  U256 acc = fp_.one_mont();
+  U256 acc = Fp::One();
   for (size_t i = 0; i < in.size(); ++i) {
     assert(!in[i].z.IsZero());
     prefix[i] = acc;
     acc = Fp::Mul(acc, in[i].z);
   }
-  U256 inv = InvMontFp(acc, r2_fp_);
+  U256 inv = InvMontFp(acc);
   for (size_t i = in.size(); i-- > 0;) {
     const U256 z_inv = Fp::Mul(inv, prefix[i]);
     inv = Fp::Mul(inv, in[i].z);
@@ -440,7 +430,7 @@ EcdsaSignature P256::Sign(const U256& private_key, const Digest& message_hash) c
 
 EcdsaSignature P256::Sign(const U256& private_key, const Digest& message_hash,
                           EcPoint* r_point) const {
-  const U256 z = fn_.Reduce(U256::FromBytes(DigestView(message_hash)));
+  const U256 z = Fn::Reduce(U256::FromBytes(DigestView(message_hash)));
   const Bytes priv_bytes = private_key.ToBytes();
 
   for (uint32_t attempt = 0;; ++attempt) {
@@ -451,25 +441,25 @@ EcdsaSignature P256::Sign(const U256& private_key, const Digest& message_hash,
     Bytes nonce_input = DigestBytes(message_hash);
     AppendU32(nonce_input, attempt);
     const Digest k_digest = HmacSha256(priv_bytes, nonce_input);
-    const U256 k = fn_.Reduce(U256::FromBytes(DigestView(k_digest)));
+    const U256 k = Fn::Reduce(U256::FromBytes(DigestView(k_digest)));
     if (k.IsZero()) {
       continue;
     }
 
     const EcPoint kg = ToAffineFast(MulBaseComb(k));
-    const U256 r = fn_.Reduce(kg.x);
+    const U256 r = Fn::Reduce(kg.x);
     if (r.IsZero()) {
       continue;
     }
 
     // s = k^-1 (z + r*d) mod n, computed in the Montgomery domain of n.
-    const U256 k_mont = fn_.ToMont(k);
-    const U256 r_mont = fn_.ToMont(r);
-    const U256 d_mont = fn_.ToMont(private_key);
-    const U256 z_mont = fn_.ToMont(z);
-    const U256 sum = field::Fn::Add(z_mont, field::Fn::Mul(r_mont, d_mont));
-    const U256 s_mont = field::Fn::Mul(InvMontFn(k_mont, r2_fn_), sum);
-    const U256 s = fn_.FromMont(s_mont);
+    const U256 k_mont = Fn::ToMont(k);
+    const U256 r_mont = Fn::ToMont(r);
+    const U256 d_mont = Fn::ToMont(private_key);
+    const U256 z_mont = Fn::ToMont(z);
+    const U256 sum = Fn::Add(z_mont, Fn::Mul(r_mont, d_mont));
+    const U256 s_mont = Fn::Mul(InvMontFn(k_mont), sum);
+    const U256 s = Fn::FromMont(s_mont);
     if (s.IsZero()) {
       continue;
     }
@@ -502,11 +492,11 @@ bool P256::Verify(const PreparedKey& public_key, const Digest& message_hash,
       signature.s >= n_) {
     return false;
   }
-  const U256 z = fn_.Reduce(U256::FromBytes(DigestView(message_hash)));
-  const U256 s_mont = fn_.ToMont(signature.s);
-  const U256 w_mont = InvMontFn(s_mont, r2_fn_);  // s^-1 in Montgomery form
-  const U256 u1 = fn_.FromMont(field::Fn::Mul(fn_.ToMont(z), w_mont));
-  const U256 u2 = fn_.FromMont(field::Fn::Mul(fn_.ToMont(signature.r), w_mont));
+  const U256 z = Fn::Reduce(U256::FromBytes(DigestView(message_hash)));
+  const U256 s_mont = Fn::ToMont(signature.s);
+  const U256 w_mont = InvMontFn(s_mont);  // s^-1 in Montgomery form
+  const U256 u1 = Fn::FromMont(Fn::Mul(Fn::ToMont(z), w_mont));
+  const U256 u2 = Fn::FromMont(Fn::Mul(Fn::ToMont(signature.r), w_mont));
 
   const Jacobian sum = MulStraussShamir(u1, u2, public_key.odd_);
   if (sum.z.IsZero()) {
@@ -517,12 +507,12 @@ bool P256::Verify(const PreparedKey& public_key, const Digest& message_hash,
   // (the only candidates below p), so test X == candidate * Z^2 instead
   // of paying a field inversion.
   const U256 z2 = Fp::Sqr(sum.z);
-  if (Fp::Mul(fp_.ToMont(signature.r), z2) == sum.x) {
+  if (Fp::Mul(Fp::ToMont(signature.r), z2) == sum.x) {
     return true;
   }
   U256 r_plus_n;
   if (AddCarry(signature.r, n_, r_plus_n) == 0 && r_plus_n < p_) {
-    return Fp::Mul(fp_.ToMont(r_plus_n), z2) == sum.x;
+    return Fp::Mul(Fp::ToMont(r_plus_n), z2) == sum.x;
   }
   return false;
 }
@@ -573,11 +563,11 @@ namespace {
 // a^((p+1)/4) mod p — the square root candidate for p ≡ 3 (mod 4).
 // Montgomery domain in and out; the caller re-squares to confirm a was a
 // quadratic residue.
-U256 SqrtCandidateFp(const U256& a_mont, const U256& one_mont) {
+U256 SqrtCandidateFp(const U256& a_mont) {
   static const U256 e = U256::FromHexString(
       "3fffffffc000000040000000000000000000000040000000"
       "0000000000000000");
-  U256 acc = one_mont;
+  U256 acc = Fp::One();
   bool started = false;
   for (int i = 255; i >= 0; --i) {
     if (started) {
@@ -639,9 +629,9 @@ bool P256::BatchCombinationHolds(const BatchItem* items,
       c64 = 1;
     }
     const U256 c{{c64, 0, 0, 0}};
-    const U256 c_mont = fn_.ToMont(c);
-    a_mont = field::Fn::Add(a_mont, field::Fn::Mul(c_mont, it.u1_mont));
-    const U256 q_scalar = fn_.FromMont(field::Fn::Mul(c_mont, it.u2_mont));
+    const U256 c_mont = Fn::ToMont(c);
+    a_mont = Fn::Add(a_mont, Fn::Mul(c_mont, it.u1_mont));
+    const U256 q_scalar = Fn::FromMont(Fn::Mul(c_mont, it.u2_mont));
     for (int j = 0; j < 4; ++j) {
       const U256 chunk{{q_scalar.limb[static_cast<size_t>(j)], 0, 0, 0}};
       const int t = RecodeWnaf(
@@ -655,7 +645,7 @@ bool P256::BatchCombinationHolds(const BatchItem* items,
 
     // Odd multiples 1,3,5,7 of R.  R has order n (it passed the on-curve
     // check and the curve group is prime), so none of them is infinity.
-    Jacobian base{it.r_point.x, it.r_point.y, fp_.one_mont()};
+    Jacobian base{it.r_point.x, it.r_point.y, Fp::One()};
     Jacobian twice = base;
     DoubleFast(twice);
     r_jac[s * 4] = base;
@@ -691,7 +681,7 @@ bool P256::BatchCombinationHolds(const BatchItem* items,
       }
     }
   }
-  const U256 a = fn_.FromMont(a_mont);
+  const U256 a = Fn::FromMont(a_mont);
   for (int w = 0; w < kCombWindows; ++w) {
     const uint64_t d = CombWindow(a, w);
     if (d != 0) {
@@ -765,9 +755,9 @@ bool P256::VerifyBatch(std::span<const BatchEntry> entries, bool* ok,
     if (e.r_hint != nullptr) {
       const EcPoint& h = *e.r_hint;
       if (!h.infinity && h.x < p_ && h.y < p_ &&
-          fn_.Reduce(h.x) == e.signature.r) {
-        const U256 hx = fp_.ToMont(h.x);
-        const U256 hy = fp_.ToMont(h.y);
+          Fn::Reduce(h.x) == e.signature.r) {
+        const U256 hx = Fp::ToMont(h.x);
+        const U256 hy = Fp::ToMont(h.y);
         if (on_curve_mont(hx, hy)) {
           out->x = hx;
           out->y = hy;
@@ -782,15 +772,15 @@ bool P256::VerifyBatch(std::span<const BatchEntry> entries, bool* ok,
       if (attempt == 1 && (AddCarry(e.signature.r, n_, x) != 0 || x >= p_)) {
         break;
       }
-      const U256 x_mont = fp_.ToMont(x);
+      const U256 x_mont = Fp::ToMont(x);
       const U256 rhs = Fp::Add(
           Fp::Sub(Fp::Mul(Fp::Sqr(x_mont), x_mont), Fp::Mul(three_mont_, x_mont)),
           b_mont_);
-      U256 y_mont = SqrtCandidateFp(rhs, fp_.one_mont());
+      U256 y_mont = SqrtCandidateFp(rhs);
       if (Fp::Sqr(y_mont) != rhs) {
         continue;  // x is not on the curve
       }
-      if (fp_.FromMont(y_mont).IsOdd()) {
+      if (Fp::FromMont(y_mont).IsOdd()) {
         y_mont = Fp::Neg(y_mont);
       }
       out->x = x_mont;
@@ -806,7 +796,7 @@ bool P256::VerifyBatch(std::span<const BatchEntry> entries, bool* ok,
   std::vector<BatchItem> items(n);
   std::vector<U256> s_mont(n);
   std::vector<U256> prefix(n);
-  U256 acc = fn_.one_mont();
+  U256 acc = Fn::One();
   for (size_t i = 0; i < n; ++i) {
     const BatchEntry& e = entries[i];
     ok[i] = false;
@@ -815,21 +805,21 @@ bool P256::VerifyBatch(std::span<const BatchEntry> entries, bool* ok,
       continue;  // malformed; ok[i] = false is already exact
     }
     items[i].key = e.key;
-    s_mont[i] = fn_.ToMont(e.signature.s);
+    s_mont[i] = Fn::ToMont(e.signature.s);
     prefix[i] = acc;
-    acc = field::Fn::Mul(acc, s_mont[i]);
+    acc = Fn::Mul(acc, s_mont[i]);
   }
-  U256 inv = InvMontFn(acc, r2_fn_);
+  U256 inv = InvMontFn(acc);
   for (size_t i = n; i-- > 0;) {
     if (items[i].key == nullptr) {
       continue;
     }
     const BatchEntry& e = entries[i];
-    const U256 w_mont = field::Fn::Mul(inv, prefix[i]);
-    inv = field::Fn::Mul(inv, s_mont[i]);
-    const U256 z = fn_.Reduce(U256::FromBytes(DigestView(e.message_hash)));
-    items[i].u1_mont = field::Fn::Mul(fn_.ToMont(z), w_mont);
-    items[i].u2_mont = field::Fn::Mul(fn_.ToMont(e.signature.r), w_mont);
+    const U256 w_mont = Fn::Mul(inv, prefix[i]);
+    inv = Fn::Mul(inv, s_mont[i]);
+    const U256 z = Fn::Reduce(U256::FromBytes(DigestView(e.message_hash)));
+    items[i].u1_mont = Fn::Mul(Fn::ToMont(z), w_mont);
+    items[i].u2_mont = Fn::Mul(Fn::ToMont(e.signature.r), w_mont);
     items[i].batchable = recover_r(e, &items[i].r_point);
   }
 

@@ -153,7 +153,7 @@ class P256 {
  private:
   P256();
 
-  // Jacobian coordinates in the Montgomery domain of fp_.
+  // Jacobian coordinates in the Montgomery domain of the field prime.
   struct Jacobian {
     U256 x;
     U256 y;
@@ -193,12 +193,8 @@ class P256 {
 
   U256 p_;  // field prime
   U256 n_;  // group order
-  Montgomery fp_;
-  Montgomery fn_;
   U256 b_mont_;       // curve b in Montgomery form
   U256 three_mont_;   // 3 in Montgomery form
-  U256 r2_fp_;        // R^2 mod p, for the inlined divstep inversion
-  U256 r2_fn_;        // R^2 mod n
   Jacobian g_;        // base point
   // Fixed-base comb: fixed_[w*4095 + b - 1] = b · 2^{12w} · G for
   // w ∈ [0, 22), b ∈ [1, 4095], so any scalar is a sum of at most 22

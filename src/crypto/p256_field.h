@@ -1,14 +1,13 @@
-// Specialized Montgomery arithmetic with the modulus baked in as template
-// constants.  The generic `Montgomery` class in u256.h dispatches through
-// out-of-line calls and loads its modulus from memory; here the limbs and
-// the -m^-1 mod 2^64 constant are compile-time values, so the CIOS loops
-// fully unroll, the zero limb of the P-256 prime drops its multiplies, and
-// the prime's m' = 1 makes the reduction quotient free.  This is the field
-// layer under the comb/wNAF scalar-multiplication paths in p256.cc; the
-// generic class stays for one-off domain conversions and reductions.
-//
-// Values are in the same Montgomery domain (R = 2^256) as the generic
-// class, so the two representations interoperate freely.
+// The P-256 field layer: Montgomery arithmetic (R = 2^256) with the
+// modulus baked in as template constants.  The limbs and the
+// -m^-1 mod 2^64 constant are compile-time values, so the CIOS loops fully
+// unroll, the zero limb of the P-256 prime drops its multiplies, and the
+// prime's m' = 1 makes the reduction quotient free.  Fp (the field prime)
+// and Fn (the group order) are the only field code P-256 runs on: the
+// comb/wNAF/Strauss–Shamir ladders, the inversions and every domain
+// conversion in p256.cc.  The differential tests check both against a
+// generic runtime Montgomery class that lives in the test-only oracle
+// library and shares no code with this one.
 
 #ifndef SRC_CRYPTO_P256_FIELD_H_
 #define SRC_CRYPTO_P256_FIELD_H_
@@ -35,7 +34,38 @@ struct MontField {
 
   static U256 Modulus() { return U256{{M0, M1, M2, M3}}; }
 
-  static bool GeModulus(const U256& a) {
+  // R mod m = 2^256 - m, the Montgomery form of 1.  m is odd, so negating
+  // it never carries out of the low limb.
+  static constexpr U256 One() { return U256{{~M0 + 1, ~M1, ~M2, ~M3}}; }
+
+  // R^2 mod m: R mod m doubled 256 times, evaluated at compile time.
+  static U256 R2() {
+    constexpr U256 r2 = [] {
+      U256 r = One();
+      for (int i = 0; i < 256; ++i) {
+        const uint64_t carry = r.limb[3] >> 63;
+        for (size_t j = 3; j > 0; --j) {
+          r.limb[j] = (r.limb[j] << 1) | (r.limb[j - 1] >> 63);
+        }
+        r.limb[0] <<= 1;
+        if (carry || GeModulus(r)) {
+          r = SubModulus(r);
+        }
+      }
+      return r;
+    }();
+    return r2;
+  }
+
+  // a·R mod m and a·R^-1 mod m, for any 256-bit a.
+  static U256 ToMont(const U256& a) { return Mul(a, R2()); }
+  static U256 FromMont(const U256& a) { return Mul(a, U256::One()); }
+
+  // Reduces any 256-bit value into [0, m): m > 2^255, so one conditional
+  // subtraction suffices.
+  static U256 Reduce(const U256& a) { return GeModulus(a) ? SubModulus(a) : a; }
+
+  static constexpr bool GeModulus(const U256& a) {
     for (int i = 3; i >= 0; --i) {
       if (a.limb[static_cast<size_t>(i)] != kM[i]) {
         return a.limb[static_cast<size_t>(i)] > kM[i];
@@ -44,7 +74,7 @@ struct MontField {
     return true;  // equal
   }
 
-  static U256 SubModulus(const U256& a) {
+  static constexpr U256 SubModulus(const U256& a) {
     U256 out;
     uint64_t borrow = 0;
     for (int i = 0; i < 4; ++i) {
@@ -95,8 +125,8 @@ struct MontField {
     return out;
   }
 
-  // CIOS Montgomery product; same algorithm as Montgomery::Mul, but with
-  // constant modulus limbs the compiler unrolls and folds.
+  // CIOS Montgomery product over constant modulus limbs, which the
+  // compiler unrolls and folds.
   static U256 Mul(const U256& a, const U256& b) {
     uint64_t t[6] = {};
     for (int i = 0; i < 4; ++i) {

@@ -1,8 +1,11 @@
-// Fixed-width 256-bit integers and Montgomery modular arithmetic.
+// Fixed-width 256-bit integers: carries, shifts and the divstep modular
+// inverse.
 //
-// This is the arithmetic substrate for the P-256 implementation used by
+// This is the integer substrate under the P-256 implementation used by
 // the TPM emulator's EK/AIK signatures (quotes) and the Keylime bootstrap
-// key exchange.  Limbs are little-endian uint64s.
+// key exchange.  Modular arithmetic lives one layer up, in the
+// compile-time Montgomery fields of p256_field.h.  Limbs are
+// little-endian uint64s.
 
 #ifndef SRC_CRYPTO_U256_H_
 #define SRC_CRYPTO_U256_H_
@@ -67,36 +70,6 @@ inline U256 ShiftRight1(const U256& a, uint64_t top = 0) {
 // 64-bit transition matrices instead of one U256 pass per bit.  Plain
 // (non Montgomery) domain; requires a < m; returns zero for a = 0.
 U256 ModInverseOdd(const U256& a, const U256& m);
-
-// Montgomery arithmetic modulo a fixed odd modulus with its top bit set
-// (true for the P-256 field prime and group order).  Values passed to
-// Mul/Sqr must be in the Montgomery domain (use ToMont/FromMont);
-// Add/Sub/Neg work in either domain as they are plain modular ops.
-class Montgomery {
- public:
-  explicit Montgomery(const U256& modulus);
-
-  const U256& modulus() const { return m_; }
-
-  U256 ToMont(const U256& a) const;    // a * R mod m
-  U256 FromMont(const U256& a) const;  // a * R^-1 mod m
-
-  U256 Add(const U256& a, const U256& b) const;
-  U256 Sub(const U256& a, const U256& b) const;
-  U256 Neg(const U256& a) const;
-  U256 Mul(const U256& a, const U256& b) const;  // Montgomery product
-  U256 Sqr(const U256& a) const { return Mul(a, a); }
-  // Reduces an arbitrary 256-bit value into [0, m).
-  U256 Reduce(const U256& a) const;
-
-  U256 one_mont() const { return one_mont_; }
-
- private:
-  U256 m_;
-  uint64_t m0_inv_neg_;  // -m^-1 mod 2^64
-  U256 r2_;              // R^2 mod m
-  U256 one_mont_;        // R mod m
-};
 
 }  // namespace bolted::crypto
 

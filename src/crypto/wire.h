@@ -1,11 +1,16 @@
-// Minimal wire-format serialization for protocol payloads.
+// The one big-endian codec for every binary format in the tree: RPC
+// payloads (Keylime, BMI, chunk distribution), TPM quotes and event logs,
+// iSCSI requests, ESP sequence numbers and the Merkle journal.
 //
-// Big-endian integers, length-prefixed blobs/strings.  WireReader is
-// fail-safe: any malformed field flips ok() and subsequent reads return
-// zero values, so handlers can validate once at the end.
+// WireWriter appends big-endian integers, length-prefixed blobs and
+// strings, digests and fixed-size raw fields.  WireReader decodes them
+// fail-closed: a read past the end flips ok() and every later read
+// returns zero values or an empty view, so a decoder reads all of its
+// fields and validates once at the end.  Each format adds its own bounds
+// (sizes, counts, indices) on top.
 
-#ifndef SRC_NET_WIRE_H_
-#define SRC_NET_WIRE_H_
+#ifndef SRC_CRYPTO_WIRE_H_
+#define SRC_CRYPTO_WIRE_H_
 
 #include <cstdint>
 #include <cstring>
@@ -14,39 +19,40 @@
 #include "src/crypto/bytes.h"
 #include "src/crypto/sha256.h"
 
-namespace bolted::net {
+namespace bolted::crypto {
 
 class WireWriter {
  public:
   WireWriter& U32(uint32_t v) {
-    crypto::AppendU32(out_, v);
+    AppendU32(out_, v);
     return *this;
   }
   WireWriter& U64(uint64_t v) {
-    crypto::AppendU64(out_, v);
+    AppendU64(out_, v);
     return *this;
   }
-  WireWriter& Blob(crypto::ByteView data) {
-    crypto::AppendU32(out_, static_cast<uint32_t>(data.size()));
-    crypto::Append(out_, data);
+  // A fixed-size field: the bytes alone, no length prefix.
+  WireWriter& Raw(ByteView data) {
+    Append(out_, data);
     return *this;
+  }
+  WireWriter& Blob(ByteView data) {
+    AppendU32(out_, static_cast<uint32_t>(data.size()));
+    return Raw(data);
   }
   WireWriter& Str(std::string_view s) {
-    return Blob(crypto::ByteView(reinterpret_cast<const uint8_t*>(s.data()), s.size()));
+    return Blob(ByteView(reinterpret_cast<const uint8_t*>(s.data()), s.size()));
   }
-  WireWriter& Digest(const crypto::Digest& d) {
-    crypto::Append(out_, crypto::DigestView(d));
-    return *this;
-  }
-  crypto::Bytes Take() { return std::move(out_); }
+  WireWriter& Digest(const crypto::Digest& d) { return Raw(DigestView(d)); }
+  Bytes Take() { return std::move(out_); }
 
  private:
-  crypto::Bytes out_;
+  Bytes out_;
 };
 
 class WireReader {
  public:
-  explicit WireReader(crypto::ByteView data) : data_(data) {}
+  explicit WireReader(ByteView data) : data_(data) {}
 
   // Fixed-width reads go through memcpy + byteswap: one unaligned load
   // and a bswap instruction instead of a byte-at-a-time shift loop.
@@ -68,32 +74,31 @@ class WireReader {
     data_ = data_.subspan(8);
     return FromBigEndian64(v);
   }
-  crypto::Bytes Blob() {
-    const uint32_t size = U32();
-    if (!Require(size)) {
+  // The next n bytes as a view into the input; empty when they are not
+  // all there.
+  ByteView Raw(size_t n) {
+    if (!Require(n)) {
       return {};
     }
-    crypto::Bytes out(data_.begin(), data_.begin() + size);
-    data_ = data_.subspan(size);
+    const ByteView out = data_.first(n);
+    data_ = data_.subspan(n);
     return out;
+  }
+  Bytes Blob() {
+    const ByteView blob = Raw(U32());
+    return Bytes(blob.begin(), blob.end());
   }
   // Reads the string straight out of the buffer — no intermediate Bytes.
   std::string Str() {
-    const uint32_t size = U32();
-    if (!Require(size)) {
-      return {};
-    }
-    std::string out(reinterpret_cast<const char*>(data_.data()), size);
-    data_ = data_.subspan(size);
-    return out;
+    const ByteView str = Raw(U32());
+    return std::string(reinterpret_cast<const char*>(str.data()), str.size());
   }
   crypto::Digest Digest() {
     crypto::Digest d{};
-    if (!Require(32)) {
-      return d;
+    const ByteView raw = Raw(d.size());
+    if (!raw.empty()) {
+      std::memcpy(d.data(), raw.data(), d.size());
     }
-    std::copy(data_.begin(), data_.begin() + 32, d.begin());
-    data_ = data_.subspan(32);
     return d;
   }
 
@@ -127,10 +132,10 @@ class WireReader {
     return true;
   }
 
-  crypto::ByteView data_;
+  ByteView data_;
   bool ok_ = true;
 };
 
-}  // namespace bolted::net
+}  // namespace bolted::crypto
 
-#endif  // SRC_NET_WIRE_H_
+#endif  // SRC_CRYPTO_WIRE_H_

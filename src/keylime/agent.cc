@@ -3,8 +3,8 @@
 #include <algorithm>
 
 #include "src/crypto/ecies.h"
+#include "src/crypto/wire.h"
 #include "src/keylime/registrar.h"
-#include "src/net/wire.h"
 #include "src/obs/obs.h"
 
 namespace bolted::keylime {
@@ -104,7 +104,7 @@ sim::Task Agent::RegisterWithRegistrar(net::Address registrar,
 
   net::Message request;
   request.kind = std::string(kRpcRegister);
-  request.payload = net::WireWriter()
+  request.payload = crypto::WireWriter()
                         .Str(node_name)
                         .Blob(tpm.ek_public().Encode())
                         .Blob(tpm.aik_public().Encode())
@@ -118,7 +118,7 @@ sim::Task Agent::RegisterWithRegistrar(net::Address registrar,
     co_return;
   }
 
-  net::WireReader reader(response.payload);
+  crypto::WireReader reader(response.payload);
   const crypto::Bytes blob = reader.Blob();
   if (!reader.AtEnd()) {
     co_return;
@@ -140,7 +140,7 @@ sim::Task Agent::RegisterWithRegistrar(net::Address registrar,
 
   net::Message activate;
   activate.kind = std::string(kRpcActivate);
-  activate.payload = net::WireWriter()
+  activate.payload = crypto::WireWriter()
                          .Str(node_name)
                          .Digest(crypto::Sha256::Hash(*secret))
                          .Take();
@@ -150,12 +150,12 @@ sim::Task Agent::RegisterWithRegistrar(net::Address registrar,
   if (!rpc_ok) {
     co_return;
   }
-  net::WireReader activate_reader(activate_response.payload);
+  crypto::WireReader activate_reader(activate_response.payload);
   *ok = activate_reader.U32() == 1 && activate_reader.AtEnd();
 }
 
 sim::Task Agent::HandleQuote(const net::Message& request, net::Message* response) {
-  net::WireReader reader(request.payload);
+  crypto::WireReader reader(request.payload);
   const crypto::Bytes nonce = reader.Blob();
   const uint32_t mask = reader.U32();
   // Incremental attestation: the verifier tells us how many IMA events it
@@ -191,7 +191,7 @@ sim::Task Agent::HandleQuote(const net::Message& request, net::Message* response
   const uint64_t total = full_ima.size();
   const crypto::Bytes ima_delta =
       full_ima.SubLog(static_cast<size_t>(std::min(ima_since, total))).Serialize();
-  response->payload = net::WireWriter()
+  response->payload = crypto::WireWriter()
                           .Blob(quote.Serialize())
                           .Blob(machine_.boot_log().Serialize())
                           .U64(total)
@@ -200,7 +200,7 @@ sim::Task Agent::HandleQuote(const net::Message& request, net::Message* response
 }
 
 sim::Task Agent::HandleDeliverU(const net::Message& request, net::Message* response) {
-  net::WireReader reader(request.payload);
+  crypto::WireReader reader(request.payload);
   const crypto::Bytes sealed_u = reader.Blob();
   uint32_t ok = 0;
   if (reader.AtEnd()) {
@@ -210,12 +210,12 @@ sim::Task Agent::HandleDeliverU(const net::Message& request, net::Message* respo
       TryCombine();
     }
   }
-  response->payload = net::WireWriter().U32(ok).Take();
+  response->payload = crypto::WireWriter().U32(ok).Take();
   co_return;
 }
 
 sim::Task Agent::HandleDeliverV(const net::Message& request, net::Message* response) {
-  net::WireReader reader(request.payload);
+  crypto::WireReader reader(request.payload);
   const crypto::Bytes sealed_v = reader.Blob();
   const crypto::Bytes sealed_payload = reader.Blob();
   uint32_t ok = 0;
@@ -227,7 +227,7 @@ sim::Task Agent::HandleDeliverV(const net::Message& request, net::Message* respo
       TryCombine();
     }
   }
-  response->payload = net::WireWriter().U32(ok).Take();
+  response->payload = crypto::WireWriter().U32(ok).Take();
   co_return;
 }
 
@@ -255,7 +255,7 @@ sim::Task Agent::AwaitPayload(TenantPayload* payload, bool* ok) {
 }
 
 sim::Task Agent::HandleRevoke(const net::Message& request, net::Message* response) {
-  net::WireReader reader(request.payload);
+  crypto::WireReader reader(request.payload);
   const uint32_t peer = reader.U32();
   if (reader.AtEnd()) {
     // Cut the compromised node out of the mesh: drop its SA so further
@@ -263,7 +263,7 @@ sim::Task Agent::HandleRevoke(const net::Message& request, net::Message* respons
     machine_.ipsec().RemoveSa(peer);
     ++revocations_received_;
   }
-  response->payload = net::WireWriter().U32(1).Take();
+  response->payload = crypto::WireWriter().U32(1).Take();
   co_return;
 }
 

@@ -2,12 +2,12 @@
 
 #include "src/crypto/aes_gcm.h"
 #include "src/crypto/hmac.h"
-#include "src/net/wire.h"
+#include "src/crypto/wire.h"
 
 namespace bolted::keylime {
 
 crypto::Bytes TenantPayload::Serialize() const {
-  return net::WireWriter()
+  return crypto::WireWriter()
       .Digest(kernel_digest)
       .Digest(initrd_digest)
       .U64(kernel_bytes)
@@ -19,7 +19,7 @@ crypto::Bytes TenantPayload::Serialize() const {
 }
 
 std::optional<TenantPayload> TenantPayload::Deserialize(crypto::ByteView data) {
-  net::WireReader reader(data);
+  crypto::WireReader reader(data);
   TenantPayload payload;
   payload.kernel_digest = reader.Digest();
   payload.initrd_digest = reader.Digest();

@@ -1,6 +1,6 @@
 #include "src/keylime/registrar.h"
 
-#include "src/net/wire.h"
+#include "src/crypto/wire.h"
 #include "src/tpm/tpm.h"
 
 namespace bolted::keylime {
@@ -32,7 +32,7 @@ std::optional<NodeKeys> Registrar::Lookup(const std::string& node) const {
 
 sim::Task Registrar::HandleRegister(const net::Message& request,
                                     net::Message* response) {
-  net::WireReader reader(request.payload);
+  crypto::WireReader reader(request.payload);
   const std::string name = reader.Str();
   const auto ek = crypto::EcPoint::Decode(reader.Blob());
   const auto aik = crypto::EcPoint::Decode(reader.Blob());
@@ -52,12 +52,12 @@ sim::Task Registrar::HandleRegister(const net::Message& request,
   record.expected_secret_hash = crypto::Sha256::Hash(secret);
   records_[name] = std::move(record);
 
-  response->payload = net::WireWriter().Blob(blob).Take();
+  response->payload = crypto::WireWriter().Blob(blob).Take();
 }
 
 sim::Task Registrar::HandleActivate(const net::Message& request,
                                     net::Message* response) {
-  net::WireReader reader(request.payload);
+  crypto::WireReader reader(request.payload);
   const std::string name = reader.Str();
   const crypto::Digest proof = reader.Digest();
   const auto it = records_.find(name);
@@ -69,13 +69,13 @@ sim::Task Registrar::HandleActivate(const net::Message& request,
     it->second.encoded_keys.clear();
     ok = 1;
   }
-  response->payload = net::WireWriter().U32(ok).Take();
+  response->payload = crypto::WireWriter().U32(ok).Take();
   co_return;
 }
 
 sim::Task Registrar::HandleGetKeys(const net::Message& request,
                                    net::Message* response) {
-  net::WireReader reader(request.payload);
+  crypto::WireReader reader(request.payload);
   const std::string name = reader.Str();
   const auto it = records_.find(name);
   if (!reader.AtEnd() || it == records_.end()) {
@@ -84,7 +84,7 @@ sim::Task Registrar::HandleGetKeys(const net::Message& request,
   }
   Record& record = it->second;
   if (record.encoded_keys.empty()) {
-    record.encoded_keys = net::WireWriter()
+    record.encoded_keys = crypto::WireWriter()
                               .Blob(record.keys.ek.Encode())
                               .Blob(record.keys.aik.Encode())
                               .Blob(record.keys.nk.Encode())

@@ -4,8 +4,8 @@
 #include <memory>
 
 #include "src/crypto/ecies.h"
+#include "src/crypto/wire.h"
 #include "src/keylime/agent.h"
-#include "src/net/wire.h"
 #include "src/obs/obs.h"
 #include "src/sim/worker_pool.h"
 #include "src/tpm/tpm.h"
@@ -84,14 +84,14 @@ sim::Task Verifier::DeliverPayload(const std::string& name, const crypto::EcPoin
   net::Message message;
   message.kind = std::string(kRpcDeliverV);
   message.payload =
-      net::WireWriter().Blob(sealed_v).Blob(state.config.sealed_payload).Take();
+      crypto::WireWriter().Blob(sealed_v).Blob(state.config.sealed_payload).Take();
   net::Message response;
   bool rpc_ok = false;
   co_await node_.Call(state.config.agent, std::move(message), &response, &rpc_ok);
   if (!rpc_ok) {
     co_return;
   }
-  net::WireReader reader(response.payload);
+  crypto::WireReader reader(response.payload);
   *ok = reader.U32() == 1 && reader.AtEnd();
   if (*ok) {
     state.payload_delivered = true;
@@ -174,7 +174,7 @@ sim::Task Verifier::FetchQuote(const std::string& name, NodeState& state,
   // 1. Certified keys from the registrar.
   net::Message key_request;
   key_request.kind = std::string(kRpcGetKeys);
-  key_request.payload = net::WireWriter().Str(name).Take();
+  key_request.payload = crypto::WireWriter().Str(name).Take();
   net::Message key_response;
   bool rpc_ok = false;
   co_await node_.CallWithRetry(registrar_, std::move(key_request), &key_response,
@@ -183,7 +183,7 @@ sim::Task Verifier::FetchQuote(const std::string& name, NodeState& state,
     out->failure = "registrar lookup failed";
     co_return;
   }
-  net::WireReader key_reader(key_response.payload);
+  crypto::WireReader key_reader(key_response.payload);
   key_reader.Blob();  // EK (checked by the tenant against HIL metadata)
   const crypto::Bytes aik_wire = key_reader.Blob();
   const crypto::Bytes nk_wire = key_reader.Blob();
@@ -226,7 +226,7 @@ sim::Task Verifier::FetchQuote(const std::string& name, NodeState& state,
   out->nonce = drbg_.Generate(20);
   net::Message quote_request;
   quote_request.kind = std::string(kRpcQuote);
-  quote_request.payload = net::WireWriter()
+  quote_request.payload = crypto::WireWriter()
                               .Blob(out->nonce)
                               .U32(kQuotePcrMask)
                               .U64(state.ima_seen)
@@ -238,7 +238,7 @@ sim::Task Verifier::FetchQuote(const std::string& name, NodeState& state,
     out->failure = "agent unreachable";
     co_return;
   }
-  net::WireReader reader(quote_response.payload);
+  crypto::WireReader reader(quote_response.payload);
   out->quote = tpm::Quote::Deserialize(reader.Blob());
   out->boot = ReplayBootLog(reader.Blob());
   out->ima_total = reader.U64();
@@ -587,7 +587,7 @@ sim::Task Verifier::Revoke(const std::string& name) {
 sim::Task Verifier::NotifyRevocation(net::Address peer, net::Address bad) {
   net::Message message;
   message.kind = std::string(kRpcRevoke);
-  message.payload = net::WireWriter().U32(bad).Take();
+  message.payload = crypto::WireWriter().U32(bad).Take();
   net::Message response;
   bool ok = false;
   co_await node_.Call(peer, std::move(message), &response, &ok,

@@ -23,8 +23,8 @@
 #include <string_view>
 
 #include "src/crypto/sha256.h"
+#include "src/crypto/wire.h"
 #include "src/net/message_pool.h"
-#include "src/net/wire.h"
 
 namespace bolted::net {
 
@@ -41,10 +41,10 @@ struct ChunkFetchRequest {
   Address exclude_peer = 0;  // 0: none
 
   crypto::Bytes Encode() const {
-    return WireWriter().Digest(digest).U64(bytes).U64(exclude_peer).Take();
+    return crypto::WireWriter().Digest(digest).U64(bytes).U64(exclude_peer).Take();
   }
   static bool Decode(crypto::ByteView data, ChunkFetchRequest* out) {
-    WireReader reader(data);
+    crypto::WireReader reader(data);
     out->digest = reader.Digest();
     out->bytes = reader.U64();
     out->exclude_peer = static_cast<Address>(reader.U64());
@@ -66,14 +66,14 @@ struct ChunkFetchResponse {
   crypto::Digest served{};    // digest of the served content (echo)
 
   crypto::Bytes Encode() const {
-    return WireWriter()
+    return crypto::WireWriter()
         .U32(static_cast<uint32_t>(status))
         .U64(peer)
         .Digest(served)
         .Take();
   }
   static bool Decode(crypto::ByteView data, ChunkFetchResponse* out) {
-    WireReader reader(data);
+    crypto::WireReader reader(data);
     out->status = static_cast<ChunkFetchStatus>(reader.U32());
     out->peer = static_cast<Address>(reader.U64());
     out->served = reader.Digest();

@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "src/crypto/hmac.h"
+#include "src/crypto/wire.h"
 
 namespace bolted::net {
 
@@ -97,10 +98,7 @@ std::optional<crypto::Bytes> IpsecContext::Open(Address peer, crypto::ByteView w
   }
   SecurityAssociation& sa = it->second;
 
-  uint64_t sequence = 0;
-  for (int i = 0; i < 8; ++i) {
-    sequence = (sequence << 8) | wire[static_cast<size_t>(i)];
-  }
+  const uint64_t sequence = crypto::WireReader(wire).U64();
   // Strictly-increasing replay protection.
   if (sequence <= sa.rx_window) {
     return std::nullopt;

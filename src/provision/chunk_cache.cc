@@ -137,7 +137,7 @@ sim::Task RackChunkCache::HandleFetch(const net::Message& request,
 
 sim::Task RackChunkCache::HandleHave(const net::Message& request,
                                      net::Message* response) {
-  net::WireReader reader(request.payload);
+  crypto::WireReader reader(request.payload);
   const crypto::Digest digest = reader.Digest();
   if (!reader.AtEnd()) {
     response->kind = "chunk.error";
@@ -149,7 +149,7 @@ sim::Task RackChunkCache::HandleHave(const net::Message& request,
       list.push_back(request.src);
     }
   }
-  response->payload = net::WireWriter().U32(1).Take();
+  response->payload = crypto::WireWriter().U32(1).Take();
   co_return;
 }
 
@@ -166,7 +166,7 @@ void ChunkFetcher::Start() {
 
 sim::Task ChunkFetcher::HandleGet(const net::Message& request,
                                   net::Message* response) {
-  net::WireReader reader(request.payload);
+  crypto::WireReader reader(request.payload);
   const crypto::Digest digest = reader.Digest();
   const uint64_t bytes = reader.U64();
   if (!reader.AtEnd()) {
@@ -180,7 +180,7 @@ sim::Task ChunkFetcher::HandleGet(const net::Message& request,
   if (corrupt_serves_ || !held_.contains(digest)) {
     served[0] ^= 0x01;
   }
-  response->payload = net::WireWriter().Digest(served).Take();
+  response->payload = crypto::WireWriter().Digest(served).Take();
   response->wire_bytes = bytes;
   co_return;
 }
@@ -220,7 +220,7 @@ sim::Task ChunkFetcher::VerifyServed(const crypto::Digest& expected,
 sim::Task ChunkFetcher::RegisterHave(crypto::Digest digest) {
   net::Message request;
   request.kind = std::string(net::kRpcChunkHave);
-  request.payload = net::WireWriter().Digest(digest).Take();
+  request.payload = crypto::WireWriter().Digest(digest).Take();
   net::Message response;
   bool rpc_ok = false;
   co_await rpc_.Call(rack_cache_, std::move(request), &response, &rpc_ok);
@@ -239,13 +239,13 @@ sim::Task ChunkFetcher::FetchChunk(crypto::Digest digest, uint64_t bytes, bool* 
     const net::Address peer = resp.peer;
     net::Message request;
     request.kind = std::string(net::kRpcChunkGet);
-    request.payload = net::WireWriter().Digest(digest).U64(bytes).Take();
+    request.payload = crypto::WireWriter().Digest(digest).U64(bytes).Take();
     net::Message response;
     bool rpc_ok = false;
     co_await rpc_.Call(peer, std::move(request), &response, &rpc_ok);
     bool verified = false;
     if (rpc_ok && response.kind != "chunk.error") {
-      net::WireReader reader(response.payload);
+      crypto::WireReader reader(response.payload);
       const crypto::Digest served = reader.Digest();
       if (reader.AtEnd()) {
         co_await VerifyServed(digest, served, bytes, &verified);

@@ -20,19 +20,6 @@ namespace {
 // breaks the digest immediately.
 constexpr uint64_t kPhaseTagBase = 0x5ce0'0000'0000'0000u;
 
-// Mirrors the enclave's own transient/integrity split: integrity evidence
-// is cryptographic and triggers rollback; transient failures (the fault
-// layer's weather) never should.
-bool TransientFailure(const std::string& failure) {
-  return failure == "agent download failed" ||
-         failure == "registration failed" ||
-         failure == "U-half delivery failed" ||
-         failure == "iPXE download failed" ||
-         failure == "LinuxBoot download failed" ||
-         failure == "kernel download failed" ||
-         failure == "node unavailable" || keylime::IsTransientFailure(failure);
-}
-
 core::TrustProfile ProfileFor(Tier tier) {
   switch (tier) {
     case Tier::kAlice:
@@ -256,7 +243,7 @@ class Runner {
     if (ok) {
       ++result_.stats.upgrades;
     } else {
-      if (!TransientFailure(last_failure_[slot_index])) {
+      if (!core::IsTransientProvisionFailure(last_failure_[slot_index])) {
         // Integrity rejection: the canary caught a bad image.  The caller
         // aborts the rollout.
         *integrity_failed = true;

@@ -11,7 +11,7 @@
 // elastic airlock resizing under load.
 //
 // Specs come from a small line-oriented text format (examples/scenarios/)
-// or are built programmatically (ScenarioBuilder).  The full-fidelity
+// or are aggregates built with designated initializers.  The full-fidelity
 // single-Simulation runner (src/scenario/runner.h) turns a spec into a
 // seed-replayable run that asserts the chaos-suite invariants
 // continuously, making every scenario an executable specification.  The
@@ -113,53 +113,6 @@ struct ScenarioSpec {
   std::string Validate() const;
 
   int total_tenant_nodes() const;
-};
-
-// Fluent programmatic builder for tests and benches.
-class ScenarioBuilder {
- public:
-  explicit ScenarioBuilder(std::string name) { spec_.name = std::move(name); }
-
-  ScenarioBuilder& Seed(uint64_t seed) { spec_.seed = seed; return *this; }
-  ScenarioBuilder& Duration(sim::Duration d) { spec_.duration = d; return *this; }
-  ScenarioBuilder& Machines(int n) { spec_.machines = n; return *this; }
-  ScenarioBuilder& AirlockSlots(int n) { spec_.airlock_slots = n; return *this; }
-  ScenarioBuilder& Tenant(std::string name, Tier tier, int nodes) {
-    spec_.tenants.push_back({std::move(name), tier, nodes});
-    return *this;
-  }
-  ScenarioBuilder& Arrival(ArrivalProcess arrival) {
-    spec_.arrival = arrival;
-    return *this;
-  }
-  ScenarioBuilder& Faults(FaultMode mode) { spec_.faults = mode; return *this; }
-  ScenarioBuilder& FaultProfile(const faults::FaultProfile& profile) {
-    spec_.fault_profile = profile;
-    return *this;
-  }
-  ScenarioBuilder& Crash(size_t target, sim::Duration at) {
-    spec_.crashes.push_back({.target = target, .at = at});
-    return *this;
-  }
-  ScenarioBuilder& Flap(size_t target, sim::Duration at, sim::Duration duration) {
-    spec_.flaps.push_back({.target = target, .at = at, .duration = duration});
-    return *this;
-  }
-  ScenarioBuilder& Phase(PhaseSpec phase) {
-    spec_.phases.push_back(phase);
-    return *this;
-  }
-
-  // Returns the spec; *error (optional) receives the validation verdict.
-  ScenarioSpec Build(std::string* error = nullptr) const {
-    if (error != nullptr) {
-      *error = spec_.Validate();
-    }
-    return spec_;
-  }
-
- private:
-  ScenarioSpec spec_;
 };
 
 // "churn" -> PhaseKind::kChurn etc.; the canonical names the text format

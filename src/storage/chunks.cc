@@ -1,7 +1,7 @@
 #include "src/storage/chunks.h"
 
 #include "src/crypto/bytes.h"
-#include "src/net/wire.h"
+#include "src/crypto/wire.h"
 
 namespace bolted::storage {
 
@@ -45,7 +45,7 @@ uint64_t ChunkManifest::ChunkBytes(uint64_t index) const {
 }
 
 crypto::Bytes ChunkManifest::Encode() const {
-  net::WireWriter writer;
+  crypto::WireWriter writer;
   writer.Str(image_name).U64(chunk_bytes).U64(image_bytes);
   writer.U32(static_cast<uint32_t>(chunks.size()));
   for (const crypto::Digest& digest : chunks) {
@@ -55,7 +55,7 @@ crypto::Bytes ChunkManifest::Encode() const {
 }
 
 std::optional<ChunkManifest> ChunkManifest::Decode(crypto::ByteView data) {
-  net::WireReader reader(data);
+  crypto::WireReader reader(data);
   ChunkManifest manifest;
   manifest.image_name = reader.Str();
   manifest.chunk_bytes = reader.U64();

@@ -2,6 +2,8 @@
 
 #include <cassert>
 
+#include "src/crypto/wire.h"
+
 namespace bolted::storage {
 namespace {
 
@@ -21,21 +23,14 @@ crypto::Bytes EncodeRequest(const IoRequest& request) {
 }
 
 std::optional<IoRequest> DecodeRequest(crypto::ByteView payload) {
-  if (payload.size() != 24) {
+  crypto::WireReader reader(payload);
+  IoRequest request;
+  request.image = reader.U64();
+  request.offset = reader.U64();
+  request.bytes = reader.U64();
+  if (!reader.AtEnd()) {
     return std::nullopt;
   }
-  auto read_u64 = [&payload]() {
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v = (v << 8) | payload[static_cast<size_t>(i)];
-    }
-    payload = payload.subspan(8);
-    return v;
-  };
-  IoRequest request;
-  request.image = read_u64();
-  request.offset = read_u64();
-  request.bytes = read_u64();
   return request;
 }
 

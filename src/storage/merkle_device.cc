@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "src/crypto/bytes.h"
+#include "src/crypto/wire.h"
 
 namespace bolted::storage {
 namespace {
@@ -11,14 +12,6 @@ namespace {
 // "BLTMRKL1": a committed journal header.  Anything else (including the
 // all-zeros sector a clear writes) is treated as "no transaction".
 constexpr uint64_t kJournalMagic = 0x424c544d524b4c31ull;
-
-uint64_t ReadU64(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v = (v << 8) | p[i];
-  }
-  return v;
-}
 
 crypto::Digest SectorDigest(const crypto::Bytes& sector) {
   return crypto::Sha256::Hash(crypto::ByteView(sector.data(), sector.size()));
@@ -432,34 +425,33 @@ sim::Task MerkleBlockDevice::Open(const crypto::Digest& expected_root, bool* ok)
   // corrupt header means the transaction never happened.
   crypto::Bytes header;
   co_await ReadBackingSector(geometry_.journal_header_sector, &header);
-  const uint64_t magic = ReadU64(header.data());
-  const uint64_t count = ReadU64(header.data() + 8);
+  crypto::WireReader header_reader(header);
+  const uint64_t magic = header_reader.U64();
+  const uint64_t count = header_reader.U64();
+  const crypto::Digest stored_check = header_reader.Digest();
   if (magic == kJournalMagic && count > 0 && count <= geometry_.journal_slots) {
-    crypto::Digest stored_check{};
-    std::copy(header.begin() + 16, header.begin() + 48, stored_check.begin());
     crypto::Bytes index_bytes;
     for (uint64_t i = 0; i < geometry_.journal_index_sectors; ++i) {
       crypto::Bytes page;
       co_await ReadBackingSector(geometry_.JournalIndexSector(i), &page);
       crypto::Append(index_bytes, crypto::ByteView(page.data(), page.size()));
     }
+    // The checksum covers the count and the index entries as Commit
+    // encoded them, then the slot contents.
+    crypto::WireReader index_reader(index_bytes);
+    crypto::WireWriter covered;
+    covered.U64(count);
     std::vector<uint64_t> targets(count);
-    for (uint64_t i = 0; i < count; ++i) {
-      targets[i] = ReadU64(index_bytes.data() + i * 8);
+    for (uint64_t& target : targets) {
+      target = index_reader.U64();
+      covered.U64(target);
     }
     std::vector<crypto::Bytes> contents(count);
     for (uint64_t i = 0; i < count; ++i) {
       co_await ReadBackingSector(geometry_.JournalSlotSector(i), &contents[i]);
     }
     crypto::Sha256 checksum;
-    crypto::Bytes count_bytes;
-    crypto::AppendU64(count_bytes, count);
-    checksum.Update(crypto::ByteView(count_bytes.data(), count_bytes.size()));
-    crypto::Bytes raw_targets;
-    for (uint64_t i = 0; i < count; ++i) {
-      crypto::AppendU64(raw_targets, targets[i]);
-    }
-    checksum.Update(crypto::ByteView(raw_targets.data(), raw_targets.size()));
+    checksum.Update(covered.Take());
     for (const crypto::Bytes& content : contents) {
       checksum.Update(crypto::ByteView(content.data(), content.size()));
     }

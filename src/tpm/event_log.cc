@@ -1,7 +1,8 @@
 #include "src/tpm/event_log.h"
 
-#include <algorithm>
 #include <cassert>
+
+#include "src/crypto/wire.h"
 
 namespace bolted::tpm {
 
@@ -29,51 +30,34 @@ EventLog EventLog::SubLog(size_t from) const {
 }
 
 crypto::Bytes EventLog::Serialize() const {
-  crypto::Bytes out;
-  crypto::AppendU32(out, static_cast<uint32_t>(events_.size()));
+  crypto::WireWriter writer;
+  writer.U32(static_cast<uint32_t>(events_.size()));
   for (const MeasurementEvent& event : events_) {
-    crypto::AppendU32(out, static_cast<uint32_t>(event.pcr_index));
-    crypto::Append(out, crypto::DigestView(event.measurement));
-    crypto::AppendU32(out, static_cast<uint32_t>(event.description.size()));
-    crypto::Append(out, crypto::ToBytes(event.description));
+    writer.U32(static_cast<uint32_t>(event.pcr_index))
+        .Digest(event.measurement)
+        .Str(event.description);
   }
-  return out;
+  return writer.Take();
 }
 
 std::optional<EventLog> EventLog::Deserialize(crypto::ByteView data) {
-  auto read_u32 = [&](uint32_t& v) -> bool {
-    if (data.size() < 4) {
-      return false;
-    }
-    v = (static_cast<uint32_t>(data[0]) << 24) | (static_cast<uint32_t>(data[1]) << 16) |
-        (static_cast<uint32_t>(data[2]) << 8) | data[3];
-    data = data.subspan(4);
-    return true;
-  };
-
-  uint32_t count = 0;
-  if (!read_u32(count) || count > 1u << 20) {
+  crypto::WireReader reader(data);
+  const uint32_t count = reader.U32();
+  if (!reader.ok() || count > 1u << 20) {
     return std::nullopt;
   }
   EventLog log;
   for (uint32_t i = 0; i < count; ++i) {
-    MeasurementEvent event;
-    uint32_t pcr = 0;
-    if (!read_u32(pcr) || pcr >= static_cast<uint32_t>(kNumPcrs) || data.size() < 32) {
+    const uint32_t pcr = reader.U32();
+    MeasurementEvent event{.pcr_index = static_cast<int>(pcr),
+                           .measurement = reader.Digest(),
+                           .description = reader.Str()};
+    if (!reader.ok() || pcr >= static_cast<uint32_t>(kNumPcrs)) {
       return std::nullopt;
     }
-    event.pcr_index = static_cast<int>(pcr);
-    std::copy_n(data.begin(), 32, event.measurement.begin());
-    data = data.subspan(32);
-    uint32_t desc_size = 0;
-    if (!read_u32(desc_size) || data.size() < desc_size) {
-      return std::nullopt;
-    }
-    event.description.assign(data.begin(), data.begin() + desc_size);
-    data = data.subspan(desc_size);
     log.events_.push_back(std::move(event));
   }
-  if (!data.empty()) {
+  if (!reader.AtEnd()) {
     return std::nullopt;
   }
   return log;

@@ -1,10 +1,10 @@
 #include "src/tpm/tpm.h"
 
-#include <algorithm>
 #include <cassert>
 #include <utility>
 
 #include "src/crypto/hmac.h"
+#include "src/crypto/wire.h"
 
 namespace bolted::tpm {
 namespace {
@@ -40,67 +40,44 @@ crypto::Digest Quote::MessageDigest() const {
 }
 
 crypto::Bytes Quote::Serialize() const {
-  crypto::Bytes out;
-  crypto::AppendU32(out, static_cast<uint32_t>(nonce.size()));
-  crypto::Append(out, nonce);
-  crypto::AppendU32(out, pcr_mask);
-  crypto::AppendU32(out, static_cast<uint32_t>(pcr_values.size()));
+  crypto::WireWriter writer;
+  writer.Blob(nonce).U32(pcr_mask).U32(static_cast<uint32_t>(pcr_values.size()));
   for (const crypto::Digest& value : pcr_values) {
-    crypto::Append(out, crypto::DigestView(value));
+    writer.Digest(value);
   }
-  crypto::Append(out, signature.Encode());
+  writer.Raw(signature.Encode());
   if (r_hint.has_value()) {
-    crypto::Append(out, r_hint->x.ToBytes());
-    crypto::Append(out, r_hint->y.ToBytes());
+    writer.Raw(r_hint->x.ToBytes()).Raw(r_hint->y.ToBytes());
   }
-  return out;
+  return writer.Take();
 }
 
 std::optional<Quote> Quote::Deserialize(crypto::ByteView data) {
-  auto read_u32 = [&](uint32_t& v) -> bool {
-    if (data.size() < 4) {
-      return false;
-    }
-    v = (static_cast<uint32_t>(data[0]) << 24) | (static_cast<uint32_t>(data[1]) << 16) |
-        (static_cast<uint32_t>(data[2]) << 8) | data[3];
-    data = data.subspan(4);
-    return true;
-  };
-
+  crypto::WireReader reader(data);
   Quote quote;
-  uint32_t nonce_size = 0;
-  if (!read_u32(nonce_size) || data.size() < nonce_size || nonce_size > 1024) {
+  quote.nonce = reader.Blob();
+  quote.pcr_mask = reader.U32();
+  const uint32_t value_count = reader.U32();
+  if (!reader.ok() || quote.nonce.size() > 1024 || value_count > kNumPcrs) {
     return std::nullopt;
   }
-  quote.nonce.assign(data.begin(), data.begin() + nonce_size);
-  data = data.subspan(nonce_size);
-
+  for (uint32_t i = 0; i < value_count; ++i) {
+    quote.pcr_values.push_back(reader.Digest());
+  }
   // Trailer is the 64-byte signature, optionally followed by a 64-byte
   // nonce-point hint (x || y) for batched verification.
-  uint32_t value_count = 0;
-  if (!read_u32(quote.pcr_mask) || !read_u32(value_count) ||
-      value_count > kNumPcrs ||
-      (data.size() != value_count * 32 + 64 &&
-       data.size() != value_count * 32 + 128)) {
-    return std::nullopt;
-  }
-  const bool has_hint = data.size() == value_count * 32 + 128;
-  for (uint32_t i = 0; i < value_count; ++i) {
-    crypto::Digest value;
-    std::copy_n(data.begin(), 32, value.begin());
-    data = data.subspan(32);
-    quote.pcr_values.push_back(value);
-  }
-  const auto signature = crypto::EcdsaSignature::Decode(data.subspan(0, 64));
+  const auto signature = crypto::EcdsaSignature::Decode(reader.Raw(64));
   if (!signature) {
     return std::nullopt;
   }
   quote.signature = *signature;
-  if (has_hint) {
-    crypto::EcPoint hint;
-    hint.x = crypto::U256::FromBytes(data.subspan(64, 32));
-    hint.y = crypto::U256::FromBytes(data.subspan(96, 32));
-    quote.r_hint = hint;
+  if (!reader.AtEnd()) {
+    const crypto::ByteView hint = reader.Raw(64);
+    if (!reader.AtEnd()) {
+      return std::nullopt;
+    }
+    quote.r_hint = crypto::EcPoint{.x = crypto::U256::FromBytes(hint.first(32)),
+                                   .y = crypto::U256::FromBytes(hint.subspan(32))};
   }
   return quote;
 }

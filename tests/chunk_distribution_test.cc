@@ -237,13 +237,16 @@ TEST_F(ChunkFixture, StatsReconcileWithObsCounters) {
   EXPECT_EQ(stats.origin_bytes, 8 * kChunkBytes);
   EXPECT_NEAR(OriginBytesServed(), static_cast<double>(8 * kChunkBytes), 1.0);
 
-  // The obs counters mirror the cache's own stats one for one.
+#if BOLTED_OBS
+  // The obs counters mirror the cache's own stats one for one (they are
+  // compiled out under BOLTED_OBS=0; the stats checks above still run).
   EXPECT_EQ(registry.counter("chunks.rack_hit"), stats.hits);
   EXPECT_EQ(registry.counter("chunks.coalesced"), stats.coalesced);
   EXPECT_EQ(registry.counter("chunks.origin_fetch"), stats.origin_fetches);
   EXPECT_EQ(registry.counter("chunks.origin_bytes"), stats.origin_bytes);
   EXPECT_EQ(registry.counter("chunks.peer_redirect"), stats.peer_redirects);
   EXPECT_EQ(registry.counter("chunks.quarantine"), stats.quarantined);
+#endif
 }
 
 TEST_F(ChunkFixture, ManifestRoundtripsThroughTheWire) {

@@ -19,10 +19,13 @@
 #include "src/crypto/p256.h"
 #include "src/crypto/sha256.h"
 #include "src/crypto/u256.h"
+#include "tests/oracle/montgomery.h"
 #include "tests/oracle/p256_reference.h"
 
 namespace bolted::crypto {
 namespace {
+
+using oracle::Montgomery;
 
 TEST(BytesTest, HexRoundTrip) {
   const Bytes data = {0x00, 0x01, 0xab, 0xff};

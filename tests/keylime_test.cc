@@ -6,12 +6,12 @@
 #include <gtest/gtest.h>
 
 #include "src/crypto/ecies.h"
+#include "src/crypto/wire.h"
 #include "src/keylime/agent.h"
 #include "src/keylime/payload.h"
 #include "src/keylime/registrar.h"
 #include "src/keylime/verifier.h"
 #include "src/machine/machine.h"
-#include "src/net/wire.h"
 
 namespace bolted::keylime {
 namespace {
@@ -249,7 +249,7 @@ TEST_F(KeylimeFixture, PayloadDeliveredAfterSuccessfulVerification) {
   auto deliver = [&]() -> Task {
     net::Message message;
     message.kind = std::string(kRpcDeliverU);
-    message.payload = net::WireWriter().Blob(sealed_u).Take();
+    message.payload = crypto::WireWriter().Blob(sealed_u).Take();
     net::Message response;
     bool ok = false;
     co_await tenant.Call(machine->address(), std::move(message), &response, &ok);
@@ -448,7 +448,7 @@ TEST_F(KeylimeFixture, StaleQuoteWithOldNonceIsRejected) {
       [&](const net::Message&, net::Message* response) -> Task {
         const tpm::Quote quote =
             machine->tpm().MakeQuote(old_nonce, kQuotePcrMask);
-        response->payload = net::WireWriter()
+        response->payload = crypto::WireWriter()
                                 .Blob(quote.Serialize())
                                 .Blob(machine->boot_log().Serialize())
                                 .U64(0)
@@ -486,11 +486,11 @@ TEST_F(KeylimeFixture, QuoteSignedByWrongAikIsRejected) {
   mitm.RegisterHandler(
       std::string(kRpcQuote),
       [&](const net::Message& request, net::Message* response) -> Task {
-        net::WireReader reader(request.payload);
+        crypto::WireReader reader(request.payload);
         const Bytes nonce = reader.Blob();
         const uint32_t mask = reader.U32();
         const tpm::Quote quote = imposter.tpm().MakeQuote(nonce, mask);
-        response->payload = net::WireWriter()
+        response->payload = crypto::WireWriter()
                                 .Blob(quote.Serialize())
                                 .Blob(machine->boot_log().Serialize())
                                 .U64(0)
@@ -543,11 +543,11 @@ TEST_F(KeylimeFixture, ImaRollbackByCompromisedAgentIsRejected) {
   machine->rpc().RegisterHandler(
       std::string(kRpcQuote),
       [&](const net::Message& request, net::Message* response) -> Task {
-        net::WireReader reader(request.payload);
+        crypto::WireReader reader(request.payload);
         const Bytes nonce = reader.Blob();
         const uint32_t mask = reader.U32();
         const tpm::Quote quote = machine->tpm().MakeQuote(nonce, mask);
-        response->payload = net::WireWriter()
+        response->payload = crypto::WireWriter()
                                 .Blob(quote.Serialize())
                                 .Blob(machine->boot_log().Serialize())
                                 .U64(0)

@@ -11,7 +11,6 @@ using crypto::Bytes;
 using crypto::Digest;
 using crypto::EcdsaSignature;
 using crypto::EcPoint;
-using crypto::Montgomery;
 using crypto::U256;
 
 namespace {

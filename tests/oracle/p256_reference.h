@@ -3,11 +3,11 @@
 // of bench_crypto_json (DESIGN.md §6).  Test-only: no target under src/
 // links it.
 //
-// Everything runs on the generic public crypto::Montgomery API: a plain
-// double-and-add ladder over Jacobian coordinates, Fermat inversions, and
-// the FIPS 186-4 curve constants.  It shares no ladder, table, inversion
-// or specialized field code with crypto::P256, which is what makes the
-// two agreeing mean something.  Not constant-time.
+// Everything runs on the oracle's own generic Montgomery class
+// (montgomery.h): a plain double-and-add ladder over Jacobian coordinates,
+// Fermat inversions, and the FIPS 186-4 curve constants.  It shares no
+// ladder, table, inversion or field code with crypto::P256, which is what
+// makes the two agreeing mean something.  Not constant-time.
 
 #ifndef TESTS_ORACLE_P256_REFERENCE_H_
 #define TESTS_ORACLE_P256_REFERENCE_H_
@@ -18,16 +18,17 @@
 #include "src/crypto/p256.h"
 #include "src/crypto/sha256.h"
 #include "src/crypto/u256.h"
+#include "tests/oracle/montgomery.h"
 
 namespace bolted::oracle {
 
 // base^exponent by left-to-right square-and-multiply; base and result in
 // m's Montgomery domain.
-crypto::U256 Exp(const crypto::Montgomery& m, const crypto::U256& base,
+crypto::U256 Exp(const Montgomery& m, const crypto::U256& base,
                  const crypto::U256& exponent);
 // a^-1 as a^(m-2) (Fermat's little theorem; the modulus must be prime).
 // Montgomery domain in and out.
-crypto::U256 FermatInverse(const crypto::Montgomery& m, const crypto::U256& a);
+crypto::U256 FermatInverse(const Montgomery& m, const crypto::U256& a);
 
 class P256Reference {
  public:
@@ -66,8 +67,8 @@ class P256Reference {
 
   crypto::U256 p_;  // field prime
   crypto::U256 n_;  // group order
-  crypto::Montgomery fp_;
-  crypto::Montgomery fn_;
+  Montgomery fp_;
+  Montgomery fn_;
   crypto::U256 b_mont_;      // curve b in Montgomery form
   crypto::U256 three_mont_;  // 3 in Montgomery form
   Jacobian g_;               // base point

@@ -5,18 +5,24 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "src/crypto/aes_gcm.h"
 #include "src/crypto/aes_xts.h"
 #include "src/crypto/drbg.h"
 #include "src/crypto/p256.h"
+#include "src/crypto/p256_field.h"
 #include "src/crypto/sha256.h"
 #include "src/crypto/u256.h"
+#include "src/crypto/wire.h"
 #include "src/net/network.h"
 #include "src/net/resource.h"
 #include "src/sim/simulation.h"
 #include "src/sim/task.h"
 #include "src/tpm/event_log.h"
 #include "src/tpm/tpm.h"
+#include "tests/oracle/montgomery.h"
 #include "tests/oracle/p256_reference.h"
 
 namespace bolted {
@@ -136,7 +142,7 @@ TEST_P(MontgomeryLawSweep, RingAxiomsHold) {
   for (const char* modulus_hex :
        {"ffffffff00000001000000000000000000000000ffffffffffffffffffffffff",
         "ffffffff00000000ffffffffffffffffbce6faada7179e84f3b9cac2fc632551"}) {
-    const crypto::Montgomery m(crypto::U256::FromHexString(modulus_hex));
+    const oracle::Montgomery m(crypto::U256::FromHexString(modulus_hex));
     Drbg drbg(static_cast<uint64_t>(GetParam()) * 104729);
     const crypto::U256 a = m.Reduce(crypto::U256::FromBytes(drbg.Generate(32)));
     const crypto::U256 b = m.Reduce(crypto::U256::FromBytes(drbg.Generate(32)));
@@ -159,6 +165,57 @@ TEST_P(MontgomeryLawSweep, RingAxiomsHold) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Operands, MontgomeryLawSweep, ::testing::Range(0, 10));
+
+// --- Production field layer vs the oracle's generic Montgomery class --------
+//
+// field::Fp and field::Fn are the only field code P-256 runs on; the
+// oracle's runtime class shares no code with them, so every operation must
+// agree value for value.  Operands are DRBG field elements plus the edges
+// 0, 1 and m-1; Reduce also sees m and 2^256-1, and raw DRBG words.
+
+template <typename Field>
+void ExpectFieldMatchesOracle(uint64_t seed) {
+  using crypto::U256;
+  const oracle::Montgomery ref(Field::Modulus());
+  U256 m_minus_1;
+  crypto::SubBorrow(Field::Modulus(), U256::One(), m_minus_1);
+  std::vector<U256> operands = {U256::Zero(), U256::One(), m_minus_1};
+  std::vector<U256> unreduced = {Field::Modulus(), U256{{~0ull, ~0ull, ~0ull, ~0ull}}};
+  Drbg drbg(seed);
+  for (int i = 0; i < 8; ++i) {
+    const U256 raw = U256::FromBytes(drbg.Generate(32));
+    operands.push_back(ref.Reduce(raw));
+    unreduced.push_back(raw);
+  }
+
+  EXPECT_EQ(Field::One(), ref.one_mont());
+  EXPECT_EQ(Field::R2(), ref.ToMont(ref.one_mont()));  // ToMont(R) = R^2
+  for (const U256& a : operands) {
+    EXPECT_EQ(Field::ToMont(a), ref.ToMont(a));
+    EXPECT_EQ(Field::FromMont(a), ref.FromMont(a));
+    EXPECT_EQ(Field::Reduce(a), ref.Reduce(a));
+    EXPECT_EQ(Field::Neg(a), ref.Neg(a));
+    EXPECT_EQ(Field::Sqr(a), ref.Sqr(a));
+    for (const U256& b : operands) {
+      EXPECT_EQ(Field::Add(a, b), ref.Add(a, b));
+      EXPECT_EQ(Field::Sub(a, b), ref.Sub(a, b));
+      EXPECT_EQ(Field::Mul(a, b), ref.Mul(a, b));
+    }
+  }
+  for (const U256& a : unreduced) {
+    EXPECT_EQ(Field::Reduce(a), ref.Reduce(a));
+  }
+}
+
+class FieldOracleSweep : public ::testing::TestWithParam<int> {};
+
+TEST_P(FieldOracleSweep, FpAndFnMatchTheGenericClass) {
+  const uint64_t seed = static_cast<uint64_t>(GetParam()) * 7919 + 1;
+  ExpectFieldMatchesOracle<crypto::field::Fp>(seed);
+  ExpectFieldMatchesOracle<crypto::field::Fn>(seed);
+}
+
+INSTANTIATE_TEST_SUITE_P(Operands, FieldOracleSweep, ::testing::Range(0, 8));
 
 // --- Fluid model: conservation and fairness ---------------------------------
 
@@ -256,6 +313,26 @@ TEST_P(QuoteFuzzSweep, CorruptedQuotesNeverVerify) {
 
 INSTANTIATE_TEST_SUITE_P(Corruptions, QuoteFuzzSweep, ::testing::Range(0, 20));
 
+// Every prefix of `wire` followed by one extra byte, shared out across the
+// 21 sweep parameters (parameter p takes the lengths p, p+21, ...): the
+// decoder accepts exactly the lengths in `valid`, and whatever it accepts
+// re-encodes to the same bytes.
+template <typename Decoded>
+void ExpectPrefixesFailClosed(int param, const Bytes& wire,
+                              const std::vector<size_t>& valid) {
+  Bytes extended = wire;
+  extended.push_back(0x5a);
+  for (size_t cut = static_cast<size_t>(param); cut <= extended.size(); cut += 21) {
+    const crypto::ByteView prefix(extended.data(), cut);
+    const auto parsed = Decoded::Deserialize(prefix);
+    const bool want = std::find(valid.begin(), valid.end(), cut) != valid.end();
+    ASSERT_EQ(parsed.has_value(), want) << cut << " of " << wire.size() << " bytes";
+    if (parsed.has_value()) {
+      EXPECT_EQ(parsed->Serialize(), Bytes(prefix.begin(), prefix.end()));
+    }
+  }
+}
+
 class EventLogFuzzSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(EventLogFuzzSweep, TruncationsNeverCrashAndNeverMisparse) {
@@ -264,19 +341,53 @@ TEST_P(EventLogFuzzSweep, TruncationsNeverCrashAndNeverMisparse) {
     log.Add(i, crypto::Sha256::Hash("stage" + std::to_string(i)),
             "stage-" + std::to_string(i));
   }
-  const Bytes wire = log.Serialize();
-  const size_t cut = static_cast<size_t>(GetParam()) * wire.size() / 20;
-  const auto parsed =
-      tpm::EventLog::Deserialize(crypto::ByteView(wire.data(), cut));
-  if (cut == wire.size()) {
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, log);
-  } else {
-    EXPECT_FALSE(parsed.has_value());
-  }
+  const Bytes log_wire = log.Serialize();
+  ExpectPrefixesFailClosed<tpm::EventLog>(GetParam(), log_wire, {log_wire.size()});
+  EXPECT_EQ(tpm::EventLog::Deserialize(log_wire), log);
+
+  // The same table over a quote with its batch-verification hint (whose
+  // hint-less prefix is itself a valid quote) and one without.
+  tpm::Tpm machine_tpm(crypto::ToBytes("fuzz-tpm"), tpm::TpmLatencyModel{});
+  machine_tpm.CreateAik();
+  machine_tpm.ExtendPcr(0, crypto::Sha256::Hash("fw"));
+  tpm::Quote quote = machine_tpm.MakeQuote(crypto::ToBytes("nonce"), 0x3);
+  ASSERT_TRUE(quote.r_hint.has_value());
+  const Bytes hinted = quote.Serialize();
+  ExpectPrefixesFailClosed<tpm::Quote>(GetParam(), hinted,
+                                       {hinted.size() - 64, hinted.size()});
+  quote.r_hint.reset();
+  const Bytes plain = quote.Serialize();
+  ExpectPrefixesFailClosed<tpm::Quote>(GetParam(), plain, {plain.size()});
 }
 
 INSTANTIATE_TEST_SUITE_P(Truncations, EventLogFuzzSweep, ::testing::Range(0, 21));
+
+// The explicit bounds each format keeps on top of the codec: a quote
+// carries at most a 1024-byte nonce and one value per PCR, and an event
+// names a PCR that exists.
+TEST(DecoderBoundsTest, OversizedQuoteFieldsAndBadPcrIndexAreRejected) {
+  tpm::Quote quote;
+  quote.nonce.assign(1024, 0x11);
+  quote.pcr_values.assign(tpm::kNumPcrs, crypto::Sha256::Hash("pcr"));
+  ASSERT_TRUE(tpm::Quote::Deserialize(quote.Serialize()).has_value());
+  quote.nonce.push_back(0x11);
+  EXPECT_FALSE(tpm::Quote::Deserialize(quote.Serialize()).has_value());
+  quote.nonce.pop_back();
+  quote.pcr_values.push_back(crypto::Sha256::Hash("pcr"));
+  EXPECT_FALSE(tpm::Quote::Deserialize(quote.Serialize()).has_value());
+
+  // EventLog::Add asserts the index, so the bad entry is written by hand:
+  // count, then (pcr index, measurement, description) per event.
+  for (const int pcr : {tpm::kNumPcrs - 1, tpm::kNumPcrs}) {
+    const Bytes log = crypto::WireWriter()
+                          .U32(1)
+                          .U32(static_cast<uint32_t>(pcr))
+                          .Digest(crypto::Sha256::Hash("m"))
+                          .Str("event")
+                          .Take();
+    EXPECT_EQ(tpm::EventLog::Deserialize(log).has_value(), pcr < tpm::kNumPcrs) << pcr;
+  }
+}
 
 // --- Structural VLAN isolation ----------------------------------------------
 

@@ -4,14 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include "src/crypto/wire.h"
 #include "src/net/rpc.h"
-#include "src/net/wire.h"
 
 namespace bolted::net {
 namespace {
 
 using crypto::Bytes;
 using crypto::ToBytes;
+using crypto::WireReader;
+using crypto::WireWriter;
 using sim::Duration;
 using sim::Simulation;
 using sim::Task;

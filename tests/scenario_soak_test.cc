@@ -34,31 +34,29 @@ namespace bolted::scenario {
 namespace {
 
 ScenarioSpec SoakSpec(uint64_t seed) {
-  std::string error;
-  ScenarioSpec spec =
-      ScenarioBuilder("soak")
-          .Seed(seed)
-          .Machines(6)
-          .AirlockSlots(4)
-          // A single provision is ~132 sim-seconds under fleet
-          // calibration, so the phases are spaced to let each settle.
-          .Duration(sim::Duration::Minutes(18))
-          .Tenant("alice", Tier::kAlice, 2)
-          .Tenant("bob", Tier::kBob, 2)
-          .Tenant("charlie", Tier::kCharlie, 2)
-          .Arrival({.kind = ArrivalKind::kPoisson, .rate_per_minute = 20})
-          .Phase({.kind = PhaseKind::kChurn,
+  ScenarioSpec spec{
+      .name = "soak",
+      .seed = seed,
+      // A single provision is ~132 sim-seconds under fleet calibration, so
+      // the phases are spaced to let each settle.
+      .duration = sim::Duration::Minutes(18),
+      .machines = 6,
+      .airlock_slots = 4,
+      .tenants = {{"alice", Tier::kAlice, 2},
+                  {"bob", Tier::kBob, 2},
+                  {"charlie", Tier::kCharlie, 2}},
+      .arrival = {.kind = ArrivalKind::kPoisson, .rate_per_minute = 20},
+      .phases = {{.kind = PhaseKind::kChurn,
                   .start = sim::Duration::Minutes(5),
                   .duration = sim::Duration::Minutes(3),
                   .hold = sim::Duration::Seconds(15),
-                  .release_fraction = 0.7})
-          .Phase({.kind = PhaseKind::kRebootStorm,
-                  .start = sim::Duration::Minutes(10)})
-          .Phase({.kind = PhaseKind::kRollingUpgrade,
+                  .release_fraction = 0.7},
+                 {.kind = PhaseKind::kRebootStorm,
+                  .start = sim::Duration::Minutes(10)},
+                 {.kind = PhaseKind::kRollingUpgrade,
                   .start = sim::Duration::Minutes(14),
-                  .canaries = 2})
-          .Build(&error);
-  EXPECT_TRUE(error.empty()) << error;
+                  .canaries = 2}}};
+  EXPECT_EQ(spec.Validate(), "");
   return spec;
 }
 

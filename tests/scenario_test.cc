@@ -160,40 +160,38 @@ TEST(ScenarioSpecTest, RejectsMalformedSpecsWithExactErrors) {
 }
 
 TEST(ScenarioSpecTest, ValidateCatchesSemanticErrors) {
-  std::string error;
-  ScenarioBuilder("empty").Build(&error);
-  EXPECT_EQ(error, "scenario has no tenants");
+  const ScenarioSpec empty{.name = "empty"};
+  EXPECT_EQ(empty.Validate(), "scenario has no tenants");
 
-  ScenarioBuilder("tight")
-      .Machines(2)
-      .Tenant("a", Tier::kCharlie, 4)
-      .Build(&error);
-  EXPECT_EQ(error, "machines (2) fewer than total tenant nodes (4)");
+  const ScenarioSpec tight{
+      .name = "tight", .machines = 2, .tenants = {{"a", Tier::kCharlie, 4}}};
+  EXPECT_EQ(tight.Validate(), "machines (2) fewer than total tenant nodes (4)");
 
-  ScenarioBuilder("late")
-      .Duration(sim::Duration::Minutes(10))
-      .Tenant("a", Tier::kCharlie, 2)
-      .Phase({.kind = PhaseKind::kChurn, .start = sim::Duration::Seconds(700)})
-      .Build(&error);
-  EXPECT_EQ(error, "phase 'churn' at 700s starts after the scenario ends (600s)");
+  const ScenarioSpec late{
+      .name = "late",
+      .duration = sim::Duration::Minutes(10),
+      .tenants = {{"a", Tier::kCharlie, 2}},
+      .phases = {{.kind = PhaseKind::kChurn, .start = sim::Duration::Seconds(700)}}};
+  EXPECT_EQ(late.Validate(), "phase 'churn' at 700s starts after the scenario ends (600s)");
 
-  ScenarioBuilder("resize")
-      .Tenant("a", Tier::kCharlie, 2)
-      .Phase({.kind = PhaseKind::kAirlockResize,
-              .start = sim::Duration::Seconds(10)})
-      .Build(&error);
-  EXPECT_EQ(error, "airlock_resize phase needs slots=N");
+  const ScenarioSpec resize{
+      .name = "resize",
+      .tenants = {{"a", Tier::kCharlie, 2}},
+      .phases = {{.kind = PhaseKind::kAirlockResize,
+                  .start = sim::Duration::Seconds(10)}}};
+  EXPECT_EQ(resize.Validate(), "airlock_resize phase needs slots=N");
 
-  ScenarioBuilder("crashy")
-      .Machines(4)
-      .Tenant("a", Tier::kCharlie, 2)
-      .Crash(9, sim::Duration::Seconds(5))
-      .Build(&error);
-  EXPECT_EQ(error, "crash target 9 out of range (machines: 4)");
+  const ScenarioSpec crashy{
+      .name = "crashy",
+      .machines = 4,
+      .tenants = {{"a", Tier::kCharlie, 2}},
+      .crashes = {{.target = 9, .at = sim::Duration::Seconds(5)}}};
+  EXPECT_EQ(crashy.Validate(), "crash target 9 out of range (machines: 4)");
 
   // Parse runs Validate too: a syntactically clean but semantically empty
   // spec fails with the plain (line-free) validation message.
   ScenarioSpec spec;
+  std::string error;
   EXPECT_FALSE(ScenarioSpec::Parse("seed 3\n", &spec, &error));
   EXPECT_EQ(error, "scenario has no tenants");
 }
@@ -227,18 +225,18 @@ TEST(ScenarioSpecTest, ExampleSpecsParse) {
 // ---------------------------------------------------------------------------
 // Oracle runner: each phase in isolation at small scale
 
-ScenarioBuilder SmallFleet(const std::string& name, int nodes) {
-  ScenarioBuilder builder(name);
-  builder.Seed(17)
-      .Machines(nodes)
-      .AirlockSlots(2)
+ScenarioSpec SmallFleet(const std::string& name, int nodes) {
+  return ScenarioSpec{
+      .name = name,
+      .seed = 17,
       // A single provision runs ~132 sim-seconds under fleet calibration,
       // so the arrival wave completes around t=270s; phases start after.
-      .Duration(sim::Duration::Minutes(12))
-      .Tenant("charlie", Tier::kCharlie, nodes)
-      .Arrival({.kind = ArrivalKind::kFixed,
-                .fixed_spacing = sim::Duration::Seconds(2)});
-  return builder;
+      .duration = sim::Duration::Minutes(12),
+      .machines = nodes,
+      .airlock_slots = 2,
+      .tenants = {{"charlie", Tier::kCharlie, nodes}},
+      .arrival = {.kind = ArrivalKind::kFixed,
+                  .fixed_spacing = sim::Duration::Seconds(2)}};
 }
 
 void ExpectConverged(const ScenarioResult& result, int nodes) {
@@ -250,16 +248,13 @@ void ExpectConverged(const ScenarioResult& result, int nodes) {
 }
 
 TEST(ScenarioRunnerTest, ChurnPhaseCyclesNodes) {
-  std::string error;
-  const ScenarioSpec spec =
-      SmallFleet("churn_only", 3)
-          .Phase({.kind = PhaseKind::kChurn,
-                  .start = sim::Duration::Seconds(300),
-                  .duration = sim::Duration::Seconds(120),
-                  .hold = sim::Duration::Seconds(10),
-                  .release_fraction = 0.9})
-          .Build(&error);
-  ASSERT_TRUE(error.empty()) << error;
+  ScenarioSpec spec = SmallFleet("churn_only", 3);
+  spec.phases.push_back({.kind = PhaseKind::kChurn,
+                         .start = sim::Duration::Seconds(300),
+                         .duration = sim::Duration::Seconds(120),
+                         .hold = sim::Duration::Seconds(10),
+                         .release_fraction = 0.9});
+  ASSERT_EQ(spec.Validate(), "");
   const ScenarioResult result = RunScenario(spec);
   ExpectConverged(result, 3);
   EXPECT_GE(result.stats.churn_cycles, 1u);
@@ -267,28 +262,22 @@ TEST(ScenarioRunnerTest, ChurnPhaseCyclesNodes) {
 }
 
 TEST(ScenarioRunnerTest, RebootStormRebootsEveryNode) {
-  std::string error;
-  const ScenarioSpec spec =
-      SmallFleet("storm_only", 3)
-          .Phase({.kind = PhaseKind::kRebootStorm,
-                  .start = sim::Duration::Seconds(300),
-                  .storm_fraction = 1.0})
-          .Build(&error);
-  ASSERT_TRUE(error.empty()) << error;
+  ScenarioSpec spec = SmallFleet("storm_only", 3);
+  spec.phases.push_back({.kind = PhaseKind::kRebootStorm,
+                         .start = sim::Duration::Seconds(300),
+                         .storm_fraction = 1.0});
+  ASSERT_EQ(spec.Validate(), "");
   const ScenarioResult result = RunScenario(spec);
   ExpectConverged(result, 3);
   EXPECT_EQ(result.stats.storm_reboots, 3u);
 }
 
 TEST(ScenarioRunnerTest, RollingUpgradeUpgradesFleet) {
-  std::string error;
-  const ScenarioSpec spec =
-      SmallFleet("upgrade_clean", 3)
-          .Phase({.kind = PhaseKind::kRollingUpgrade,
-                  .start = sim::Duration::Seconds(300),
-                  .canaries = 1})
-          .Build(&error);
-  ASSERT_TRUE(error.empty()) << error;
+  ScenarioSpec spec = SmallFleet("upgrade_clean", 3);
+  spec.phases.push_back({.kind = PhaseKind::kRollingUpgrade,
+                         .start = sim::Duration::Seconds(300),
+                         .canaries = 1});
+  ASSERT_EQ(spec.Validate(), "");
   const ScenarioResult result = RunScenario(spec);
   ExpectConverged(result, 3);
   EXPECT_EQ(result.stats.upgrades, 3u);
@@ -296,15 +285,12 @@ TEST(ScenarioRunnerTest, RollingUpgradeUpgradesFleet) {
 }
 
 TEST(ScenarioRunnerTest, BadUpgradeImageRollsBackAndAborts) {
-  std::string error;
-  const ScenarioSpec spec =
-      SmallFleet("upgrade_bad", 4)
-          .Phase({.kind = PhaseKind::kRollingUpgrade,
-                  .start = sim::Duration::Seconds(300),
-                  .canaries = 2,
-                  .bad_image = true})
-          .Build(&error);
-  ASSERT_TRUE(error.empty()) << error;
+  ScenarioSpec spec = SmallFleet("upgrade_bad", 4);
+  spec.phases.push_back({.kind = PhaseKind::kRollingUpgrade,
+                         .start = sim::Duration::Seconds(300),
+                         .canaries = 2,
+                         .bad_image = true});
+  ASSERT_EQ(spec.Validate(), "");
   const ScenarioResult result = RunScenario(spec);
   // The compromised image never attests; both canaries roll back and the
   // fleet wave must not start.
@@ -314,14 +300,11 @@ TEST(ScenarioRunnerTest, BadUpgradeImageRollsBackAndAborts) {
 }
 
 TEST(ScenarioRunnerTest, QuarantineSweepQuarantinesAndReprovisions) {
-  std::string error;
-  const ScenarioSpec spec =
-      SmallFleet("sweep_only", 3)
-          .Phase({.kind = PhaseKind::kQuarantineSweep,
-                  .start = sim::Duration::Seconds(300),
-                  .compromise_fraction = 1.0})
-          .Build(&error);
-  ASSERT_TRUE(error.empty()) << error;
+  ScenarioSpec spec = SmallFleet("sweep_only", 3);
+  spec.phases.push_back({.kind = PhaseKind::kQuarantineSweep,
+                         .start = sim::Duration::Seconds(300),
+                         .compromise_fraction = 1.0});
+  ASSERT_EQ(spec.Validate(), "");
   const ScenarioResult result = RunScenario(spec);
   ExpectConverged(result, 3);
   EXPECT_EQ(result.stats.compromises, 3u);
@@ -329,20 +312,17 @@ TEST(ScenarioRunnerTest, QuarantineSweepQuarantinesAndReprovisions) {
 }
 
 TEST(ScenarioRunnerTest, AirlockResizeGrowsAndShrinks) {
-  std::string error;
-  const ScenarioSpec spec =
-      SmallFleet("resize", 4)
-          .Phase({.kind = PhaseKind::kAirlockResize,
-                  .start = sim::Duration::Seconds(40),
-                  .airlock_slots = 6})
-          .Phase({.kind = PhaseKind::kAirlockResize,
-                  .start = sim::Duration::Seconds(300),
-                  .airlock_slots = 1})
-          .Phase({.kind = PhaseKind::kRebootStorm,
-                  .start = sim::Duration::Seconds(320),
-                  .storm_fraction = 1.0})
-          .Build(&error);
-  ASSERT_TRUE(error.empty()) << error;
+  ScenarioSpec spec = SmallFleet("resize", 4);
+  spec.phases.push_back({.kind = PhaseKind::kAirlockResize,
+                         .start = sim::Duration::Seconds(40),
+                         .airlock_slots = 6});
+  spec.phases.push_back({.kind = PhaseKind::kAirlockResize,
+                         .start = sim::Duration::Seconds(300),
+                         .airlock_slots = 1});
+  spec.phases.push_back({.kind = PhaseKind::kRebootStorm,
+                         .start = sim::Duration::Seconds(320),
+                         .storm_fraction = 1.0});
+  ASSERT_EQ(spec.Validate(), "");
   // The storm reboots the whole fleet through a single airlock slot after
   // the shrink: elastic resize must not deadlock or leak permits.
   const ScenarioResult result = RunScenario(spec);
@@ -357,16 +337,13 @@ TEST(ScenarioRunnerTest, AirlockResizeGrowsAndShrinks) {
 // every failed provision inside the runner, and the final sweep proves
 // the crashed node re-provisions once the fabric heals.
 TEST(ScenarioRunnerTest, CrashDuringUpgradeWindowAbortsCleanly) {
-  std::string error;
-  const ScenarioSpec spec =
-      SmallFleet("upgrade_crash", 4)
-          .Faults(FaultMode::kPlan)
-          .Crash(1, sim::Duration::Seconds(310))
-          .Phase({.kind = PhaseKind::kRollingUpgrade,
-                  .start = sim::Duration::Seconds(300),
-                  .canaries = 2})
-          .Build(&error);
-  ASSERT_TRUE(error.empty()) << error;
+  ScenarioSpec spec = SmallFleet("upgrade_crash", 4);
+  spec.faults = FaultMode::kPlan;
+  spec.crashes.push_back({.target = 1, .at = sim::Duration::Seconds(310)});
+  spec.phases.push_back({.kind = PhaseKind::kRollingUpgrade,
+                         .start = sim::Duration::Seconds(300),
+                         .canaries = 2});
+  ASSERT_EQ(spec.Validate(), "");
   const ScenarioResult result = RunScenario(spec);
   ExpectConverged(result, 4);
   EXPECT_GE(result.stats.faults_fired, 1u);
@@ -379,34 +356,32 @@ TEST(ScenarioRunnerTest, CrashDuringUpgradeWindowAbortsCleanly) {
 // Replay and scheduler invariance
 
 ScenarioSpec MixedSpec(uint64_t seed) {
-  std::string error;
-  ScenarioSpec spec =
-      ScenarioBuilder("mixed")
-          .Seed(seed)
-          .Machines(6)
-          .AirlockSlots(4)
-          .Duration(sim::Duration::Minutes(22))
-          .Tenant("alice", Tier::kAlice, 2)
-          .Tenant("bob", Tier::kBob, 2)
-          .Tenant("charlie", Tier::kCharlie, 2)
-          .Arrival({.kind = ArrivalKind::kFixed,
-                    .fixed_spacing = sim::Duration::Seconds(2)})
-          .Phase({.kind = PhaseKind::kChurn,
+  ScenarioSpec spec{
+      .name = "mixed",
+      .seed = seed,
+      .duration = sim::Duration::Minutes(22),
+      .machines = 6,
+      .airlock_slots = 4,
+      .tenants = {{"alice", Tier::kAlice, 2},
+                  {"bob", Tier::kBob, 2},
+                  {"charlie", Tier::kCharlie, 2}},
+      .arrival = {.kind = ArrivalKind::kFixed,
+                  .fixed_spacing = sim::Duration::Seconds(2)},
+      .phases = {{.kind = PhaseKind::kChurn,
                   .start = sim::Duration::Minutes(5),
                   .duration = sim::Duration::Minutes(2),
-                  .hold = sim::Duration::Seconds(20)})
-          .Phase({.kind = PhaseKind::kRebootStorm,
-                  .start = sim::Duration::Minutes(10)})
-          .Phase({.kind = PhaseKind::kRollingUpgrade,
+                  .hold = sim::Duration::Seconds(20)},
+                 {.kind = PhaseKind::kRebootStorm,
+                  .start = sim::Duration::Minutes(10)},
+                 {.kind = PhaseKind::kRollingUpgrade,
                   .start = sim::Duration::Minutes(15),
-                  .canaries = 2})
-          // The upgrade runs ~5 minutes; the sweep waits for it so the
-          // continuously-attested nodes are idle again.
-          .Phase({.kind = PhaseKind::kQuarantineSweep,
+                  .canaries = 2},
+                 // The upgrade runs ~5 minutes; the sweep waits for it so
+                 // the continuously-attested nodes are idle again.
+                 {.kind = PhaseKind::kQuarantineSweep,
                   .start = sim::Duration::Minutes(21),
-                  .compromise_fraction = 0.5})
-          .Build(&error);
-  EXPECT_TRUE(error.empty()) << error;
+                  .compromise_fraction = 0.5}}};
+  EXPECT_EQ(spec.Validate(), "");
   return spec;
 }
 

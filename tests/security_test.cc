@@ -12,9 +12,9 @@
 #include "src/core/cloud.h"
 #include "src/core/enclave.h"
 #include "src/crypto/ecies.h"
+#include "src/crypto/wire.h"
 #include "src/firmware/firmware.h"
 #include "src/keylime/agent.h"
-#include "src/net/wire.h"
 
 namespace bolted::core {
 namespace {

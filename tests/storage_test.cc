@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "src/crypto/drbg.h"
+#include "src/crypto/wire.h"
 #include "src/net/network.h"
 #include "src/net/rpc.h"
 #include "src/sim/simulation.h"
@@ -387,6 +388,60 @@ TEST(IscsiTest, CacheHitsDoNotReissueRequests) {
   };
   fx.sim.Spawn(flow());
   fx.sim.Run();
+}
+
+// The target decodes the 24-byte (image, offset, bytes) request header
+// fail-closed: every truncation of a well-formed request, and the request
+// plus one trailing byte, is answered with iscsi.error and serves nothing.
+TEST(IscsiTest, TruncatedOrExtendedRequestsGetErrors) {
+  IscsiFixture fx;
+  const Bytes well_formed =
+      crypto::WireWriter().U64(fx.image).U64(0).U64(kSectorSize).Take();
+  ASSERT_EQ(well_formed.size(), 24u);
+  std::vector<Bytes> malformed;
+  for (size_t cut = 0; cut < well_formed.size(); ++cut) {
+    malformed.emplace_back(well_formed.begin(),
+                           well_formed.begin() + static_cast<ptrdiff_t>(cut));
+  }
+  malformed.push_back(well_formed);
+  malformed.back().push_back(0);
+
+  const std::vector<std::string> kinds = {"iscsi.read", "iscsi.write"};
+  std::vector<std::string> answers;
+  // By value: the coroutine outlives its caller's temporaries.
+  auto send = [&](std::string kind, Bytes payload) -> Task {
+    net::Message request;
+    request.kind = std::move(kind);
+    request.payload = std::move(payload);
+    net::Message response;
+    bool ok = false;
+    co_await fx.client.Call(fx.server_ep.address(), std::move(request), &response, &ok);
+    answers.push_back(ok ? response.kind : "timeout");
+  };
+  auto flow = [&]() -> Task {
+    for (const std::string& kind : kinds) {
+      for (const Bytes& payload : malformed) {
+        co_await send(kind, payload);
+      }
+    }
+  };
+  fx.sim.Spawn(flow());
+  fx.sim.Run();
+  ASSERT_EQ(answers.size(), kinds.size() * malformed.size());
+  for (size_t i = 0; i < answers.size(); ++i) {
+    EXPECT_EQ(answers[i], "iscsi.error") << kinds[i / malformed.size()] << " with "
+                                         << malformed[i % malformed.size()].size()
+                                         << " bytes";
+  }
+  EXPECT_EQ(fx.target.reads_served(), 0u);
+  EXPECT_EQ(fx.target.writes_served(), 0u);
+
+  // The well-formed request itself is served.
+  answers.clear();
+  fx.sim.Spawn(send("iscsi.read", well_formed));
+  fx.sim.Run();
+  EXPECT_EQ(answers, std::vector<std::string>{"iscsi.data"});
+  EXPECT_EQ(fx.target.reads_served(), 1u);
 }
 
 TEST(IscsiTest, IsolationMakesTargetUnreachable) {
