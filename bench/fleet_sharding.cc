@@ -3,12 +3,14 @@
 // A 4096-node datacenter (64 racks x 64 nodes) runs a steady control-
 // plane workload: every node fires a local event each 5-15 us (rng
 // jitter), and one in eight of those sends a 128-byte frame to a random
-// other rack.  The identical seeded scenario is executed with shards (and
-// worker threads) in {1, 2, 4, 8}; shards=1/workers=1 is the
-// single-threaded oracle, and every other configuration must reproduce
-// its per-rack trace digests, window count and rack runs exactly — a
-// mismatch is a correctness bug and the bench fails, not a performance
-// result.
+// other rack.  The identical seeded scenario is executed with shards in
+// {1, 2, 4, 8} and one worker thread per shard, clamped to the host's
+// cores (so the 8-shard row runs 4 threads on a 4-core host).  Every
+// shard has work in every window, so each window fork-joins all of them
+// on the pool.  shards=1/workers=1 is the single-threaded oracle, and
+// every other configuration must reproduce its per-rack trace digests,
+// window count and rack runs exactly — a mismatch is a correctness bug
+// and the bench fails, not a performance result.
 //
 // The headline numbers are host-side events/second per shard count and
 // the speedup_shardsN ratios.  Parallel speedup obviously requires
@@ -105,7 +107,6 @@ RunResult RunFleet(const Config& config, uint32_t shards, uint32_t workers,
   options.workers = workers;
   options.seed = kSeed;
   options.lookahead = Duration::Microseconds(50);
-  options.pin_workers = true;
   ShardedFleet fleet(options);
 
   // Capture mode: the tapped rack hosts a rack-local Network whose one

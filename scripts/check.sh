@@ -173,16 +173,20 @@ fi
 
 if [[ "${want_tsan}" == 1 ]]; then
   echo "== sanitizers: sharded-runtime suite under TSan =="
-  # The tree has two kinds of cross-thread code.  The sharded runtime's
-  # barrier phases alone order its frame mailboxes; the worker pool's
-  # tickets hand quote signatures and batch verdicts from its threads to
-  # the simulation thread.  The sharding suite drives the barriers and the
-  # pool (plus a multi-threaded fleet_sharding sweep for the window loop
-  # at scale); the attestation legs below drive the tickets.
+  # The worker pool's tickets are the tree's only cross-thread code, and
+  # two users hand work through them.  The sharded runtime fork-joins each
+  # window phase over its busy shards, so the joins alone order its frame
+  # mailboxes and rack Simulations; the attestation stages hand quote
+  # signatures and batch verdicts back to the simulation thread.  The
+  # sharding suite, a multi-threaded fleet_sharding sweep (dense windows)
+  # and a 512-node fleet_scenario run (sparse windows with zero, one or
+  # several handoffs each) drive the window phases; the attestation legs
+  # below drive the other user.  A handoff only crosses a thread on a host
+  # with at least two cores, since the runtime clamps its workers to them.
   cmake -B build-tsan -S . -DBOLTED_SANITIZE=thread
   cmake --build build-tsan -j "$(nproc)" --target sharding_test fleet_sharding \
-    net_fastpath_test scenario_soak_test attestation_batch_test tpm_test \
-    keylime_test fleet_attestation
+    fleet_scenario net_fastpath_test scenario_soak_test \
+    attestation_batch_test tpm_test keylime_test fleet_attestation
   ./build-tsan/tests/sharding_test
   # The burst engine runs inside the sharded workers (per-rack Networks,
   # uplink ingress via InjectFrame); the fast-path suite's sharded cases
@@ -191,9 +195,11 @@ if [[ "${want_tsan}" == 1 ]]; then
   ./build-tsan/tests/net_fastpath_test
   ./build-tsan/bench/fleet_sharding --nodes=512 --horizon-ms=1 \
     /tmp/bolted_tsan_bench_sharding.json
+  ./build-tsan/bench/fleet_scenario --nodes=512 --horizon-s=10 \
+    /tmp/bolted_tsan_bench_scenario.json
   # The sharded scenario model layers lifecycle state on the same mailboxes
-  # and barriers; --sharded-only skips the single-threaded oracle sweep and
-  # runs just the threaded 1024-node acceptance scenario.
+  # and window joins; --sharded-only skips the single-threaded oracle sweep
+  # and runs just the threaded 1024-node acceptance scenario.
   ./build-tsan/tests/scenario_soak_test --sharded-only
   # Quotes signed on the pool while their latency elapses, batches verified
   # as they fill: the TPM suite's pools of 1-4 threads, the fleet rounds at

@@ -49,9 +49,11 @@ struct Message {
 
 namespace detail {
 
-// Thread-local freelist of hollowed-out Messages.  Single-threaded like
-// the simulator; independent simulations on different threads get
-// independent pools.  Everything cached is freed at thread exit.
+// Thread-local freelist of hollowed-out Messages: simulations on different
+// threads get independent pools.  Each cached Message is its own
+// allocation, so one may be released on another thread than the one that
+// acquired it (a sharded rack may run on another thread in the next
+// window).  Everything cached is freed at thread exit.
 class MessagePool {
  public:
   static Message* Acquire() {

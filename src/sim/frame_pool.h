@@ -7,11 +7,11 @@
 // rounded size turns the steady state into pointer pops — zero calls
 // into the allocator on the frame path.
 //
-// Single-threaded by design, like the simulator itself: the pool is
-// thread-local, so independent simulations on different threads do not
-// contend (and tests that run sims on several threads stay correct).
-// All chunks are returned to the real allocator at thread exit, keeping
-// leak checkers quiet.
+// Thread-local, so simulations on different threads never contend.  Each
+// cached chunk is its own allocation, so a chunk may be freed on another
+// thread than the one that allocated it: a sharded rack may run on another
+// thread in the next window.  All chunks are returned to the real
+// allocator at thread exit, keeping leak checkers quiet.
 
 #ifndef SRC_SIM_FRAME_POOL_H_
 #define SRC_SIM_FRAME_POOL_H_

@@ -1,10 +1,11 @@
 #include "src/sim/shard.h"
 
 #include <algorithm>
-#include <barrier>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <limits>
+#include <thread>
 
 #include "src/sim/random.h"
 
@@ -61,16 +62,14 @@ void Rack::Send(uint32_t dst_rack, Duration delay, uint32_t kind,
 
 // --- ShardedFleet -----------------------------------------------------------
 
-void ShardedFleet::BarrierCompletion::operator()() noexcept {
-  fleet->ComputeWindow();
-}
-
 ShardedFleet::ShardedFleet(const ShardOptions& options)
     : lookahead_(options.lookahead) {
   const uint32_t racks = options.racks == 0 ? 1 : options.racks;
   num_shards_ = std::clamp<uint32_t>(options.shards, 1, racks);
   const uint32_t workers = options.workers == 0 ? num_shards_ : options.workers;
-  num_workers_ = std::clamp<uint32_t>(workers, 1, num_shards_);
+  const uint32_t cores = std::max(1u, std::thread::hardware_concurrency());
+  const uint32_t threads =
+      std::clamp<uint32_t>(workers, 1, std::min(num_shards_, cores));
   if (lookahead_.nanoseconds() < 1) {
     FatalShard("lookahead must be at least 1 ns");
   }
@@ -94,60 +93,59 @@ ShardedFleet::ShardedFleet(const ShardOptions& options)
   }
 
   outboxes_.resize(static_cast<size_t>(num_shards_) * num_shards_);
-
-  pool_ = std::make_unique<WorkerPool>(num_workers_, options.pin_workers);
+  busy_.reserve(num_shards_);
+  if (threads > 1) {
+    pool_ = std::make_unique<WorkerPool>(threads);
+  }
 }
 
 ShardedFleet::~ShardedFleet() = default;
 
 void ShardedFleet::RoutePhase(uint32_t d) {
   ShardState& st = shards_[d];
-  // Barrier A ordered every append of the window before this read, and
-  // the producers stay quiescent until barrier B.
+  // The run phase's join ordered every append of the window before this
+  // read, and no shard appends again until this phase's join.
   for (uint32_t s = 0; s < num_shards_; ++s) {
     std::vector<CrossShardFrame>& box = outbox(s, d);
     st.route_buf.insert(st.route_buf.end(), box.begin(), box.end());
     box.clear();
   }
 
-  if (!st.route_buf.empty()) {
-    std::sort(st.route_buf.begin(), st.route_buf.end(), CanonicalLess);
-    for (const CrossShardFrame& frame : st.route_buf) {
-      if (frame.deliver_ns < window_end_ns_) {
-        // Lookahead guarantees deliver >= window_end for every frame sent
-        // inside the window; a violation here means the sync is broken.
-        FatalShard("cross-shard frame below the window boundary");
-      }
-      Rack* rack = racks_[frame.dst_rack].get();
-      ShardedFleet* fleet = this;
-      CrossShardFrame f = frame;
-      rack->sim_->ScheduleAt(
-          Time::FromNanoseconds(frame.deliver_ns), [fleet, f] {
-            Rack& dst = *fleet->racks_[f.dst_rack];
-            // Fold the frame identity into the destination digest so the
-            // replay invariant covers payload routing, not just timing.
-            dst.sim_->RecordTraceEvent((f.src_seq * 0x100000001b3u) ^
-                                       (static_cast<uint64_t>(f.src_rack)
-                                        << 32) ^
-                                       f.kind);
-            if (fleet->handler_) {
-              fleet->handler_(dst, f);
-            }
-          });
-      // ScheduleAt clamps to the rack clock, which a rack that ran ahead
-      // in an earlier Run() may hold past the delivery instant.
-      int64_t& next = st.next_ns[frame.dst_rack - st.racks.front()];
-      next = std::min(next, std::max(frame.deliver_ns,
-                                     rack->sim_->now().nanoseconds()));
+  std::sort(st.route_buf.begin(), st.route_buf.end(), CanonicalLess);
+  for (const CrossShardFrame& frame : st.route_buf) {
+    if (frame.deliver_ns < window_end_ns_) {
+      // Lookahead guarantees deliver >= window_end for every frame sent
+      // inside the window; a violation here means the sync is broken.
+      FatalShard("cross-shard frame below the window boundary");
     }
-    st.routed += st.route_buf.size();
-    st.route_buf.clear();
+    Rack* rack = racks_[frame.dst_rack].get();
+    ShardedFleet* fleet = this;
+    CrossShardFrame f = frame;
+    rack->sim_->ScheduleAt(
+        Time::FromNanoseconds(frame.deliver_ns), [fleet, f] {
+          Rack& dst = *fleet->racks_[f.dst_rack];
+          // Fold the frame identity into the destination digest so the
+          // replay invariant covers payload routing, not just timing.
+          dst.sim_->RecordTraceEvent((f.src_seq * 0x100000001b3u) ^
+                                     (static_cast<uint64_t>(f.src_rack)
+                                      << 32) ^
+                                     f.kind);
+          if (fleet->handler_) {
+            fleet->handler_(dst, f);
+          }
+        });
+    // ScheduleAt clamps to the rack clock, which a rack that ran ahead
+    // in an earlier Run() may hold past the delivery instant.
+    int64_t& next = st.next_ns[frame.dst_rack - st.racks.front()];
+    next = std::min(next, std::max(frame.deliver_ns,
+                                   rack->sim_->now().nanoseconds()));
+    st.min_next = std::min(st.min_next, next);
   }
-
-  st.min_next = *std::min_element(st.next_ns.begin(), st.next_ns.end());
+  st.routed += st.route_buf.size();
+  st.route_buf.clear();
 }
 
-void ShardedFleet::ComputeWindow() {
+bool ShardedFleet::ComputeWindow() {
   int64_t min_next = kNoEvent;
   for (const ShardState& st : shards_) {
     min_next = std::min(min_next, st.min_next);
@@ -155,8 +153,7 @@ void ShardedFleet::ComputeWindow() {
   if (min_next == kNoEvent || min_next > limit_ns_) {
     // Every rack idle (or idle up to the horizon) and — since the route
     // phase drains every mailbox — no frame in flight: done.
-    done_ = true;
-    return;
+    return false;
   }
   // The conservative window: everything strictly before min_next + L is
   // safe, because a cross-rack frame sent at t >= min_next with delay >=
@@ -168,6 +165,7 @@ void ShardedFleet::ComputeWindow() {
   }
   window_end_ns_ = end;
   ++windows_;
+  return true;
 }
 
 void ShardedFleet::RunPhase(uint32_t s) {
@@ -183,37 +181,55 @@ void ShardedFleet::RunPhase(uint32_t s) {
                         : kNoEvent;
     ++st.rack_runs;
   }
+  st.min_next = *std::min_element(st.next_ns.begin(), st.next_ns.end());
 }
 
-void ShardedFleet::WorkerLoop(uint32_t worker) {
-  // Window state (done_, window_end_ns_) was published by the previous
-  // ComputeWindow — barrier B's completion, or for the first window
-  // RunWindows before the pool dispatch — so every worker reads a settled
-  // value.
-  while (!done_) {
-    for (uint32_t s = worker; s < num_shards_; s += num_workers_) {
-      RunPhase(s);
+template <typename Busy>
+void ShardedFleet::ForkJoin(void (ShardedFleet::*phase)(uint32_t),
+                            const Busy& busy) {
+  busy_.clear();
+  for (uint32_t s = 0; s < num_shards_; ++s) {
+    if (busy(s)) {
+      busy_.push_back(s);
     }
-    if (num_workers_ == 1) {
-      // One thread runs every phase in program order, so the barriers
-      // would order nothing: route and reduce inline, like WorkerPool(1).
-      for (uint32_t s = 0; s < num_shards_; ++s) {
-        RoutePhase(s);
-      }
-      ComputeWindow();
-      continue;
+  }
+  if (pool_ == nullptr || busy_.size() < 2) {
+    for (const uint32_t s : busy_) {
+      (this->*phase)(s);  // no other thread: shard order, on the caller
     }
-    run_barrier_->arrive_and_wait();
-    for (uint32_t s = worker; s < num_shards_; s += num_workers_) {
-      RoutePhase(s);
+    return;
+  }
+  for (size_t i = 1; i < busy_.size(); ++i) {
+    const uint32_t s = busy_[i];
+    tickets_.push_back(pool_->Submit([this, phase, s] { (this->*phase)(s); }));
+  }
+  std::exception_ptr error;
+  try {
+    (this->*phase)(busy_.front());
+  } catch (...) {
+    error = std::current_exception();
+  }
+  // Newest first, so this thread runs every task no worker has claimed.
+  // Every task finishes before anything is rethrown, and the lowest shard
+  // that threw wins: the one a single thread would have hit first.
+  std::exception_ptr task_error;
+  for (auto it = tickets_.rbegin(); it != tickets_.rend(); ++it) {
+    try {
+      WorkerPool::Wait(*it);
+    } catch (...) {
+      task_error = std::current_exception();
     }
-    route_barrier_->arrive_and_wait();  // completion runs ComputeWindow
+  }
+  tickets_.clear();
+  if (error == nullptr) {
+    error = task_error;
+  }
+  if (error != nullptr) {
+    std::rethrow_exception(error);
   }
 }
 
 void ShardedFleet::RunWindows(int64_t limit_ns) {
-  // Everything up to the first window runs on the caller before any
-  // worker starts; RunOnAll's dispatch gives the happens-before edge.
   // Seed the next-event cache: between runs application code may have
   // scheduled or cancelled events on any rack.
   for (ShardState& st : shards_) {
@@ -223,26 +239,28 @@ void ShardedFleet::RunWindows(int64_t limit_ns) {
                           ? next.nanoseconds()
                           : kNoEvent;
     }
+    st.min_next = *std::min_element(st.next_ns.begin(), st.next_ns.end());
   }
+  const auto has_inbound = [this](uint32_t d) {
+    for (uint32_t s = 0; s < num_shards_; ++s) {
+      if (!outbox(s, d).empty()) {
+        return true;
+      }
+    }
+    return false;
+  };
+  const auto has_work = [this](uint32_t s) {
+    return shards_[s].min_next < window_end_ns_;
+  };
   // Route the frames Rack::Send left in transit between runs.  No window
-  // bounds them, so the boundary check is off; routing lowers the cache
-  // entries and sets every shard's min_next.
+  // bounds them, so the boundary check is off.
   window_end_ns_ = std::numeric_limits<int64_t>::min();
-  for (uint32_t d = 0; d < num_shards_; ++d) {
-    RoutePhase(d);
-  }
-  done_ = false;
   limit_ns_ = limit_ns;
-  ComputeWindow();
-
-  if (num_workers_ > 1) {
-    run_barrier_ = std::make_unique<std::barrier<>>(num_workers_);
-    route_barrier_ = std::make_unique<std::barrier<BarrierCompletion>>(
-        num_workers_, BarrierCompletion{this});
+  ForkJoin(&ShardedFleet::RoutePhase, has_inbound);
+  while (ComputeWindow()) {
+    ForkJoin(&ShardedFleet::RunPhase, has_work);
+    ForkJoin(&ShardedFleet::RoutePhase, has_inbound);
   }
-  pool_->RunOnAll([this](uint32_t worker) { WorkerLoop(worker); });
-  run_barrier_.reset();
-  route_barrier_.reset();
 
   frames_routed_ = 0;
   rack_runs_ = 0;

@@ -4,12 +4,13 @@
 // The fabric is partitioned into racks; each rack owns a full Simulation
 // (its own 11×64 timing wheel, seq counter, Rng stream, and trace digest),
 // so the unit of determinism is the rack, not the thread.  Racks are
-// grouped into shards — the transport topology — and shards are executed
-// by a pool of pinned worker threads.  Because every rack's event stream
-// is a pure function of (seed, scenario, routed cross-rack frames), the
-// per-rack trace digests are byte-identical for every shard count and
-// every worker count: the shards=1, workers=1 configuration is the
-// single-threaded oracle the chaos sweep replays against.
+// grouped into shards — the transport topology — and each window runs its
+// busy shards on the calling thread and a pool of pinned worker threads.
+// Because every rack's event stream is a pure function of (seed,
+// scenario, routed cross-rack frames), the per-rack trace digests are
+// byte-identical for every shard count and every worker count: the
+// shards=1, workers=1 configuration is the single-threaded oracle the
+// chaos sweep replays against.
 //
 // Time synchronization is conservative (null-message/LBTS style, run as
 // synchronous windows): the inter-rack link latency is the lookahead L.
@@ -22,11 +23,11 @@
 // some t >= min_next with delay >= L, hence delivered at >= window_end —
 // it cannot affect the window being executed.  Each shard caches its
 // racks' next-event times, so a window visits only the racks with an
-// event before window_end.  At the window barrier the router drains
-// every shard-pair mailbox, sorts each destination rack's inbound frames
-// into the canonical (deliver_ns, src_rack, src_seq) order, and
-// schedules them; destination-side seq assignment is therefore identical
-// no matter which shard or worker produced the frames.
+// event before window_end.  After the run phase the router drains every
+// shard-pair mailbox, sorts each destination rack's inbound frames into
+// the canonical (deliver_ns, src_rack, src_seq) order, and schedules
+// them; destination-side seq assignment is therefore identical no matter
+// which shard or thread produced the frames.
 //
 // The window sequence is an input to a rack's digest.  A routed frame
 // takes its destination seq in the route phase after the window that
@@ -37,30 +38,31 @@
 // Cross-shard transport is one plain vector mailbox per shard pair.
 // Rack::Send appends to outbox(own shard, destination shard); the route
 // phase of shard d moves every outbox(s, d) into its routing buffer and
-// clears them.  Barrier A orders every append of a window before the
-// drain that reads it, and barrier B orders that drain before the next
+// clears them.  Each phase is a fork-join over the shards with work: the
+// run phase's join orders every append of a window before the drain that
+// reads it, and the route phase's join orders that drain before the next
 // window's appends, so a mailbox has one writer phase and one reader
 // phase and needs no atomics.  A mailbox grows instead of refusing a
 // frame: a simulation may never drop or block.
 //
-// Thread discipline: a rack is only ever touched by the worker that owns
-// its shard (the mapping is fixed for a run), and the run/route phases
-// are separated by barriers, so rack Simulations need no locks.  The same
-// mapping gives each outbox row one writer (the source shard's worker, in
-// the run phase) and each outbox column one reader (the destination
-// shard's worker, in the route phase).  With a single worker the phases
-// simply run in program order and no barrier is crossed.  The frame
-// handler is invoked on the owning worker and must confine itself to the
-// destination rack passed to it.  Within a run, a rack's queue therefore
-// changes only through its own events and through routing, which is what
-// keeps the next-event cache exact.  Between runs application code may
-// schedule, cancel, or Rack::Send freely: each run first routes the
-// frames still in transit, then re-reads every rack's next-event time.
+// Thread discipline: within a phase, a shard and its racks are touched by
+// exactly one thread, and the phases are separated by joins, so rack
+// Simulations need no locks.  Which thread that is may change from window
+// to window; it never enters a digest.  The same rule gives each outbox
+// row one writer (the thread running the source shard, in the run phase)
+// and each outbox column one reader (the thread routing the destination
+// shard).  A window whose work sits in one shard runs on the caller and
+// crosses no thread.  The frame handler is invoked on the thread running
+// the destination rack's shard and must confine itself to the rack passed
+// to it.  Within a run, a rack's queue therefore changes only through its
+// own events and through routing, which is what keeps the next-event
+// cache exact.  Between runs application code may schedule, cancel, or
+// Rack::Send freely: each run first re-reads every rack's next-event time,
+// then routes the frames still in transit.
 
 #ifndef SRC_SIM_SHARD_H_
 #define SRC_SIM_SHARD_H_
 
-#include <barrier>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -97,14 +99,13 @@ struct ShardOptions {
   // to the shard owning the contiguous stripe containing r.  Clamped to
   // racks.
   uint32_t shards = 1;
-  // Worker threads executing shards (shard s runs on worker s % workers).
-  // 0 means one worker per shard.  Clamped to shards.
+  // Threads that run a window's busy shards, the caller included.  0
+  // means one per shard.  Clamped to shards and to the host's cores.
   uint32_t workers = 0;
   // Conservative lookahead: the minimum cross-rack delivery delay.  Every
   // Rack::Send delay must be >= lookahead (checked fatally).
   Duration lookahead = Duration::Microseconds(50);
   uint64_t seed = 0x626f6c746564u;
-  bool pin_workers = false;
 };
 
 // One rack: a full Simulation plus its cross-rack egress.  Application
@@ -135,10 +136,11 @@ class Rack {
 
 class ShardedFleet {
  public:
-  // Invoked on the owning worker when a frame's delivery instant fires in
-  // the destination rack's event stream.  Must be safe to call
-  // concurrently for *different* racks (capture immutable config; mutate
-  // only through the Rack argument and per-rack state).
+  // Invoked when a frame's delivery instant fires in the destination
+  // rack's event stream, on the thread running that rack's shard in that
+  // window.  Must be safe to call concurrently for *different* racks
+  // (capture immutable config; mutate only through the Rack argument and
+  // per-rack state).
   using FrameHandler = std::function<void(Rack&, const CrossShardFrame&)>;
 
   explicit ShardedFleet(const ShardOptions& options);
@@ -153,7 +155,11 @@ class ShardedFleet {
 
   void set_frame_handler(FrameHandler handler) { handler_ = std::move(handler); }
 
-  // Runs until every rack's queue drains and no frame is in flight.
+  // Runs until every rack's queue drains and no frame is in flight.  An
+  // exception from a rack's event, a failed task its Simulation reaps
+  // included, leaves Run() at every worker count once the phase's other
+  // shards have finished; if several shards threw, the lowest one's
+  // exception wins, as it would on one thread.
   void Run();
   // Runs every event with when <= horizon, then advances each rack's
   // clock to the horizon (mirroring Simulation::RunUntil).
@@ -162,7 +168,7 @@ class ShardedFleet {
   // --- Aggregate statistics (valid between runs) ---------------------------
   uint64_t events_processed() const;
   uint64_t frames_routed() const { return frames_routed_; }
-  // Conservative windows executed (two barriers each with >1 worker).
+  // Conservative windows executed.
   uint64_t windows() const { return windows_; }
   // Rack visits in the run phase: one per window for each rack with an
   // event before the window end.  Like windows(), deterministic and
@@ -192,7 +198,8 @@ class ShardedFleet {
     // The window's inbound frames, gathered from every outbox(s, d) and
     // sorted canonically by the router.
     std::vector<CrossShardFrame> route_buf;
-    // Minimum of next_ns, recomputed in the route phase.
+    // Minimum of next_ns: seeded with the cache, recomputed by each run
+    // phase and lowered by each routed frame.
     int64_t min_next = 0;
     uint64_t routed = 0;
     uint64_t rack_runs = 0;
@@ -204,45 +211,35 @@ class ShardedFleet {
   }
 
   // Runs shard s's racks that have an event before the window end and
-  // refreshes their next_ns entries.
+  // refreshes their next_ns entries and the shard's min_next.
   void RunPhase(uint32_t s);
   // Drains every outbox(s, d), sorts the frames canonically and schedules
-  // them into their destination racks, then recomputes the shard's
-  // min_next.
+  // them into their destination racks, lowering next_ns and min_next.
   void RoutePhase(uint32_t d);
+  // Runs phase(s) for every shard s with busy(s) and returns once all of
+  // them finished.  The caller runs the lowest itself and the pool the
+  // rest; with no pool, or one busy shard, all run on the caller.
+  template <typename Busy>
+  void ForkJoin(void (ShardedFleet::*phase)(uint32_t), const Busy& busy);
   void RunWindows(int64_t limit_ns);
-  void WorkerLoop(uint32_t worker);
-  // Reduces shard min_next values into the next window (or sets done_).
-  // With several workers it is barrier B's completion: it runs on exactly
-  // one thread, with all route phases happened-before it and it
-  // happened-before every unblock.
-  void ComputeWindow();
-
-  struct BarrierCompletion {
-    ShardedFleet* fleet;
-    void operator()() noexcept;
-  };
+  // Reduces shard min_next values into the next window; false once every
+  // rack is idle up to the limit.
+  bool ComputeWindow();
 
   Duration lookahead_;
   uint32_t num_shards_ = 1;
-  uint32_t num_workers_ = 1;
   FrameHandler handler_;
   std::vector<std::unique_ptr<Rack>> racks_;
   std::vector<ShardState> shards_;
   std::vector<std::vector<CrossShardFrame>> outboxes_;  // [src * S + dst]
-  std::unique_ptr<WorkerPool> pool_;
-  // Barrier A (run -> route) and barrier B (route -> next window); B's
-  // completion computes the next window.  Rebuilt per run call, and only
-  // built at all with more than one worker.
-  std::unique_ptr<std::barrier<>> run_barrier_;
-  std::unique_ptr<std::barrier<BarrierCompletion>> route_barrier_;
+  std::unique_ptr<WorkerPool> pool_;  // null with one worker
+  std::vector<uint32_t> busy_;       // the shards of the current phase
+  std::vector<WorkerPool::Ticket> tickets_;
   int64_t limit_ns_ = 0;
 
-  // Window state: written only by the barrier completion (one thread,
-  // between phases), read by all workers after the barrier — the barrier
-  // itself provides the happens-before edges.
+  // Window state: written only by the caller between joins and read by
+  // the phase tasks, which Submit's queue lock orders after the write.
   int64_t window_end_ns_ = 0;
-  bool done_ = false;
   uint64_t windows_ = 0;
   uint64_t rack_runs_ = 0;
   uint64_t frames_routed_ = 0;

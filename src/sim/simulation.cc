@@ -105,7 +105,7 @@ void Simulation::SetWorkerThreads(uint32_t threads) {
   }
   if (worker_pool_ == nullptr || worker_pool_->threads() != threads) {
     worker_pool_.reset();  // join the old team before pinning a new one
-    worker_pool_ = std::make_unique<WorkerPool>(threads, /*pin=*/true);
+    worker_pool_ = std::make_unique<WorkerPool>(threads);
   }
 }
 

@@ -9,9 +9,9 @@
 
 namespace bolted::sim {
 
-WorkerPool::WorkerPool(uint32_t threads, bool pin)
-    : threads_(threads == 0 ? 1 : threads), pin_(pin) {
-  if (pin_) {
+WorkerPool::WorkerPool(uint32_t threads)
+    : threads_(threads == 0 ? 1 : threads) {
+  if (threads_ > 1) {
     PinTo(0);  // the caller is thread 0
   }
   workers_.reserve(threads_ - 1);
@@ -25,7 +25,7 @@ WorkerPool::~WorkerPool() {
     std::lock_guard<std::mutex> lock(mu_);
     stop_ = true;
   }
-  start_cv_.notify_all();
+  work_cv_.notify_all();
   for (std::thread& w : workers_) {
     w.join();
   }
@@ -49,59 +49,21 @@ void WorkerPool::PinTo(uint32_t index) {
 }
 
 void WorkerPool::WorkerMain(uint32_t index) {
-  if (pin_) {
-    PinTo(index);
-  }
-  uint64_t seen_epoch = 0;
+  PinTo(index);
   for (;;) {
-    const std::function<void(uint32_t)>* job = nullptr;
     Ticket task;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      start_cv_.wait(lock, [&] {
-        return stop_ || epoch_ != seen_epoch || !queue_.empty();
-      });
+      work_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
       if (stop_) {
         return;
       }
-      if (epoch_ != seen_epoch) {
-        seen_epoch = epoch_;
-        job = job_;
-      } else {
-        task = std::move(queue_.front());
-        queue_.pop_front();
-      }
+      task = std::move(queue_.front());
+      queue_.pop_front();
     }
-    if (job != nullptr) {
-      (*job)(index);
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++done_;
-      }
-      done_cv_.notify_one();
-    } else if (task->Claim()) {
+    if (task->Claim()) {
       task->Run();  // a Wait that claimed it first already ran it
     }
-  }
-}
-
-void WorkerPool::RunOnAll(const std::function<void(uint32_t)>& job) {
-  if (threads_ == 1) {
-    job(0);  // the single-threaded oracle path: no synchronization at all
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    job_ = &job;
-    done_ = 0;
-    ++epoch_;
-  }
-  start_cv_.notify_all();
-  job(0);
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    done_cv_.wait(lock, [&] { return done_ == threads_ - 1; });
-    job_ = nullptr;
   }
 }
 
@@ -112,7 +74,7 @@ WorkerPool::Ticket WorkerPool::Submit(std::function<void()> fn) {
       std::lock_guard<std::mutex> lock(mu_);
       queue_.push_back(ticket);
     }
-    start_cv_.notify_one();
+    work_cv_.notify_one();
   }
   return ticket;
 }

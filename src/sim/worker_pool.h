@@ -1,18 +1,17 @@
 // Persistent team of host worker threads (DESIGN.md §11, §12).
 //
-// Two ways to hand it work:
-//
-//   RunOnAll(job)    -- job(t) on every thread at once, the caller as
-//                       thread 0; the sharded runtime's window loop.
-//   Submit(fn)/Wait  -- one task onto a FIFO queue that the workers drain;
-//                       Wait runs the task on the calling thread if no
-//                       worker has started it yet.  The attestation
-//                       stages use this for signatures and batch checks.
+// One way to hand it work: Submit(fn) queues a task onto a FIFO queue that
+// the workers drain, and Wait(ticket) returns once the task has run,
+// running it on the calling thread if no worker has started it yet.  The
+// attestation stages use it for signatures and batch checks, the sharded
+// runtime for the window phases of its busy shards.
 //
 // A task must be pure host work: it owns copies of its inputs and its
 // result slot, and it never touches a Simulation, so it can neither
 // schedule an event nor dangle when the coroutine that submitted it is
-// destroyed mid-flight.  A ticket outlives the pool that issued it: a task
+// destroyed mid-flight.  (The sharded runtime's phase tasks are the one
+// exception: they run rack Simulations, and the runtime joins them all
+// before it returns.)  A ticket outlives the pool that issued it: a task
 // still queued when the pool is destroyed runs on the thread that Waits
 // for it, or never runs if nobody does.
 
@@ -32,9 +31,9 @@
 
 namespace bolted::sim {
 
-// Thread 0 is the calling thread, so WorkerPool(1) is a plain inline call
-// with no thread machinery — the single-threaded oracle path.  Reused
-// across calls, so worker threads keep their core pinning and warm caches.
+// Thread 0 is the calling thread, so WorkerPool(1) spawns nothing and runs
+// every task inside Wait.  Reused across calls, so worker threads keep
+// their core pinning and warm caches.
 class WorkerPool {
  public:
   class Job;
@@ -42,20 +41,15 @@ class WorkerPool {
   // to the waiter by a release store and an acquire load on its state.
   using Ticket = std::shared_ptr<Job>;
 
-  // Spawns threads-1 workers; with pin=true each thread (including the
-  // caller, as thread 0) is pinned to core t % hardware_concurrency —
+  // Spawns threads-1 workers.  With more than one thread, thread t (the
+  // caller being thread 0) is pinned to core t % hardware_concurrency —
   // best effort, skipped on single-core hosts and non-Linux platforms.
-  explicit WorkerPool(uint32_t threads, bool pin = false);
+  explicit WorkerPool(uint32_t threads);
   ~WorkerPool();
   WorkerPool(const WorkerPool&) = delete;
   WorkerPool& operator=(const WorkerPool&) = delete;
 
   uint32_t threads() const { return threads_; }
-
-  // Invokes job(t) for every t in [0, threads) concurrently — t = 0 runs
-  // on the calling thread — and returns when all invocations finished.
-  // Not reentrant; one RunOnAll at a time.
-  void RunOnAll(const std::function<void(uint32_t)>& job);
 
   // Queues fn for the workers.  With one thread nothing is queued and the
   // task runs inside Wait.
@@ -70,13 +64,8 @@ class WorkerPool {
   static void PinTo(uint32_t index);
 
   uint32_t threads_;
-  bool pin_;
   std::mutex mu_;
-  std::condition_variable start_cv_;
-  std::condition_variable done_cv_;
-  const std::function<void(uint32_t)>* job_ = nullptr;
-  uint64_t epoch_ = 0;
-  uint32_t done_ = 0;
+  std::condition_variable work_cv_;
   bool stop_ = false;
   std::deque<Ticket> queue_;
   std::vector<std::thread> workers_;

@@ -136,6 +136,8 @@ TEST(ShardingDeterminism, DigestInvariantAcrossShardAndWorkerCounts) {
     const FleetResult oracle = RunChainScenario(racks, 1, 1, seed);
     EXPECT_GT(oracle.events, 0u);
     EXPECT_GT(oracle.routed, 0u);
+    // Workers are clamped to the host's cores, so {8, 8} runs min(8,
+    // cores) threads.
     for (const auto& [shards, workers] :
          {std::pair<uint32_t, uint32_t>{2, 1}, {2, 2}, {4, 1}, {4, 2},
           {4, 4}, {8, 2}, {8, 8}}) {
@@ -199,6 +201,7 @@ TEST(ShardingDeterminism, BurstTrafficPreservesDigests) {
     const FleetResult oracle = run(1, 1, all_to_all);
     EXPECT_EQ(oracle.routed, all_to_all ? kRacks * kRacks * 16 : kRacks * 32)
         << what;
+    // {8, 8} runs min(8, cores) threads: workers are clamped to the cores.
     for (const auto& [shards, workers] :
          {std::pair<uint32_t, uint32_t>{2, 1}, {2, 2}, {4, 1}, {4, 4},
           {8, 8}}) {
@@ -456,6 +459,70 @@ TEST(ShardingDeterminism, FrameSentBetweenRunsIsDelivered) {
   }
 }
 
+// An exception from a rack's event leaves Run() at every worker count.
+// Racks 1 and 3 throw in the same window, so a single thread running the
+// shards in order meets rack 1 first, and that is the exception Run()
+// reports.  With rack 0 busy too, the caller runs shard 0 and both
+// throwing shards run as pool tasks.
+TEST(ShardingDeterminism, RackExceptionReachesRunAtEveryWorkerCount) {
+  for (const bool rack0_busy : {false, true}) {
+    for (const uint32_t workers : {1u, 2u, 4u}) {
+      ShardOptions options;
+      options.racks = 4;
+      options.shards = 4;
+      options.workers = workers;
+      ShardedFleet fleet(options);
+      if (rack0_busy) {
+        fleet.rack(0).sim().Schedule(Duration::Microseconds(10), [] {});
+      }
+      for (const uint32_t r : {1u, 3u}) {
+        fleet.rack(r).sim().Schedule(Duration::Microseconds(10), [r] {
+          throw std::runtime_error("rack " + std::to_string(r));
+        });
+      }
+      const std::string what = std::to_string(workers) + " workers" +
+                               (rack0_busy ? ", rack 0 busy" : "");
+      try {
+        fleet.Run();
+        ADD_FAILURE() << "Run() returned normally with " << what;
+      } catch (const std::runtime_error& error) {
+        EXPECT_STREQ(error.what(), "rack 1") << what;
+      }
+    }
+  }
+}
+
+// One event per window: each is scheduled a lookahead and more after the
+// last.
+void ChainOnRack(Simulation& sim, std::vector<std::thread::id>* ran_on) {
+  ran_on->push_back(std::this_thread::get_id());
+  if (ran_on->size() < 200) {
+    sim.Schedule(Duration::Microseconds(60),
+                 [&sim, ran_on] { ChainOnRack(sim, ran_on); });
+  }
+}
+
+// A window whose work sits in one shard crosses no thread: with only rack
+// 5 (shard 2 of 4) holding events, every one of them runs on the thread
+// that called Run(), though the fleet has four workers.
+TEST(ShardingDeterminism, SingleBusyShardStaysOnTheCaller) {
+  ShardOptions options;
+  options.racks = 8;
+  options.shards = 4;
+  options.workers = 4;
+  ShardedFleet fleet(options);
+  std::vector<std::thread::id> ran_on;
+  Simulation& sim = fleet.rack(5).sim();
+  sim.Schedule(Duration::Microseconds(1),
+               [&sim, &ran_on] { ChainOnRack(sim, &ran_on); });
+  fleet.Run();
+  ASSERT_EQ(ran_on.size(), 200u);
+  EXPECT_EQ(fleet.windows(), 200u);
+  for (const std::thread::id id : ran_on) {
+    EXPECT_EQ(id, std::this_thread::get_id());
+  }
+}
+
 TEST(Sharding, SendBelowLookaheadDies) {
   ShardOptions options;
   options.racks = 2;
@@ -469,32 +536,10 @@ TEST(Sharding, SendBelowLookaheadDies) {
   EXPECT_DEATH(fleet.Run(), "lookahead");
 }
 
-TEST(WorkerPoolTest, RunOnAllCoversEveryIndexAndIsReusable) {
-  WorkerPool pool(4);
-  EXPECT_EQ(pool.threads(), 4u);
-  std::vector<std::atomic<uint32_t>> hits(4);
-  for (int round = 0; round < 3; ++round) {
-    pool.RunOnAll([&hits](uint32_t t) { hits[t].fetch_add(1); });
-  }
-  for (uint32_t t = 0; t < 4; ++t) {
-    EXPECT_EQ(hits[t].load(), 3u) << "worker " << t;
-  }
-}
-
-TEST(WorkerPoolTest, SingleThreadPoolRunsInline) {
-  WorkerPool pool(1);
-  const std::thread::id caller = std::this_thread::get_id();
-  std::thread::id seen;
-  pool.RunOnAll([&seen, caller](uint32_t t) {
-    EXPECT_EQ(t, 0u);
-    seen = std::this_thread::get_id();
-  });
-  EXPECT_EQ(seen, caller);
-}
-
 TEST(WorkerPoolTest, SubmittedTasksRunExactlyOnce) {
   for (const uint32_t threads : {1u, 2u, 4u}) {
     WorkerPool pool(threads);
+    EXPECT_EQ(pool.threads(), threads);
     std::vector<std::atomic<uint32_t>> runs(64);
     std::vector<WorkerPool::Ticket> tickets;
     for (size_t i = 0; i < runs.size(); ++i) {
