@@ -14,7 +14,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cmake -B build -S .
-cmake --build build -j --target chaos_test
+cmake --build build -j "$(nproc)" --target chaos_test
 
 args=()
 for seed in "$@"; do

@@ -14,7 +14,7 @@ cd "$(dirname "$0")/.."
 out="${1:-build/fig4_trace.json}"
 
 cmake -B build -S . > /dev/null
-cmake --build build -j --target fig4_provisioning > /dev/null
+cmake --build build -j "$(nproc)" --target fig4_provisioning > /dev/null
 
 ./build/bench/fig4_provisioning --trace="${out}"
 

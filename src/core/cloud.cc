@@ -34,7 +34,7 @@ Cloud::Cloud(const CloudConfig& config)
   // Public service networks.
   provisioning_vlan_ = hil_.CreatePublicNetwork("bolted-provisioning");
   attestation_vlan_ = hil_.CreatePublicNetwork("bolted-attestation");
-  rejected_vlan_ = hil_.CreatePublicNetwork("bolted-rejected");
+  hil_.CreatePublicNetwork("bolted-rejected");
 
   // Machines.
   machine::MachineConfig mc;

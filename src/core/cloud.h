@@ -105,7 +105,6 @@ class Cloud {
   // Public (provider) networks.
   net::VlanId provisioning_vlan() const { return provisioning_vlan_; }
   net::VlanId attestation_vlan() const { return attestation_vlan_; }
-  net::VlanId rejected_vlan() const { return rejected_vlan_; }
 
  private:
   class MachineBmc;
@@ -136,7 +135,6 @@ class Cloud {
 
   net::VlanId provisioning_vlan_ = 0;
   net::VlanId attestation_vlan_ = 0;
-  net::VlanId rejected_vlan_ = 0;
   sim::Semaphore airlock_slots_;
 };
 

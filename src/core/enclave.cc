@@ -704,7 +704,6 @@ sim::Task Enclave::ViolationResponse(std::string node, std::string reason) {
     std::erase(members_, node);
     RefreshVerifierPeers();
   }
-  ++violations_handled_;
   if (violation_handler_) {
     violation_handler_(node, reason);
   }

@@ -121,7 +121,6 @@ class Enclave {
   void SetViolationHandler(ViolationHandler handler) {
     violation_handler_ = std::move(handler);
   }
-  uint64_t violations_handled() const { return violations_handled_; }
 
  private:
   struct NodeRuntime {
@@ -207,7 +206,6 @@ class Enclave {
   std::vector<std::unique_ptr<provision::ChunkFetcher>> retired_fetchers_;
   std::vector<std::string> members_;
   ViolationHandler violation_handler_;
-  uint64_t violations_handled_ = 0;
 };
 
 }  // namespace bolted::core

@@ -180,7 +180,6 @@ void FaultInjector::Arm() {
 
   for (const PartitionEvent& partition : plan_.partitions) {
     sim_.Schedule(partition.at, [this, salt = partition.salt]() {
-      ++partition_windows_;
       sim_.RecordTraceEvent(0x9a27u ^ salt);
       obs::Instant(sim_, "fault.partition", "fault", "faults",
                    {{"salt", std::to_string(salt)}});

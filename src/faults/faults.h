@@ -120,7 +120,6 @@ class FaultInjector {
 
   uint64_t crashes_injected() const { return crashes_injected_; }
   uint64_t flaps_injected() const { return flaps_injected_; }
-  uint64_t partition_windows() const { return partition_windows_; }
   uint64_t partition_drops() const { return partition_drops_; }
   uint64_t tpm_faults_injected() const { return tpm_faults_injected_; }
 
@@ -141,7 +140,6 @@ class FaultInjector {
   uint64_t partition_salt_ = 0;
   uint64_t crashes_injected_ = 0;
   uint64_t flaps_injected_ = 0;
-  uint64_t partition_windows_ = 0;
   uint64_t partition_drops_ = 0;
   uint64_t tpm_faults_injected_ = 0;
 };

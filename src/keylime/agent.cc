@@ -183,7 +183,6 @@ sim::Task Agent::HandleQuote(const net::Message& request, net::Message* response
     co_return;
   }
   const tpm::Quote quote = machine_.tpm().FinishQuote(std::move(pending));
-  ++quotes_served_;
 
   const tpm::EventLog empty;
   const tpm::EventLog& full_ima =

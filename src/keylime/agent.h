@@ -51,7 +51,6 @@ class Agent {
 
   void AttachIma(ima::Ima* ima) { ima_ = ima; }
 
-  uint64_t quotes_served() const { return quotes_served_; }
   uint64_t revocations_received() const { return revocations_received_; }
 
  private:
@@ -74,7 +73,6 @@ class Agent {
   bool combine_failed_ = false;
   sim::Event payload_ready_;
 
-  uint64_t quotes_served_ = 0;
   uint64_t revocations_received_ = 0;
 };
 

@@ -341,27 +341,12 @@ sim::Task Verifier::FinishVerification(const std::string& name, NodeState& state
   result->passed = true;
 }
 
-namespace {
-
-// Stable node-id hash for shard assignment (FNV-1a; std::hash is not
-// pinned across standard libraries).
-uint64_t ShardHash(std::string_view s) {
-  uint64_t h = 1469598103934665603ull;
-  for (const unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-}  // namespace
-
-// One fleet round's signature stage (DESIGN.md §11).  Quotes join their
-// shard's open batch in arrival order, which the simulation fixes, and a
-// full batch is verified on the Simulation's worker pool while the round's
-// exchanges go on (inline without a pool).  Nothing here schedules an
-// event or touches obs, so batch size, worker count and host timing cannot
-// reach verdicts or digests.
+// One fleet round's signature stage (DESIGN.md §11).  Quotes join the one
+// open batch in arrival order, which the simulation fixes, and a full batch
+// is verified on the Simulation's worker pool while the round's exchanges
+// go on (inline without a pool).  Nothing here schedules an event or
+// touches obs, so batch size, worker count and host timing cannot reach
+// verdicts or digests.
 struct Verifier::FleetRound {
   // A batch task's inputs and result slots.  The task shares ownership,
   // so a round destroyed mid-flight leaves a worker nothing dangling.
@@ -381,33 +366,26 @@ struct Verifier::FleetRound {
       tpm::Tpm::VerifyQuoteBatch(entries, ok.get(), &stats);
     }
   };
-  struct Shard {
-    size_t quotes = 0;
-    std::shared_ptr<Batch> open;
-    std::vector<std::shared_ptr<Batch>> batches;  // in submission order
-  };
 
-  FleetRound(sim::WorkerPool* pool, size_t workers, size_t batch_size)
-      : pool(pool), batch_size(batch_size), shards(workers) {}
+  FleetRound(sim::WorkerPool* pool, size_t batch_size)
+      : pool(pool), batch_size(batch_size) {}
 
-  void Land(std::string_view name, size_t node, const tpm::Quote& quote,
+  void Land(size_t node, const tpm::Quote& quote,
             std::shared_ptr<const crypto::P256::PreparedKey> aik) {
-    Shard& shard = shards[ShardHash(name) % shards.size()];
-    if (shard.open == nullptr) {
-      shard.open = std::make_shared<Batch>();
+    if (open == nullptr) {
+      open = std::make_shared<Batch>();
     }
-    ++shard.quotes;
-    shard.open->nodes.push_back(node);
-    shard.open->quotes.push_back(quote);
-    shard.open->aiks.push_back(std::move(aik));
-    if (shard.open->nodes.size() == batch_size) {
-      Flush(shard);
+    open->nodes.push_back(node);
+    open->quotes.push_back(quote);
+    open->aiks.push_back(std::move(aik));
+    if (open->nodes.size() == batch_size) {
+      Flush();
     }
   }
 
-  void Flush(Shard& shard) {
-    std::shared_ptr<Batch> batch = std::move(shard.open);
-    shard.batches.push_back(batch);
+  void Flush() {
+    std::shared_ptr<Batch> batch = std::move(open);
+    batches.push_back(batch);
     if (pool == nullptr) {
       batch->Verify();
       return;
@@ -415,12 +393,10 @@ struct Verifier::FleetRound {
     tickets.push_back(pool->Submit([batch] { batch->Verify(); }));
   }
 
-  // Submits the shards' partial batches and waits for every batch.
+  // Submits the partial batch and waits for every batch.
   void Join() {
-    for (Shard& shard : shards) {
-      if (shard.open != nullptr) {
-        Flush(shard);
-      }
+    if (open != nullptr) {
+      Flush();
     }
     // Newest first: the workers take the oldest queued task, so once this
     // reaches a task some worker is running, every older one is claimed
@@ -432,7 +408,8 @@ struct Verifier::FleetRound {
 
   sim::WorkerPool* pool;
   size_t batch_size;
-  std::vector<Shard> shards;
+  std::shared_ptr<Batch> open;
+  std::vector<std::shared_ptr<Batch>> batches;  // in submission order
   std::vector<sim::WorkerPool::Ticket> tickets;
 };
 
@@ -441,7 +418,7 @@ sim::Task Verifier::FetchIntoRound(const std::string& name, NodeState& state,
                                    size_t index) {
   co_await FetchQuote(name, state, out);
   if (out->failure.empty()) {
-    round->Land(name, index, *out->quote, state.aik_prepared);
+    round->Land(index, *out->quote, state.aik_prepared);
   }
 }
 
@@ -452,7 +429,7 @@ sim::Task Verifier::VerifyFleet(std::span<const std::string> names,
   // no thread spawn or join.  The agents' quotes are signed on it too.
   const int workers = std::max(1, fleet_options_.workers);
   sim_.SetWorkerThreads(static_cast<uint32_t>(workers));
-  FleetRound round(sim_.worker_pool(), static_cast<size_t>(workers),
+  FleetRound round(sim_.worker_pool(),
                    static_cast<size_t>(std::max(1, fleet_options_.batch_size)));
   std::vector<QuoteExchange> exchanges(n);
   std::vector<NodeState*> states(n, nullptr);
@@ -471,26 +448,23 @@ sim::Task Verifier::VerifyFleet(std::span<const std::string> names,
   co_await group.WaitAll();
   round.Join();
 
-  // Bookkeeping in deterministic shard order (obs must not be touched from
-  // the worker threads).
+  // Bookkeeping in submission order (obs must not be touched from the
+  // worker threads).
   std::vector<uint8_t> signature_ok(n, 0);
-  for (const FleetRound::Shard& shard : round.shards) {
-    batched_verifications_ += shard.quotes;
-    obs::Record(sim_, "keylime.shard_quotes", shard.quotes);
-    uint64_t bisections = 0;
-    for (const std::shared_ptr<FleetRound::Batch>& batch : shard.batches) {
-      bisections += batch->stats.bisections;
-      batch_stats_.bisections += batch->stats.bisections;
-      batch_stats_.sqrt_recoveries += batch->stats.sqrt_recoveries;
-      batch_stats_.rejected_hints += batch->stats.rejected_hints;
-      obs::Record(sim_, "keylime.batch_size", batch->nodes.size());
-      for (size_t k = 0; k < batch->nodes.size(); ++k) {
-        signature_ok[batch->nodes[k]] = batch->ok[k] ? 1 : 0;
-      }
+  uint64_t bisections = 0;
+  for (const std::shared_ptr<FleetRound::Batch>& batch : round.batches) {
+    batched_verifications_ += batch->nodes.size();
+    bisections += batch->stats.bisections;
+    batch_stats_.bisections += batch->stats.bisections;
+    batch_stats_.sqrt_recoveries += batch->stats.sqrt_recoveries;
+    batch_stats_.rejected_hints += batch->stats.rejected_hints;
+    obs::Record(sim_, "keylime.batch_size", batch->nodes.size());
+    for (size_t k = 0; k < batch->nodes.size(); ++k) {
+      signature_ok[batch->nodes[k]] = batch->ok[k] ? 1 : 0;
     }
-    if (bisections != 0) {
-      obs::Count(sim_, "keylime.batch_bisections", bisections);
-    }
+  }
+  if (bisections != 0) {
+    obs::Count(sim_, "keylime.batch_bisections", bisections);
   }
 
   // Merge verdicts back in submission order; each node's post-signature

@@ -96,19 +96,20 @@ class Verifier {
   // and worker count (the single-threaded oracle is workers = 1).
   struct FleetOptions {
     // Threads, the caller included, of the Simulation's worker pool, which
-    // signs the agents' quotes and verifies the shards' batches; 1 means
+    // signs the agents' quotes and verifies the round's batches; 1 means
     // no pool.
     int workers = 1;
-    int batch_size = 64; // quotes per VerifyQuoteBatch call within a shard
+    int batch_size = 64; // quotes per VerifyQuoteBatch call
   };
   void SetFleetOptions(const FleetOptions& options) { fleet_options_ = options; }
 
   // One poll round over the whole fleet: fans the nonce/quote exchanges out
-  // concurrently, adds each quote as it lands to its shard's batch (sharded
-  // by node id), verifies every full batch through Tpm::VerifyQuoteBatch on
-  // the Simulation's worker pool while the exchanges go on, and completes
-  // each node's replay/whitelist pipeline in submission order.  results[i]
-  // is exactly what VerifyNode(names[i], ...) would produce.
+  // concurrently, adds each quote as it lands to the round's one open
+  // batch (so batches depend on batch_size and arrival order only),
+  // verifies every full batch through Tpm::VerifyQuoteBatch on the pool
+  // while the exchanges go on, and completes each node's replay/whitelist
+  // pipeline in submission order.  results[i] is exactly what
+  // VerifyNode(names[i], ...) would produce.
   sim::Task VerifyFleet(std::span<const std::string> names,
                         VerificationResult* results);
 
@@ -195,7 +196,7 @@ class Verifier {
   // A fleet round's batching state (verifier.cc).
   struct FleetRound;
   // Stage A for one node of a fleet round; a quote that passes it joins
-  // its shard's batch the moment it lands.
+  // the round's open batch the moment it lands.
   sim::Task FetchIntoRound(const std::string& name, NodeState& state,
                            QuoteExchange* out, FleetRound* round, size_t index);
   // Stage B: everything after the signature verdict — freshness, replay,

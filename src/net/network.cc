@@ -659,12 +659,6 @@ void Network::AttachPcapTap(Address endpoint, PcapWriter* writer) {
   }
 }
 
-void Network::DetachPcapTap(Address endpoint) {
-  if (Endpoint* e = FindEndpoint(endpoint)) {
-    e->pcap_tap_ = nullptr;
-  }
-}
-
 bool Network::Reachable(Address a, Address b) const {
   return SharedVlan(a, b) != 0;
 }

@@ -281,11 +281,10 @@ class Network : public ConsumeSink {
   // --- Wire-level capture (src/net/pcap.h) --------------------------------
   // Attaches a pcap tap to a port: every frame the port sends or receives
   // is appended to the capture in delivery order with sim-time
-  // timestamps.  The writer is borrowed, not owned; detach (or keep the
-  // writer alive) before it goes away.  One frame is written once even
-  // when both its ports share a writer.
+  // timestamps.  The writer is borrowed, not owned: keep it alive while
+  // the network can deliver frames.  One frame is written once even when
+  // both its ports share a writer.
   void AttachPcapTap(Address endpoint, PcapWriter* writer);
-  void DetachPcapTap(Address endpoint);
 
   // Uplink ingress: delivers a frame that originated on a remote fabric
   // partition (the sharded runtime, src/sim/shard.h) into this network.

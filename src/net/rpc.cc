@@ -115,7 +115,6 @@ sim::Task RpcNode::CallBoxed(Address dst, MessageBox request, Message* response,
     }
     PendingCall call = std::move(it->second);
     pending_.erase(it);
-    ++call_timeouts_;
     obs::CountById(sim_, Ids().timeouts);
     call.done->Set();  // ok stays false
   });
@@ -156,7 +155,6 @@ sim::Task RpcNode::CallWithRetryBoxed(Address dst, MessageBox request,
   sim::Duration backoff = options.backoff_base;
   for (int attempt = 1; attempt <= options.max_attempts; ++attempt) {
     if (attempt > 1) {
-      ++call_retries_;
       obs::CountById(sim_, Ids().retries);
       // Jittered backoff: scale by a uniform factor in [1 - jitter, 1] so
       // retries from independent callers decorrelate without ever waiting

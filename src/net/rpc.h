@@ -62,9 +62,6 @@ class RpcNode {
   sim::Task CallWithRetry(Address dst, Message request, Message* response,
                           bool* ok, CallOptions options);
 
-  uint64_t call_timeouts() const { return call_timeouts_; }
-  uint64_t call_retries() const { return call_retries_; }
-
  private:
   struct PendingCall {
     // Points at the completion event in CallBoxed's coroutine frame; valid
@@ -92,8 +89,6 @@ class RpcNode {
   std::map<std::string, uint32_t, std::less<>> call_ns_ids_;
   uint64_t next_rpc_id_ = 1;
   bool started_ = false;
-  uint64_t call_timeouts_ = 0;
-  uint64_t call_retries_ = 0;
 };
 
 }  // namespace bolted::net

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <set>
 #include <utility>
 
 #include "src/core/cloud.h"
@@ -72,8 +73,8 @@ class Runner {
     return sim::Duration::Nanoseconds(std::max<int64_t>(1, static_cast<int64_t>(ns)));
   }
 
-  // Drives the sim in bounded slices until *flag flips or cap passes (the
-  // chaos harness's watchdog idiom — a stuck coroutine cannot hang ctest).
+  // Drives the sim in bounded slices until *flag flips or cap passes, so a
+  // stuck coroutine cannot hang ctest.
   void RunUntilFlag(const bool* flag, sim::Duration cap) {
     const sim::Time deadline = sim().now() + cap;
     while (!*flag && sim().now() < deadline) {
@@ -156,14 +157,13 @@ class Runner {
   }
 
   // --- Phase: churn --------------------------------------------------------
-  sim::Task ChurnCycle(size_t slot_index, sim::TaskGroup* group) {
+  sim::Task ChurnCycle(size_t slot_index) {
     Slot& slot = slots_[slot_index];
     co_await Release(slot_index);
     co_await sim::Delay(sim(), sim::Duration::Seconds(1));
     co_await Provision(slot_index, nullptr);
     ++result_.stats.churn_cycles;
     slot.busy = false;
-    (void)group;
   }
 
   sim::Task ChurnPhase(PhaseSpec phase) {
@@ -182,7 +182,7 @@ class Runner {
           rng_.NextDouble() < phase.release_fraction) {
         const size_t pick = candidates[rng_.NextBelow(candidates.size())];
         slots_[pick].busy = true;
-        group.Spawn(ChurnCycle(pick, &group));
+        group.Spawn(ChurnCycle(pick));
       }
       co_await sim::Delay(sim(), ExponentialDelay(phase.hold));
     }
@@ -465,6 +465,63 @@ class Runner {
     sweep_done_ = true;
   }
 
+#if BOLTED_OBS
+  // Invariant (e): each planned fault appears exactly once as an obs
+  // instant at its planned offset (the injector arms at t = 0), and the
+  // registry's counters match the injector, the fabric and the tenants'
+  // verifiers.  It only reads, so it schedules no event.
+  void CheckObservable(const obs::Registry& registry,
+                       const faults::FaultInjector& injector) {
+    std::map<std::string, std::multiset<int64_t>> instants;
+    for (const obs::TraceEvent& event : registry.events()) {
+      if (event.kind == obs::TraceEvent::Kind::kInstant) {
+        instants[event.name].insert(event.start.nanoseconds());
+      }
+    }
+    const auto planned = [](const auto& events) {
+      std::multiset<int64_t> at;
+      for (const auto& event : events) {
+        at.insert(event.at.nanoseconds());
+      }
+      return at;
+    };
+    const faults::FaultPlan& plan = injector.plan();
+    if (instants["fault.flap"] != planned(plan.flaps)) {
+      Fail("fault.flap instants (" +
+           std::to_string(instants["fault.flap"].size()) +
+           ") do not match the plan's flaps (" +
+           std::to_string(plan.flaps.size()) +
+           ") one-to-one at the planned times");
+    }
+    if (instants["fault.partition"] != planned(plan.partitions)) {
+      Fail("fault.partition instants do not match the plan's partition "
+           "windows");
+    }
+    if (instants["fault.crash"] != planned(plan.crashes)) {
+      Fail("fault.crash instants do not match the plan's crashes");
+    }
+    uint64_t transient_retries = 0;
+    std::set<const keylime::Verifier*> counted;  // Alice and Bob share one
+    for (const auto& tenant : tenants_) {
+      if (counted.insert(&tenant->verifier()).second) {
+        transient_retries += tenant->verifier().transient_retries();
+      }
+    }
+    const std::pair<const char*, uint64_t> books[] = {
+        {"fault.tpm", injector.tpm_faults_injected()},
+        {"net.frames.fault_dropped", cloud_->fabric().fault_drops()},
+        {"net.frames.fault_duplicated", cloud_->fabric().fault_duplicates()},
+        {"keylime.transient_retries", transient_retries}};
+    for (const auto& [name, want] : books) {
+      if (registry.counter(name) != want) {
+        Fail("counter " + std::string(name) + " = " +
+             std::to_string(registry.counter(name)) + ", expected " +
+             std::to_string(want));
+      }
+    }
+  }
+#endif  // BOLTED_OBS
+
   const ScenarioSpec spec_;
   sim::Rng rng_;
   std::unique_ptr<core::Cloud> cloud_;
@@ -603,6 +660,9 @@ ScenarioResult Runner::Run() {
         cloud_->fabric().fault_drops() + cloud_->fabric().fault_duplicates() +
         injector->flaps_injected() + injector->crashes_injected() +
         injector->partition_drops() + injector->tpm_faults_injected();
+#if BOLTED_OBS
+    CheckObservable(registry, *injector);
+#endif
   }
   result_.digest = sim().trace_digest();
   result_.sim_elapsed = sim().now() - sim::Time{};

@@ -2,8 +2,8 @@
 //
 // Turns a ScenarioSpec into one long-horizon run against a real
 // core::Cloud — real enclaves, real Keylime, real fault injection — and
-// continuously asserts the chaos-suite invariants while the lifecycle
-// phases fire:
+// asserts the chaos invariants (DESIGN.md §8), stated only here, while the
+// lifecycle phases fire:
 //
 //   (a) isolation:   the provider sniffer sees no cross-enclave frame;
 //   (b) convergence: after the run quiesces every node is allocated and
@@ -12,11 +12,14 @@
 //                    recorded, node in the rejected pool, deregistered,
 //                    no root device) and the node re-provisions cleanly;
 //   (d) replayable:  ScenarioResult.digest is a pure function of the spec
-//                    (callers replay and compare byte-for-byte).
+//                    (callers replay and compare byte-for-byte);
+//   (e) observable:  with faults, every planned fault is one obs instant
+//                    at its planned time, and the registry's counters
+//                    match the injector, fabric and verifiers (BOLTED_OBS).
 //
-// This is the oracle: the rack-sharded scenario model (sharded.h) must
-// match its phase semantics, and tests compare its per-seed verdicts and
-// digests across replays.
+// The chaos sweep (tests/chaos_test.cc) is one fixed spec per seed.  The
+// rack-sharded scenario model (sharded.h) must match the runner's phase
+// semantics; tests compare its verdicts and digests across replays.
 
 #ifndef SRC_SCENARIO_RUNNER_H_
 #define SRC_SCENARIO_RUNNER_H_
@@ -48,7 +51,7 @@ struct ScenarioStats {
 };
 
 struct ScenarioResult {
-  // Invariant violations in detection order; empty == every chaos-suite
+  // Invariant violations in detection order; empty == every chaos
   // invariant held for the whole run.
   std::vector<std::string> failures;
   bool ok() const { return failures.empty(); }

@@ -13,10 +13,10 @@
 // Specs come from a small line-oriented text format (examples/scenarios/)
 // or are aggregates built with designated initializers.  The full-fidelity
 // single-Simulation runner (src/scenario/runner.h) turns a spec into a
-// seed-replayable run that asserts the chaos-suite invariants
-// continuously, making every scenario an executable specification.  The
-// rack-sharded fleet model (src/scenario/sharded.h) takes its own
-// ShardedScenarioConfig instead of a spec.
+// seed-replayable run that asserts the chaos invariants (a)-(e); the
+// chaos sweep is one such spec per seed.  The rack-sharded fleet model
+// (src/scenario/sharded.h) takes its own ShardedScenarioConfig instead of
+// a spec.
 
 #ifndef SRC_SCENARIO_SCENARIO_H_
 #define SRC_SCENARIO_SCENARIO_H_

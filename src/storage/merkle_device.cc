@@ -194,7 +194,6 @@ sim::Task MerkleBlockDevice::LoadHashNode(int level, uint64_t index,
     const uint64_t sector = geometry_.NodeSector(l, idx);
     const auto it = cache_.find(sector);
     if (it != cache_.end()) {
-      ++cache_hits_;
       it->second.lru = ++lru_tick_;
       content = it->second.data;
     } else {
@@ -225,7 +224,6 @@ sim::Task MerkleBlockDevice::LoadDataSector(uint64_t sector, crypto::Bytes* out,
   *ok = false;
   const auto it = cache_.find(sector);
   if (it != cache_.end()) {
-    ++cache_hits_;
     it->second.lru = ++lru_tick_;
     *out = it->second.data;
     *ok = true;

@@ -139,7 +139,6 @@ class MerkleBlockDevice : public BlockDevice {
   const crypto::Digest& root() const { return root_; }
   const MerkleGeometry& geometry() const { return geometry_; }
 
-  uint64_t cache_hits() const { return cache_hits_; }
   uint64_t cache_misses() const { return cache_misses_; }
   uint64_t cache_evictions() const { return cache_evictions_; }
 
@@ -175,7 +174,6 @@ class MerkleBlockDevice : public BlockDevice {
 
   std::map<uint64_t, CacheEntry> cache_;
   uint64_t lru_tick_ = 0;
-  uint64_t cache_hits_ = 0;
   uint64_t cache_misses_ = 0;
   uint64_t cache_evictions_ = 0;
 };

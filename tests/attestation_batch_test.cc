@@ -17,6 +17,7 @@
 #include "src/keylime/registrar.h"
 #include "src/keylime/verifier.h"
 #include "src/machine/machine.h"
+#include "src/obs/obs.h"
 
 namespace bolted {
 namespace {
@@ -430,6 +431,34 @@ TEST(FleetTest, VerdictsAndDigestsInvariantAcrossBatchAndWorkers) {
     }
   }
 }
+
+#if BOLTED_OBS
+TEST(FleetTest, BatchSizesIgnoreWorkerCount) {
+  // A round keeps one open batch, so which quotes share a batch depends on
+  // the batch size and the arrival order only: the batch-size histogram is
+  // the same at every worker count.
+  std::vector<obs::Histogram> sizes;
+  for (const int workers : {1, 2, 4}) {
+    FleetFixture fleet;
+    obs::Registry registry(fleet.sim);
+    fleet.verifier.SetFleetOptions({.workers = workers, .batch_size = 5});
+    fleet.Poll();
+    fleet.Poll();
+    const obs::Histogram* histogram =
+        registry.FindHistogram("keylime.batch_size");
+    ASSERT_NE(histogram, nullptr) << "workers=" << workers;
+    sizes.push_back(*histogram);
+  }
+  for (size_t w = 1; w < sizes.size(); ++w) {
+    EXPECT_EQ(sizes[w].count(), sizes[0].count()) << "run " << w;
+    EXPECT_EQ(sizes[w].sum(), sizes[0].sum()) << "run " << w;
+    for (int b = 0; b < obs::Histogram::kNumBuckets; ++b) {
+      EXPECT_EQ(sizes[w].bucket(b), sizes[0].bucket(b))
+          << "run " << w << ", bucket " << b;
+    }
+  }
+}
+#endif  // BOLTED_OBS
 
 TEST(FleetTest, FleetMatchesPerNodeVerdicts) {
   FleetFixture fleet;

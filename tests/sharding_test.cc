@@ -527,6 +527,7 @@ TEST(Sharding, SendBelowLookaheadDies) {
   ShardOptions options;
   options.racks = 2;
   options.shards = 2;
+  options.workers = 1;  // no pool thread alive when the death test forks
   options.lookahead = Duration::Microseconds(50);
   ShardedFleet fleet(options);
   Rack& rack = fleet.rack(0);
