@@ -1,6 +1,6 @@
 // Emits BENCH_crypto.json: throughput of each crypto primitive under the
 // scalar reference and the runtime-dispatched backend, plus event-queue
-// ops/sec.  Self-contained (std::chrono, no google-benchmark) so the file
+// ops/sec.  Self-contained (std::chrono only) so the file
 // can be regenerated anywhere and diffed across commits.
 //
 // Usage: bench_crypto_json [output-path]   (default: BENCH_crypto.json)

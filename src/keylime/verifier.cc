@@ -17,6 +17,8 @@ namespace {
 // quarantines the node as if it had failed integrity checks.
 constexpr int kMaxTransientStrikes = 3;
 
+constexpr char kUnknownNode[] = "unknown node";
+
 // Extracts the quoted value for a PCR from a quote's (mask, values) pair.
 const crypto::Digest* QuotedPcr(const tpm::Quote& quote, int pcr) {
   if ((quote.pcr_mask & (1u << pcr)) == 0) {
@@ -61,25 +63,35 @@ Verifier::Verifier(sim::Simulation& sim, net::Endpoint& endpoint,
 }
 
 void Verifier::AddNode(const std::string& name, NodeConfig config) {
-  NodeState state;
-  state.config = std::move(config);
-  nodes_[name] = std::move(state);
+  // A node added again starts from fresh state; verifications still in
+  // flight on the old one end as "unknown node", as after RemoveNode.
+  std::shared_ptr<NodeState>& state = nodes_[name];
+  if (state != nullptr) {
+    state->removed = true;
+  }
+  state = std::make_shared<NodeState>();
+  state->config = std::move(config);
 }
 
-void Verifier::RemoveNode(const std::string& name) { nodes_.erase(name); }
+void Verifier::RemoveNode(const std::string& name) {
+  const auto it = nodes_.find(name);
+  if (it != nodes_.end()) {
+    it->second->removed = true;
+    nodes_.erase(it);
+  }
+}
 
 void Verifier::UpdatePeers(const std::string& name, std::vector<net::Address> peers) {
   const auto it = nodes_.find(name);
   if (it != nodes_.end()) {
-    it->second.config.peers = std::move(peers);
+    it->second->config.peers = std::move(peers);
   }
 }
 
-sim::Task Verifier::DeliverPayload(const std::string& name, const crypto::EcPoint& nk,
-                                   bool* ok) {
+sim::Task Verifier::DeliverPayload(NodeState& state, bool* ok) {
   *ok = false;
-  auto& state = nodes_.at(name);
-  const crypto::Bytes sealed_v = crypto::EciesSeal(nk, state.config.v_half, drbg_);
+  const crypto::Bytes sealed_v =
+      crypto::EciesSeal(*state.nk_decoded, state.config.v_half, drbg_);
 
   net::Message message;
   message.kind = std::string(kRpcDeliverV);
@@ -150,14 +162,14 @@ sim::Task Verifier::VerifyNodeImpl(const std::string& name,
   result->passed = false;
   const auto it = nodes_.find(name);
   if (it == nodes_.end()) {
-    result->failure = "unknown node";
+    result->failure = kUnknownNode;
     co_return;
   }
-  NodeState& state = it->second;
+  const std::shared_ptr<NodeState> state = it->second;
   ++verifications_;
 
   QuoteExchange exchange;
-  co_await FetchQuote(name, state, &exchange);
+  co_await FetchQuote(name, *state, &exchange);
   if (!exchange.failure.empty()) {
     result->failure = std::move(exchange.failure);
     co_return;
@@ -165,8 +177,8 @@ sim::Task Verifier::VerifyNodeImpl(const std::string& name,
   // 3a (signature): the single-node path verifies inline; VerifyFleet
   // replaces exactly this step with the batched multi-scalar check.
   const bool signature_ok =
-      tpm::Tpm::VerifyQuote(*exchange.quote, *state.aik_prepared);
-  co_await FinishVerification(name, state, exchange, signature_ok, result);
+      tpm::Tpm::VerifyQuote(*exchange.quote, *state->aik_prepared);
+  co_await FinishVerification(*state, exchange, signature_ok, result);
 }
 
 sim::Task Verifier::FetchQuote(const std::string& name, NodeState& state,
@@ -179,6 +191,10 @@ sim::Task Verifier::FetchQuote(const std::string& name, NodeState& state,
   bool rpc_ok = false;
   co_await node_.CallWithRetry(registrar_, std::move(key_request), &key_response,
                                &rpc_ok, call_options_);
+  if (state.removed) {
+    out->failure = kUnknownNode;
+    co_return;
+  }
   if (!rpc_ok || key_response.kind == "kl.reg.error") {
     out->failure = "registrar lookup failed";
     co_return;
@@ -234,6 +250,10 @@ sim::Task Verifier::FetchQuote(const std::string& name, NodeState& state,
   net::Message quote_response;
   co_await node_.CallWithRetry(state.config.agent, std::move(quote_request),
                                &quote_response, &rpc_ok, call_options_);
+  if (state.removed) {
+    out->failure = kUnknownNode;
+    co_return;
+  }
   if (!rpc_ok || quote_response.kind == "kl.agent.error") {
     out->failure = "agent unreachable";
     co_return;
@@ -267,9 +287,14 @@ sim::Task Verifier::FetchQuote(const std::string& name, NodeState& state,
   }
 }
 
-sim::Task Verifier::FinishVerification(const std::string& name, NodeState& state,
-                                       QuoteExchange& ex, bool signature_ok,
+sim::Task Verifier::FinishVerification(NodeState& state, QuoteExchange& ex,
+                                       bool signature_ok,
                                        VerificationResult* result) {
+  // A fleet round suspends between a node's quote and this stage.
+  if (state.removed) {
+    result->failure = kUnknownNode;
+    co_return;
+  }
   // 3a. Signature (verdict computed by the caller — inline single verify
   // or the batched multi-scalar check) and freshness.
   const tpm::Quote& quote = *ex.quote;
@@ -328,7 +353,11 @@ sim::Task Verifier::FinishVerification(const std::string& name, NodeState& state
   // 4. Bootstrap delivery on first success.
   if (!state.payload_delivered && !state.config.v_half.empty()) {
     bool delivered = false;
-    co_await DeliverPayload(name, *state.nk_decoded, &delivered);
+    co_await DeliverPayload(state, &delivered);
+    if (state.removed) {
+      result->failure = kUnknownNode;
+      co_return;
+    }
     if (!delivered) {
       result->failure = "payload delivery failed";
       co_return;
@@ -432,18 +461,18 @@ sim::Task Verifier::VerifyFleet(std::span<const std::string> names,
   FleetRound round(sim_.worker_pool(),
                    static_cast<size_t>(std::max(1, fleet_options_.batch_size)));
   std::vector<QuoteExchange> exchanges(n);
-  std::vector<NodeState*> states(n, nullptr);
+  std::vector<std::shared_ptr<NodeState>> states(n);
   sim::TaskGroup group(sim_);
   for (size_t i = 0; i < n; ++i) {
     results[i] = VerificationResult{};
     const auto it = nodes_.find(names[i]);
     if (it == nodes_.end()) {
-      exchanges[i].failure = "unknown node";
+      exchanges[i].failure = kUnknownNode;
       continue;
     }
-    states[i] = &it->second;
+    states[i] = it->second;
     ++verifications_;
-    group.Spawn(FetchIntoRound(names[i], it->second, &exchanges[i], &round, i));
+    group.Spawn(FetchIntoRound(names[i], *states[i], &exchanges[i], &round, i));
   }
   co_await group.WaitAll();
   round.Join();
@@ -474,8 +503,8 @@ sim::Task Verifier::VerifyFleet(std::span<const std::string> names,
       results[i].failure = std::move(exchanges[i].failure);
       continue;
     }
-    co_await FinishVerification(names[i], *states[i], exchanges[i],
-                                signature_ok[i] != 0, &results[i]);
+    co_await FinishVerification(*states[i], exchanges[i], signature_ok[i] != 0,
+                                &results[i]);
   }
 }
 
@@ -484,15 +513,15 @@ void Verifier::StartContinuous(const std::string& name, sim::Duration interval) 
   if (it == nodes_.end()) {
     return;
   }
-  it->second.continuous = true;
-  sim_.Spawn(ContinuousLoop(name, interval, it->second.generation));
+  it->second->continuous = true;
+  sim_.Spawn(ContinuousLoop(name, interval, it->second->generation));
 }
 
 void Verifier::StopContinuous(const std::string& name) {
   const auto it = nodes_.find(name);
   if (it != nodes_.end()) {
-    it->second.continuous = false;
-    ++it->second.generation;
+    it->second->continuous = false;
+    ++it->second->generation;
   }
 }
 
@@ -502,8 +531,8 @@ sim::Task Verifier::ContinuousLoop(std::string name, sim::Duration interval,
   for (;;) {
     co_await sim::Delay(sim_, wait);
     const auto it = nodes_.find(name);
-    if (it == nodes_.end() || !it->second.continuous ||
-        it->second.generation != generation) {
+    if (it == nodes_.end() || !it->second->continuous ||
+        it->second->generation != generation) {
       co_return;
     }
     VerificationResult result;
@@ -511,17 +540,17 @@ sim::Task Verifier::ContinuousLoop(std::string name, sim::Duration interval,
     // VerifyNode suspends, so re-check that this loop still owns the node
     // before acting on the verdict.
     const auto after = nodes_.find(name);
-    if (after == nodes_.end() || !after->second.continuous ||
-        after->second.generation != generation) {
+    if (after == nodes_.end() || !after->second->continuous ||
+        after->second->generation != generation) {
       co_return;
     }
     if (result.passed) {
-      after->second.transient_strikes = 0;
+      after->second->transient_strikes = 0;
       wait = interval;
       continue;
     }
     if (IsTransientFailure(result.failure) &&
-        ++after->second.transient_strikes < kMaxTransientStrikes) {
+        ++after->second->transient_strikes < kMaxTransientStrikes) {
       // Escalation ladder: a quote timeout earns a fast re-poll (the node
       // may be mid-reboot or behind a flapping link), not an instant
       // quarantine.  Strikes accumulate until a pass resets them.
@@ -547,10 +576,10 @@ sim::Task Verifier::Revoke(const std::string& name) {
   if (it == nodes_.end()) {
     co_return;
   }
-  const net::Address bad = it->second.config.agent;
+  const net::Address bad = it->second->config.agent;
   // Notify every enclave peer concurrently; each drops the bad node's SA.
   sim::TaskGroup group(sim_);
-  for (const net::Address peer : it->second.config.peers) {
+  for (const net::Address peer : it->second->config.peers) {
     if (peer != bad) {
       group.Spawn(NotifyRevocation(peer, bad));
     }

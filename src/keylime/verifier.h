@@ -142,8 +142,13 @@ class Verifier {
   uint64_t boot_log_cache_misses() const { return boot_log_cache_misses_; }
 
  private:
+  // Shared by the node's entry and every verification in flight, so one
+  // that suspended across RemoveNode reads nothing freed.
   struct NodeState {
     NodeConfig config;
+    // Set by RemoveNode.  A verification checks it after each suspension
+    // and then ends as an unknown node.
+    bool removed = false;
     bool payload_delivered = false;
     bool continuous = false;
     uint64_t generation = 0;  // bumps on StopContinuous to kill old loops
@@ -201,22 +206,20 @@ class Verifier {
                            QuoteExchange* out, FleetRound* round, size_t index);
   // Stage B: everything after the signature verdict — freshness, replay,
   // whitelists, payload delivery, cursor commit.
-  sim::Task FinishVerification(const std::string& name, NodeState& state,
-                               QuoteExchange& ex, bool signature_ok,
-                               VerificationResult* result);
+  sim::Task FinishVerification(NodeState& state, QuoteExchange& ex,
+                               bool signature_ok, VerificationResult* result);
   const BootReplay* ReplayBootLog(const crypto::Bytes& wire);
   sim::Task ContinuousLoop(std::string name, sim::Duration interval,
                            uint64_t generation);
   sim::Task Revoke(const std::string& name);
   sim::Task NotifyRevocation(net::Address peer, net::Address bad);
-  sim::Task DeliverPayload(const std::string& name, const crypto::EcPoint& nk,
-                           bool* ok);
+  sim::Task DeliverPayload(NodeState& state, bool* ok);
 
   sim::Simulation& sim_;
   net::RpcNode node_;
   net::Address registrar_;
   crypto::Drbg drbg_;
-  std::map<std::string, NodeState> nodes_;
+  std::map<std::string, std::shared_ptr<NodeState>> nodes_;
   ViolationCallback violation_callback_;
   net::CallOptions call_options_{.timeout = sim::Duration::Seconds(10),
                                  .max_attempts = 2};

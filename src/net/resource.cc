@@ -109,15 +109,6 @@ void SharedResource::ConsumeAsync(double amount, ConsumeSink* sink,
   Sync();
 }
 
-sim::Task ConsumeAll(sim::Simulation& sim, std::vector<SharedResource*> resources,
-                     double amount) {
-  DemandList demands;
-  for (SharedResource* resource : resources) {
-    demands.push_back(WeightedDemand{resource, amount});
-  }
-  co_await ConsumeAllWeighted(sim, std::move(demands));
-}
-
 sim::Task ConsumeAllWeighted(sim::Simulation& sim, DemandList demands) {
   sim::TaskGroup group(sim);
   for (const WeightedDemand& demand : demands) {

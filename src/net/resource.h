@@ -117,15 +117,8 @@ class SharedResource {
   double start_v_sum_ = 0;   // sum of start_v over active jobs
 };
 
-// Consumes `amount` from several resources concurrently and completes when
-// the slowest finishes — the standard approximation for a pipelined
-// transfer bottlenecked by its most contended stage (NIC -> wire -> NIC,
-// or NIC -> crypto engine).
-sim::Task ConsumeAll(sim::Simulation& sim, std::vector<SharedResource*> resources,
-                     double amount);
-
-// Like ConsumeAll but with a per-resource amount (e.g. wire bytes on the
-// NIC vs payload bytes on the crypto engine).
+// One resource's share of a pipelined transfer, e.g. wire bytes on the NIC
+// vs payload bytes on the crypto engine.
 struct WeightedDemand {
   SharedResource* resource;
   double amount;
@@ -135,6 +128,10 @@ struct WeightedDemand {
 // user-declared constructors also make it safe as a by-value coroutine
 // parameter under GCC 12 (see the toolchain note in src/sim/task.h).
 using DemandList = sim::SmallVec<WeightedDemand, 4>;
+// Consumes every demand concurrently and completes when the slowest
+// finishes — the standard approximation for a pipelined transfer
+// bottlenecked by its most contended stage (NIC -> wire -> NIC, or NIC ->
+// crypto engine).
 sim::Task ConsumeAllWeighted(sim::Simulation& sim, DemandList demands);
 
 }  // namespace bolted::net

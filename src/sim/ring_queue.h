@@ -6,51 +6,74 @@
 // the allocator forever.  A ring buffer reaches its high-water capacity
 // once and then cycles allocation-free, which is what lets the send-path
 // counting-allocator test demand exactly zero.
+//
+// Slots are raw storage: an item is constructed where it is pushed and
+// destroyed where it is popped.  Growing therefore moves only the live
+// items and builds no empty ones, so an inbox nobody drains (a saturation
+// blast) pays one move per queued message and nothing per empty slot.
 
 #ifndef SRC_SIM_RING_QUEUE_H_
 #define SRC_SIM_RING_QUEUE_H_
 
 #include <cstddef>
+#include <memory>
+#include <new>
 #include <utility>
-#include <vector>
 
 namespace bolted::sim {
 
 template <typename T>
 class RingQueue {
  public:
+  RingQueue() = default;
+  RingQueue(const RingQueue&) = delete;
+  RingQueue& operator=(const RingQueue&) = delete;
+  ~RingQueue() {
+    while (size_ != 0) {
+      pop_front();
+    }
+    std::allocator<T>().deallocate(slots_, capacity_);
+  }
+
   bool empty() const { return size_ == 0; }
   size_t size() const { return size_; }
 
-  T& front() { return buffer_[head_]; }
-  const T& front() const { return buffer_[head_]; }
+  T& front() { return slots_[head_]; }
+  const T& front() const { return slots_[head_]; }
 
-  void push_back(T value) {
-    if (size_ == buffer_.size()) {
+  void push_back(T&& value) {
+    if (size_ == capacity_) {
       Grow();
     }
-    buffer_[(head_ + size_) & (buffer_.size() - 1)] = std::move(value);
+    ::new (static_cast<void*>(&slots_[(head_ + size_) & (capacity_ - 1)]))
+        T(std::move(value));
     ++size_;
   }
+  void push_back(const T& value) { push_back(T(value)); }
 
   void pop_front() {
-    buffer_[head_] = T();  // drop any resources the slot still owns
-    head_ = (head_ + 1) & (buffer_.size() - 1);
+    slots_[head_].~T();
+    head_ = (head_ + 1) & (capacity_ - 1);
     --size_;
   }
 
  private:
   void Grow() {
-    const size_t new_capacity = buffer_.empty() ? 8 : buffer_.size() * 2;
-    std::vector<T> fresh(new_capacity);
+    const size_t capacity = capacity_ == 0 ? 8 : capacity_ * 2;
+    T* fresh = std::allocator<T>().allocate(capacity);
     for (size_t i = 0; i < size_; ++i) {
-      fresh[i] = std::move(buffer_[(head_ + i) & (buffer_.size() - 1)]);
+      T& item = slots_[(head_ + i) & (capacity_ - 1)];
+      ::new (static_cast<void*>(&fresh[i])) T(std::move(item));
+      item.~T();
     }
-    buffer_ = std::move(fresh);
+    std::allocator<T>().deallocate(slots_, capacity_);
+    slots_ = fresh;
+    capacity_ = capacity;
     head_ = 0;
   }
 
-  std::vector<T> buffer_;
+  T* slots_ = nullptr;
+  size_t capacity_ = 0;
   size_t head_ = 0;
   size_t size_ = 0;
 };

@@ -272,9 +272,9 @@ void ShardedFleet::RunWindows(int64_t limit_ns) {
 
 void ShardedFleet::Run() {
   RunWindows(kNoEvent);
-  // Final task reap (and exception propagation) per rack, mirroring the
-  // tail of Simulation::Run; the horizon equals each clock, so nothing
-  // fires and no clock moves.
+  // Rethrows a rack's task failure that no window met (a task that threw
+  // outside a run, on a rack with no events); the horizon equals each
+  // clock, so nothing fires and no clock moves.
   for (auto& rack : racks_) {
     rack->sim_->RunUntil(rack->sim_->now());
   }
@@ -284,7 +284,7 @@ void ShardedFleet::RunUntil(Time horizon) {
   RunWindows(horizon.nanoseconds());
   // Align every rack clock to the horizon (RunUntil semantics).  All
   // events at or before it already fired, so this only advances clocks
-  // and reaps.
+  // and rethrows a task failure that no window met.
   for (auto& rack : racks_) {
     rack->sim_->RunUntil(horizon);
   }

@@ -156,10 +156,10 @@ class ShardedFleet {
   void set_frame_handler(FrameHandler handler) { handler_ = std::move(handler); }
 
   // Runs until every rack's queue drains and no frame is in flight.  An
-  // exception from a rack's event, a failed task its Simulation reaps
-  // included, leaves Run() at every worker count once the phase's other
-  // shards have finished; if several shards threw, the lowest one's
-  // exception wins, as it would on one thread.
+  // exception from a rack's event, a spawned task's failure that its
+  // Simulation rethrows included, leaves Run() at every worker count once
+  // the phase's other shards have finished; if several shards threw, the
+  // lowest one's exception wins, as it would on one thread.
   void Run();
   // Runs every event with when <= horizon, then advances each rack's
   // clock to the horizon (mirroring Simulation::RunUntil).

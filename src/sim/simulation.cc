@@ -11,7 +11,13 @@ namespace bolted::sim {
 
 Simulation::Simulation(uint64_t seed) : rng_(seed) {}
 
-Simulation::~Simulation() = default;
+Simulation::~Simulation() {
+  while (spawned_.next != &spawned_) {
+    TaskLink& task = *spawned_.next;
+    task.Unlink();
+    task.frame.destroy();
+  }
+}
 
 EventId Simulation::Schedule(Duration delay, EventFn fn) {
   return ScheduleAt(now_ + delay, std::move(fn));
@@ -31,7 +37,18 @@ void Simulation::RecordTraceEvent(uint64_t tag) {
       MixDigest(trace_digest_, static_cast<uint64_t>(now_.nanoseconds())), tag);
 }
 
+void Simulation::ThrowTaskFailure() {
+  if (failure_ != nullptr) {
+    std::rethrow_exception(std::exchange(failure_, nullptr));
+  }
+}
+
 bool Simulation::Step() {
+  ThrowTaskFailure();
+  return FireNext();
+}
+
+bool Simulation::FireNext() {
   Time when;
   uint64_t seq;
   EventFn fn;
@@ -53,38 +70,39 @@ bool Simulation::Step() {
   }
 #endif
   fn();
-  if ((events_processed_ & 0x3ff) == 0) {
-    ReapTasksIncremental();
+  if (failure_ != nullptr) {  // tested inline: this runs once per event
+    ThrowTaskFailure();
   }
   return true;
 }
 
 void Simulation::Run() {
-  while (Step()) {
+  ThrowTaskFailure();
+  while (FireNext()) {
   }
-  ReapTasks();
 }
 
 void Simulation::RunUntil(Time horizon) {
+  ThrowTaskFailure();
   for (;;) {
     Time next;
     if (!scheduler_.PeekNextTime(&next) || next > horizon) {
       break;
     }
-    Step();
+    FireNext();
   }
   if (now_ < horizon) {
     now_ = horizon;
   }
-  ReapTasks();
 }
 
 bool Simulation::RunBefore(Time end, Time* next) {
+  ThrowTaskFailure();
   while (scheduler_.PeekNextTime(next)) {
     if (*next >= end) {
       return true;
     }
-    Step();
+    FireNext();
   }
   return false;
 }
@@ -94,8 +112,13 @@ bool Simulation::PeekNextEventTime(Time* next) {
 }
 
 void Simulation::Spawn(Task task) {
-  live_tasks_.push_back(std::move(task));
-  live_tasks_.back().Start();
+  const Task::Handle h = std::exchange(task.handle_, nullptr);
+  TaskLink& link = h.promise().link;
+  h.promise().sim = this;
+  link = {spawned_.prev, &spawned_, h};
+  spawned_.prev->next = &link;
+  spawned_.prev = &link;
+  h.resume();
 }
 
 void Simulation::SetWorkerThreads(uint32_t threads) {
@@ -106,43 +129,6 @@ void Simulation::SetWorkerThreads(uint32_t threads) {
   if (worker_pool_ == nullptr || worker_pool_->threads() != threads) {
     worker_pool_.reset();  // join the old team before pinning a new one
     worker_pool_ = std::make_unique<WorkerPool>(threads);
-  }
-}
-
-void Simulation::ReapTasks() {
-  for (size_t i = 0; i < live_tasks_.size();) {
-    if (live_tasks_[i].done()) {
-      live_tasks_[i].RethrowIfFailed();
-      live_tasks_[i] = std::move(live_tasks_.back());
-      live_tasks_.pop_back();
-    } else {
-      ++i;
-    }
-  }
-  reap_cursor_ = 0;
-}
-
-void Simulation::ReapTasksIncremental() {
-  // Bounded slice of the full sweep: with a fleet-size poll keeping
-  // thousands of coroutines live, a full scan every 1024 events costs more
-  // than the events themselves.  Each call examines at most kReapBudget
-  // slots; the cursor wraps, so every slot is still visited within
-  // live/kReapBudget reap ticks, and Run()'s final full ReapTasks() keeps
-  // the completion (and exception-propagation) guarantee unchanged.
-  constexpr size_t kReapBudget = 64;
-  size_t budget = kReapBudget;
-  while (budget-- > 0 && !live_tasks_.empty()) {
-    if (reap_cursor_ >= live_tasks_.size()) {
-      reap_cursor_ = 0;
-      break;  // completed a lap; resume next tick
-    }
-    if (live_tasks_[reap_cursor_].done()) {
-      live_tasks_[reap_cursor_].RethrowIfFailed();
-      live_tasks_[reap_cursor_] = std::move(live_tasks_.back());
-      live_tasks_.pop_back();
-    } else {
-      ++reap_cursor_;
-    }
   }
 }
 

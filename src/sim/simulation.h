@@ -15,9 +15,10 @@
 #ifndef SRC_SIM_SIMULATION_H_
 #define SRC_SIM_SIMULATION_H_
 
+#include <coroutine>
 #include <cstdint>
+#include <exception>
 #include <memory>
-#include <vector>
 
 #include "src/sim/event_fn.h"
 #include "src/sim/random.h"
@@ -32,6 +33,18 @@ namespace bolted::sim {
 
 class Task;
 class WorkerPool;
+
+// A spawned task's node on its Simulation's list of unfinished tasks; it
+// lives in the task's promise (src/sim/task.h).
+struct TaskLink {
+  TaskLink* prev = this;
+  TaskLink* next = this;
+  std::coroutine_handle<> frame;
+  void Unlink() {
+    prev->next = next;
+    next->prev = prev;
+  }
+};
 
 class Simulation {
  public:
@@ -95,8 +108,10 @@ class Simulation {
   obs::Registry* observer() const { return observer_; }
   void set_observer(obs::Registry* observer) { observer_ = observer; }
 
-  // Takes ownership of a coroutine task and starts it.  The task is
-  // destroyed once it completes.
+  // Takes ownership of a coroutine task and starts it; the task frees its
+  // own frame when it finishes.  Its exception (the first, if several tasks
+  // threw) leaves the run call whose event ended the task, or the next run
+  // call if it threw outside one; Spawn itself never throws it.
   void Spawn(Task task);
 
   // --- Host worker pool ---------------------------------------------------
@@ -110,25 +125,27 @@ class Simulation {
   void SetWorkerThreads(uint32_t threads);
 
  private:
-  void ReapTasks();
-  void ReapTasksIncremental();
+  friend class Task;  // a finishing spawned task records its failure_
 
-  // Declared first so it is destroyed last: the coroutine frames destroyed
-  // below may still hold tickets of tasks it runs.
+  // Step without its entry check, which the run loops make once per call.
+  bool FireNext();
+  void ThrowTaskFailure();
+
+  // Outlives the coroutine frames that ~Simulation's body destroys, which
+  // may still hold tickets of tasks it runs.
   std::unique_ptr<WorkerPool> worker_pool_;
   Time now_;
   uint64_t next_seq_ = 0;
   uint64_t events_processed_ = 0;
-  // Declared before live_tasks_ so queued EventFns (which may reference
-  // coroutine frames) are destroyed after the frames that own them.
+  // Queued EventFns (which may reference coroutine frames) are destroyed
+  // after the frames, which ~Simulation's body destroys.
   WheelScheduler scheduler_;
   uint64_t trace_digest_ = 0x626f6c746564u;
   obs::Registry* observer_ = nullptr;
-  std::vector<Task> live_tasks_;
-  // Wrap-around cursor for ReapTasksIncremental, so the periodic in-run
-  // reap scans a bounded slice of live_tasks_ instead of the whole vector
-  // (a fleet-size poll keeps thousands of coroutines live at once).
-  size_t reap_cursor_ = 0;
+  // Sentinel of the unfinished spawned tasks, oldest first.
+  TaskLink spawned_;
+  // The first spawned task's exception that no run call has rethrown yet.
+  std::exception_ptr failure_;
   Rng rng_;
 };
 

@@ -5,7 +5,11 @@
 // in two ways:
 //
 //   co_await ChildFlow(...);          // run a sub-flow to completion
-//   sim.Spawn(ConcurrentFlow(...));   // run detached, owned by the kernel
+//   sim.Spawn(ConcurrentFlow(...));   // run detached
+//
+// An awaited task's frame belongs to its Task object.  A spawned task
+// frees its own frame at its final suspend; until then its Simulation
+// keeps it on an intrusive list, so that teardown can destroy it.
 //
 // Awaitables provided here:
 //   Delay(sim, d)    -- suspend for d of simulated time
@@ -48,6 +52,8 @@
 
 namespace bolted::sim {
 
+class TaskGroup;
+
 class [[nodiscard]] Task {
  public:
   struct promise_type;
@@ -68,16 +74,12 @@ class [[nodiscard]] Task {
     Task get_return_object() { return Task(Handle::from_promise(*this)); }
     std::suspend_always initial_suspend() noexcept { return {}; }
 
+    // An awaited task transfers to its awaiter.  A spawned task has none:
+    // it unlinks and frees its own frame, then hands its exception to the
+    // Simulation or tells its TaskGroup that it is done.
     struct FinalAwaiter {
       bool await_ready() noexcept { return false; }
-      std::coroutine_handle<> await_suspend(Handle h) noexcept {
-        promise_type& p = h.promise();
-        p.done = true;
-        if (p.continuation) {
-          return p.continuation;
-        }
-        return std::noop_coroutine();
-      }
+      std::coroutine_handle<> await_suspend(Handle h) noexcept;
       void await_resume() noexcept {}
     };
     FinalAwaiter final_suspend() noexcept { return {}; }
@@ -87,53 +89,27 @@ class [[nodiscard]] Task {
 
     std::coroutine_handle<> continuation;
     std::exception_ptr exception;
-    bool done = false;
-    bool started = false;
+    // Set by Simulation::Spawn (and TaskGroup::Spawn) for a detached task.
+    Simulation* sim = nullptr;
+    TaskGroup* group = nullptr;
+    TaskLink link;
   };
 
-  Task() = default;
   explicit Task(Handle h) : handle_(h) {}
   Task(Task&& other) noexcept : handle_(std::exchange(other.handle_, nullptr)) {}
-  Task& operator=(Task&& other) noexcept {
-    if (this != &other) {
-      Destroy();
-      handle_ = std::exchange(other.handle_, nullptr);
-    }
-    return *this;
-  }
-  Task(const Task&) = delete;
-  Task& operator=(const Task&) = delete;
-  ~Task() { Destroy(); }
-
-  bool valid() const { return handle_ != nullptr; }
-  bool done() const { return !handle_ || handle_.promise().done; }
-
-  // Starts a detached task; used by Simulation::Spawn.
-  void Start() {
-    if (handle_ && !handle_.promise().started) {
-      handle_.promise().started = true;
-      handle_.resume();
-    }
-  }
-
-  // Rethrows the task's failure, if any.  Call only on done() tasks.
-  void RethrowIfFailed() const {
-    if (handle_ && handle_.promise().exception) {
-      std::rethrow_exception(handle_.promise().exception);
+  Task& operator=(Task&&) = delete;
+  ~Task() {
+    if (handle_) {
+      handle_.destroy();
     }
   }
 
   struct Awaiter {
     Handle h;
-    bool await_ready() const { return !h || h.promise().done; }
+    bool await_ready() const { return !h || h.done(); }
     std::coroutine_handle<> await_suspend(std::coroutine_handle<> cont) {
-      promise_type& p = h.promise();
-      p.continuation = cont;
-      if (!p.started) {
-        p.started = true;
-        return h;  // symmetric transfer into the child
-      }
-      return std::noop_coroutine();
+      h.promise().continuation = cont;
+      return h;  // symmetric transfer into the lazily started child
     }
     void await_resume() const {
       if (h && h.promise().exception) {
@@ -145,12 +121,9 @@ class [[nodiscard]] Task {
   Awaiter operator co_await() const&& { return Awaiter{handle_}; }
 
  private:
-  void Destroy() {
-    if (handle_) {
-      handle_.destroy();
-      handle_ = nullptr;
-    }
-  }
+  friend class Simulation;
+  friend class TaskGroup;
+
   Handle handle_;
 };
 
@@ -167,7 +140,6 @@ struct DelayAwaiter {
 };
 
 inline DelayAwaiter Delay(Simulation& sim, Duration d) { return DelayAwaiter{sim, d}; }
-inline DelayAwaiter Yield(Simulation& sim) { return DelayAwaiter{sim, Duration::Zero()}; }
 
 // One-shot broadcast event.  Waiters suspended before Set() are resumed
 // (via the event queue) when it fires; waiters after Set() do not suspend.
@@ -188,7 +160,6 @@ class Event {
     waiters_.clear();
   }
 
-  void Reset() { set_ = false; }
   bool is_set() const { return set_; }
 
   struct Awaiter {
@@ -235,7 +206,8 @@ class Channel {
   // network's burst delivery uses this two-phase form so that every frame
   // of a sim-time instant lands in its inbox before any receiver runs —
   // the same delivery-then-wake order the event-per-frame path produces.
-  void Enqueue(T value) { items_.push_back(std::move(value)); }
+  void Enqueue(T&& value) { items_.push_back(std::move(value)); }
+  void Enqueue(const T& value) { items_.push_back(value); }
 
   // Hands queued items to queued waiters in FIFO order, resuming each
   // waiter inline (no scheduler round-trip).  The channel is consistent
@@ -358,38 +330,62 @@ class SemaphoreGuard {
   Semaphore* sem_;
 };
 
-// Spawns several tasks and waits for all of them to finish.
+// Spawns several tasks and waits for all of them to finish.  Each child
+// reports to the group from its final suspend; a child that throws hands
+// its exception to the Simulation instead, so the group never completes.
 class TaskGroup {
  public:
   explicit TaskGroup(Simulation& sim) : sim_(sim), done_(sim) {}
 
   void Spawn(Task task) {
     ++outstanding_;
-    sim_.Spawn(Wrap(std::move(task)));
+    task.handle_.promise().group = this;
+    sim_.Spawn(std::move(task));
   }
 
   // Awaitable that completes when every spawned task has finished.  Safe
-  // to call once after all Spawn() calls.
-  Task WaitAll() {
+  // to await once after all Spawn() calls.
+  Event::Awaiter WaitAll() {
     if (outstanding_ == 0) {
       done_.Set();
     }
-    return WaitFlow();
+    return done_.Wait();
   }
 
  private:
-  Task Wrap(Task inner) {
-    co_await inner;
+  friend struct Task::promise_type::FinalAwaiter;
+
+  void ChildDone() {
     if (--outstanding_ == 0) {
       done_.Set();
     }
   }
-  Task WaitFlow() { co_await done_; }
 
   Simulation& sim_;
   Event done_;
   int64_t outstanding_ = 0;
 };
+
+inline std::coroutine_handle<> Task::promise_type::FinalAwaiter::await_suspend(
+    Handle h) noexcept {
+  promise_type& p = h.promise();
+  if (p.continuation) {
+    return p.continuation;
+  }
+  Simulation* sim = p.sim;
+  TaskGroup* group = p.group;
+  std::exception_ptr failure = std::move(p.exception);
+  p.link.Unlink();
+  h.destroy();
+  if (failure) {
+    if (sim->failure_ == nullptr) {
+      sim->failure_ = std::move(failure);  // the first failure wins
+    }
+  } else if (group != nullptr) {
+    group->ChildDone();
+  }
+  return std::noop_coroutine();
+}
 
 }  // namespace bolted::sim
 

@@ -6,10 +6,11 @@
 // delivery into the receiver's inbox — touches the global allocator
 // exactly zero times.  The same holds for a frame the sharded runtime
 // routes between racks: the route phase schedules it on the destination
-// rack as an inline event.  This binary replaces ::operator new/delete
-// with counting shims and asserts that a measured send burst, and a
-// measured run of rack-to-rack traffic, perform no allocations at all,
-// not "few".
+// rack as an inline event, and for a chain of spawned tasks, each of
+// which returns its frame to the pool at its final suspend.  This binary
+// replaces ::operator new/delete with counting shims and asserts that a
+// measured send burst, a measured run of rack-to-rack traffic and a
+// measured spawn chain perform no allocations at all, not "few".
 
 #include <gtest/gtest.h>
 
@@ -95,9 +96,9 @@ TEST(SendPathAllocTest, SteadyStateSendsAreAllocationFree) {
   };
 
   // Warm-up sizes every cache involved: coroutine-frame pool, message
-  // pool, scheduler record pool, resource job vectors, inbox rings, the
-  // live-task list.  The warm burst is larger than the measured one so
-  // every high-water mark is already reached.
+  // pool, scheduler record pool, resource job vectors, inbox rings.  The
+  // warm burst is larger than the measured one so every high-water mark
+  // is already reached.
   send_burst(512);
   ASSERT_EQ(received, 512u);
 
@@ -156,6 +157,33 @@ TEST(ShardRouteAllocTest, SteadyStateRoutedFramesAreAllocationFree) {
   EXPECT_EQ(delivered, 8 * (kHops + 1));
   EXPECT_EQ(during, 0u) << "routing " << 4 * (kHops + 1)
                         << " steady-state frames performed " << during
+                        << " heap allocations";
+}
+
+// One link of a spawn chain: it spawns the next link before it finishes,
+// so at most two frames are ever live.
+Task ChainLink(Simulation& sim, int remaining) {
+  co_await Delay(sim, Duration::Microseconds(1));
+  if (remaining > 0) {
+    sim.Spawn(ChainLink(sim, remaining - 1));
+  }
+}
+
+TEST(SpawnAllocTest, SpawnChainReusesPooledFrames) {
+  Simulation sim(7);
+  constexpr int kLinks = 20'000;
+  // Warm-up sizes the frame pool and the scheduler record pool.
+  sim.Spawn(ChainLink(sim, kLinks));
+  sim.Run();
+
+  const uint64_t before = g_allocations;
+  sim.Spawn(ChainLink(sim, kLinks));
+  sim.Run();
+  const uint64_t during = g_allocations - before;
+
+  EXPECT_EQ(sim.events_processed(), 2u * (kLinks + 1));
+  EXPECT_EQ(during, 0u) << "a chain of " << kLinks + 1
+                        << " spawned tasks performed " << during
                         << " heap allocations";
 }
 

@@ -143,6 +143,89 @@ struct KeylimeFixture : public ::testing::Test {
     sim.Run();
     return result;
   }
+
+  // Registers and boots node-x, seals a fresh tenant payload and adds the
+  // node to the verifier with its V half and sealed payload.
+  void AddNodeWithPayload() {
+    ASSERT_TRUE(Register());
+    auto boot = [&]() -> Task { co_await machine->PowerOnSelfTest(); };
+    sim.Spawn(boot());
+    sim.Run();
+    payload.disk_secret = Bytes(32, 0x99);
+    payload.boot_script = "hello";
+    split = SealPayload(payload, drbg);
+    AddNodeX();
+  }
+
+  void AddNodeX() {
+    Verifier::NodeConfig config;
+    config.agent = machine->address();
+    config.whitelist = WhitelistForMachine();
+    config.v_half = split.v_half;
+    config.sealed_payload = split.sealed_payload;
+    verifier->AddNode("node-x", std::move(config));
+  }
+
+  // The tenant sends U directly (sealed to the agent NK).  True once the
+  // agent has recombined the payload, which needs the verifier's V too.
+  bool TenantOpensPayload(TenantPayload* received) {
+    net::Endpoint& tenant_ep = fabric.CreateEndpoint("tenant");
+    fabric.AttachToVlan(tenant_ep.address(), 50);
+    net::RpcNode tenant(sim, tenant_ep);
+    tenant.Start();
+    const Bytes sealed_u =
+        crypto::EciesSeal(agent->node_key_public(), split.u_half, drbg);
+    bool got = false;
+    auto deliver = [&]() -> Task {
+      net::Message message;
+      message.kind = std::string(kRpcDeliverU);
+      message.payload = crypto::WireWriter().Blob(sealed_u).Take();
+      net::Message response;
+      bool ok = false;
+      co_await tenant.Call(machine->address(), std::move(message), &response, &ok);
+      EXPECT_TRUE(ok);
+      co_await agent->AwaitPayload(received, &got);
+    };
+    sim.Spawn(deliver());
+    sim.Run();
+    return got;
+  }
+
+  // What happens to node-x while its quote is pending.
+  enum class MidPoll { kRemove, kRemoveAndAdd, kAddAgain };
+  static constexpr MidPoll kMidPolls[] = {MidPoll::kRemove, MidPoll::kRemoveAndAdd,
+                                          MidPoll::kAddAgain};
+
+  // Adds node-x, starts a verification of it (a fleet round of one when
+  // `fleet`) and, 500 ms in, while the agent's quote is still inside its
+  // TPM latency, removes the node, removes and adds it back, or adds it
+  // again over itself.
+  VerificationResult VerifyChangingNodeMidPoll(bool fleet, MidPoll mid_poll) {
+    AddNodeX();
+    VerificationResult result;
+    const std::string names[] = {"node-x"};
+    auto flow = [&]() -> Task {
+      if (fleet) {
+        co_await verifier->VerifyFleet(names, &result);
+      } else {
+        co_await verifier->VerifyNode("node-x", &result);
+      }
+    };
+    sim.Spawn(flow());
+    sim.RunUntil(sim.now() + sim::Duration::Milliseconds(500));
+    if (mid_poll != MidPoll::kAddAgain) {
+      verifier->RemoveNode("node-x");
+    }
+    if (mid_poll != MidPoll::kRemove) {
+      AddNodeX();
+    }
+    sim.Run();
+    return result;
+  }
+
+  TenantPayload payload;
+  SplitPayload split;
+  crypto::Drbg drbg{uint64_t{9}};
 };
 
 TEST_F(KeylimeFixture, RegistrationActivatesAik) {
@@ -216,51 +299,39 @@ TEST_F(KeylimeFixture, VerifyFailsForUnknownNode) {
 }
 
 TEST_F(KeylimeFixture, PayloadDeliveredAfterSuccessfulVerification) {
-  ASSERT_TRUE(Register());
-  auto boot = [&]() -> Task { co_await machine->PowerOnSelfTest(); };
-  sim.Spawn(boot());
-  sim.Run();
-
-  TenantPayload payload;
-  payload.disk_secret = Bytes(32, 0x99);
-  payload.boot_script = "hello";
-  crypto::Drbg drbg(uint64_t{9});
-  const SplitPayload split = SealPayload(payload, drbg);
-
-  Verifier::NodeConfig config;
-  config.agent = machine->address();
-  config.whitelist = WhitelistForMachine();
-  config.v_half = split.v_half;
-  config.sealed_payload = split.sealed_payload;
-  verifier->AddNode("node-x", std::move(config));
-
+  AddNodeWithPayload();
   ASSERT_TRUE(Verify().passed);
 
-  // Tenant sends U directly (sealed to the agent NK).
-  net::Endpoint& tenant_ep = fabric.CreateEndpoint("tenant");
-  fabric.AttachToVlan(tenant_ep.address(), 50);
-  net::RpcNode tenant(sim, tenant_ep);
-  tenant.Start();
-  const Bytes sealed_u =
-      crypto::EciesSeal(agent->node_key_public(), split.u_half, drbg);
-
   TenantPayload received;
-  bool got = false;
-  auto deliver = [&]() -> Task {
-    net::Message message;
-    message.kind = std::string(kRpcDeliverU);
-    message.payload = crypto::WireWriter().Blob(sealed_u).Take();
-    net::Message response;
-    bool ok = false;
-    co_await tenant.Call(machine->address(), std::move(message), &response, &ok);
-    EXPECT_TRUE(ok);
-    co_await agent->AwaitPayload(&received, &got);
-  };
-  sim.Spawn(deliver());
-  sim.Run();
-
-  ASSERT_TRUE(got);
+  ASSERT_TRUE(TenantOpensPayload(&received));
   EXPECT_EQ(received, payload);
+}
+
+// A node removed while its verification waits on the agent's quote, or
+// added again (with or without a remove first), is an unknown node to
+// that verification: it reads nothing freed and delivers no payload.
+TEST_F(KeylimeFixture, NodeRemovedDuringVerifyNodeIsUnknown) {
+  AddNodeWithPayload();
+  for (const MidPoll mid_poll : kMidPolls) {
+    const VerificationResult result = VerifyChangingNodeMidPoll(false, mid_poll);
+    EXPECT_FALSE(result.passed);
+    EXPECT_EQ(result.failure, "unknown node")
+        << "mid_poll=" << static_cast<int>(mid_poll);
+  }
+  TenantPayload received;
+  EXPECT_FALSE(TenantOpensPayload(&received));
+}
+
+TEST_F(KeylimeFixture, NodeRemovedDuringFleetRoundIsUnknown) {
+  AddNodeWithPayload();
+  for (const MidPoll mid_poll : kMidPolls) {
+    const VerificationResult result = VerifyChangingNodeMidPoll(true, mid_poll);
+    EXPECT_FALSE(result.passed);
+    EXPECT_EQ(result.failure, "unknown node")
+        << "mid_poll=" << static_cast<int>(mid_poll);
+  }
+  TenantPayload received;
+  EXPECT_FALSE(TenantOpensPayload(&received));
 }
 
 TEST_F(KeylimeFixture, RepeatedVerificationsHitThePreparedAikCache) {

@@ -125,9 +125,11 @@ TEST(ConsumeAllTest, CompletesAtSlowestResource)
   SharedResource fast(sim, 100.0, "fast");
   SharedResource slow(sim, 10.0, "slow");
   double done_at = -1;
-  std::vector<SharedResource*> resources = {&fast, &slow};
   auto flow = [&]() -> Task {
-    co_await ConsumeAll(sim, resources, 20.0);
+    DemandList demands;
+    demands.push_back(WeightedDemand{&fast, 20.0});
+    demands.push_back(WeightedDemand{&slow, 20.0});
+    co_await ConsumeAllWeighted(sim, std::move(demands));
     done_at = sim.now().ToSecondsF();
   };
   sim.Spawn(flow());

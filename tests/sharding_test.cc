@@ -523,11 +523,13 @@ TEST(ShardingDeterminism, SingleBusyShardStaysOnTheCaller) {
   }
 }
 
+// The death test re-executes the binary instead of forking it, so no
+// thread of the fleet's worker pool or of a sanitizer is alive at a fork.
 TEST(Sharding, SendBelowLookaheadDies) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   ShardOptions options;
   options.racks = 2;
   options.shards = 2;
-  options.workers = 1;  // no pool thread alive when the death test forks
   options.lookahead = Duration::Microseconds(50);
   ShardedFleet fleet(options);
   Rack& rack = fleet.rack(0);

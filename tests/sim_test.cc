@@ -5,6 +5,7 @@
 
 #include <array>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -461,6 +462,96 @@ TEST(TaskTest, TaskGroupWaitsForAll) {
   sim.Spawn(run());
   sim.Run();
   EXPECT_DOUBLE_EQ(sim.now().ToSecondsF(), 5.0);
+}
+
+// Events at every whole second up to 10 s, so a run that rethrows late
+// shows it in now().
+void ScheduleEverySecond(Simulation& sim) {
+  for (int s = 1; s <= 10; ++s) {
+    sim.Schedule(Duration::Seconds(s), [] {});
+  }
+}
+
+Task SleepThenFail(Simulation& sim, Duration d, bool fail) {
+  co_await Delay(sim, d);
+  if (fail) {
+    throw std::runtime_error("task failed");
+  }
+}
+
+// A spawned task's exception leaves the run call from the event that ended
+// the task.  One that throws before its first suspension is rethrown by
+// the next run call, before that call fires anything.
+TEST(TaskTest, SpawnedFailureLeavesRunAtItsInstant) {
+  Simulation sim;
+  ScheduleEverySecond(sim);
+  sim.Spawn(SleepThenFail(sim, Duration::Seconds(5), true));
+  EXPECT_THROW(sim.Run(), std::runtime_error);
+  EXPECT_DOUBLE_EQ(sim.now().ToSecondsF(), 5.0);
+
+  auto fail_at_once = []() -> Task {
+    throw std::runtime_error("failed at once");
+    co_return;
+  };
+  EXPECT_NO_THROW(sim.Spawn(fail_at_once()));
+  EXPECT_THROW(sim.RunUntil(Time() + Duration::Seconds(8)), std::runtime_error);
+  EXPECT_DOUBLE_EQ(sim.now().ToSecondsF(), 5.0);
+  sim.Run();
+  EXPECT_DOUBLE_EQ(sim.now().ToSecondsF(), 10.0);
+}
+
+// A TaskGroup child's exception goes to the Simulation at once; its group
+// never completes.
+TEST(TaskTest, GroupChildFailureLeavesRunAtItsInstant) {
+  Simulation sim;
+  ScheduleEverySecond(sim);
+  bool group_done = false;
+  auto run = [&]() -> Task {
+    TaskGroup group(sim);
+    group.Spawn(SleepThenFail(sim, Duration::Seconds(1), false));
+    group.Spawn(SleepThenFail(sim, Duration::Seconds(3), true));
+    co_await group.WaitAll();
+    group_done = true;
+  };
+  sim.Spawn(run());
+  EXPECT_THROW(sim.Run(), std::runtime_error);
+  EXPECT_DOUBLE_EQ(sim.now().ToSecondsF(), 3.0);
+  EXPECT_FALSE(group_done);
+}
+
+// Counts the coroutine frames destroyed while suspended.
+class FrameCounter {
+ public:
+  explicit FrameCounter(int* destroyed) : destroyed_(destroyed) {}
+  ~FrameCounter() { ++*destroyed_; }
+
+ private:
+  int* destroyed_;
+};
+
+// Destroying a Simulation destroys the spawned frames that are still
+// suspended, on the clock or on an event that never fires.
+TEST(TaskTest, TeardownDestroysSuspendedSpawnedFrames) {
+  int destroyed = 0;
+  {
+    Simulation sim;
+    Event never(sim);
+    auto sleeper = [&]() -> Task {
+      FrameCounter counter(&destroyed);
+      co_await Delay(sim, Duration::Seconds(3600));
+    };
+    auto waiter = [&]() -> Task {
+      FrameCounter counter(&destroyed);
+      co_await never;
+    };
+    for (int i = 0; i < 2; ++i) {
+      sim.Spawn(sleeper());
+      sim.Spawn(waiter());
+    }
+    sim.RunUntil(Time() + Duration::Seconds(1));
+    EXPECT_EQ(destroyed, 0);
+  }
+  EXPECT_EQ(destroyed, 4);
 }
 
 TEST(TaskTest, DeterministicAcrossRuns) {
