@@ -118,8 +118,8 @@ ctest --test-dir build --output-on-failure --no-tests=error -L scenario
 echo "== tier-1: storage-integrity suite (ctest -L storage-integrity) =="
 ctest --test-dir build --output-on-failure --no-tests=error -L storage-integrity
 
-# Burst fast-path battery: flow-cache invalidation matrix, burst-vs-generic
-# digest parity under faults and topology churn, InjectFrame metric
+# Burst fast-path battery: send-verdict matrix, burst-vs-generic digest
+# parity under faults and topology churn, InjectFrame metric
 # reconciliation, and the deterministic pcap capture suite.  (The -L regex
 # also matches net_test's discovered entries — all the better.)
 echo "== tier-1: switch fast-path + pcap suite (ctest -L net) =="

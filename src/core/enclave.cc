@@ -220,7 +220,6 @@ void Enclave::DismantleAirlock(const std::string& node, NodeRuntime& rt) {
 
 void Enclave::DeregisterFromVerifier(const std::string& node) {
   if (profile_.use_attestation) {
-    verifier_->StopContinuous(node);
     verifier_->RemoveNode(node);
   }
 }
@@ -374,6 +373,7 @@ sim::Task Enclave::AttestInAirlock(const std::string& node, NodeRuntime& rt, boo
   config.whitelist = whitelist_;
   config.v_half = splits_[node].v_half;
   config.sealed_payload = splits_[node].sealed_payload;
+  config.peers = member_addresses_;
   verifier_->AddNode(node, std::move(config));
 
   keylime::VerificationResult result;
@@ -421,20 +421,6 @@ void Enclave::InstallMeshKeys(const std::string& node, NodeRuntime& rt) {
         keylime::DerivePairKey(payload_.network_key_seed, self, peer_address);
     rt.machine->ipsec().InstallSa(peer_address, key);
     peer.machine->ipsec().InstallSa(self, key);
-  }
-}
-
-void Enclave::RefreshVerifierPeers() {
-  if (!profile_.use_attestation) {
-    return;
-  }
-  std::vector<net::Address> peers;
-  peers.reserve(members_.size());
-  for (const std::string& member : members_) {
-    peers.push_back(nodes_.at(member).machine->address());
-  }
-  for (const std::string& member : members_) {
-    verifier_->UpdatePeers(member, peers);
   }
 }
 
@@ -633,7 +619,7 @@ sim::Task Enclave::ProvisionNode(const std::string& node, ProvisionOutcome* outc
 
   rt.state = NodeState::kAllocated;
   members_.push_back(node);
-  RefreshVerifierPeers();
+  member_addresses_->push_back(machine->address());
   if (profile_.use_attestation && profile_.continuous_attestation) {
     verifier_->StartContinuous(node, cal.continuous_attestation_interval);
   }
@@ -662,7 +648,7 @@ sim::Task Enclave::ReleaseNode(const std::string& node, bool keep_snapshot) {
     }
   }
   std::erase(members_, node);
-  RefreshVerifierPeers();
+  std::erase(*member_addresses_, self);
   // HIL detach: off every network, power-cycled (which also marks memory
   // dirty; LinuxBoot scrubs before the next occupant).
   cloud_.hil().DetachNode(project_, node);
@@ -702,7 +688,7 @@ sim::Task Enclave::ViolationResponse(std::string node, std::string reason) {
                                        project_ + std::string(kEnclaveNetSuffix));
     it->second.state = NodeState::kRejected;
     std::erase(members_, node);
-    RefreshVerifierPeers();
+    std::erase(*member_addresses_, it->second.machine->address());
   }
   if (violation_handler_) {
     violation_handler_(node, reason);

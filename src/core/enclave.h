@@ -147,8 +147,8 @@ class Enclave {
   // Unbridges the services from the node's airlock VLAN, takes the node
   // off it and deletes it.
   void DismantleAirlock(const std::string& node, NodeRuntime& rt);
-  // Stops continuous attestation of the node and drops it from the
-  // verifier (no-op without attestation).
+  // Drops the node from the verifier, which ends its continuous
+  // attestation (no-op without attestation).
   void DeregisterFromVerifier(const std::string& node);
   // Parks the runtime's agent and chunk fetcher: in-flight RPC handlers
   // hold raw pointers to them, so they outlive the runtime.  The agent's
@@ -169,7 +169,6 @@ class Enclave {
   sim::Task SetupStorageAndBoot(const std::string& node, NodeRuntime& rt);
   sim::Task DeliverUHalf(const std::string& node, NodeRuntime& rt, bool* ok);
   void InstallMeshKeys(const std::string& node, NodeRuntime& rt);
-  void RefreshVerifierPeers();
   void HandleViolation(const std::string& node, const std::string& reason);
   sim::Task ViolationResponse(std::string node, std::string reason);
 
@@ -205,6 +204,11 @@ class Enclave {
   // handler references them until the next provision replaces it.
   std::vector<std::unique_ptr<provision::ChunkFetcher>> retired_fetchers_;
   std::vector<std::string> members_;
+  // The members' addresses in members_ order, updated with it: the
+  // revocation list every node's verifier entry shares, as it shares
+  // whitelist_.
+  std::shared_ptr<std::vector<net::Address>> member_addresses_ =
+      std::make_shared<std::vector<net::Address>>();
   ViolationHandler violation_handler_;
 };
 

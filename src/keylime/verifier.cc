@@ -81,13 +81,6 @@ void Verifier::RemoveNode(const std::string& name) {
   }
 }
 
-void Verifier::UpdatePeers(const std::string& name, std::vector<net::Address> peers) {
-  const auto it = nodes_.find(name);
-  if (it != nodes_.end()) {
-    it->second->config.peers = std::move(peers);
-  }
-}
-
 sim::Task Verifier::DeliverPayload(NodeState& state, bool* ok) {
   *ok = false;
   const crypto::Bytes sealed_v =
@@ -510,47 +503,36 @@ sim::Task Verifier::VerifyFleet(std::span<const std::string> names,
 
 void Verifier::StartContinuous(const std::string& name, sim::Duration interval) {
   const auto it = nodes_.find(name);
-  if (it == nodes_.end()) {
+  if (it == nodes_.end() || it->second->polled) {
     return;
   }
-  it->second->continuous = true;
-  sim_.Spawn(ContinuousLoop(name, interval, it->second->generation));
+  it->second->polled = true;
+  sim_.Spawn(ContinuousLoop(name, it->second, interval));
 }
 
-void Verifier::StopContinuous(const std::string& name) {
-  const auto it = nodes_.find(name);
-  if (it != nodes_.end()) {
-    it->second->continuous = false;
-    ++it->second->generation;
-  }
-}
-
-sim::Task Verifier::ContinuousLoop(std::string name, sim::Duration interval,
-                                   uint64_t generation) {
+sim::Task Verifier::ContinuousLoop(std::string name,
+                                   std::shared_ptr<NodeState> state,
+                                   sim::Duration interval) {
   sim::Duration wait = interval;
   for (;;) {
     co_await sim::Delay(sim_, wait);
-    const auto it = nodes_.find(name);
-    if (it == nodes_.end() || !it->second->continuous ||
-        it->second->generation != generation) {
+    if (state->removed) {
       co_return;
     }
     VerificationResult result;
     co_await VerifyNode(name, &result);
-    // VerifyNode suspends, so re-check that this loop still owns the node
+    // VerifyNode suspends, so re-check that the node is still registered
     // before acting on the verdict.
-    const auto after = nodes_.find(name);
-    if (after == nodes_.end() || !after->second->continuous ||
-        after->second->generation != generation) {
+    if (state->removed) {
       co_return;
     }
     if (result.passed) {
-      after->second->transient_strikes = 0;
+      state->transient_strikes = 0;
       wait = interval;
       continue;
     }
     if (IsTransientFailure(result.failure) &&
-        ++after->second->transient_strikes < kMaxTransientStrikes) {
+        ++state->transient_strikes < kMaxTransientStrikes) {
       // Escalation ladder: a quote timeout earns a fast re-poll (the node
       // may be mid-reboot or behind a flapping link), not an instant
       // quarantine.  Strikes accumulate until a pass resets them.
@@ -563,7 +545,7 @@ sim::Task Verifier::ContinuousLoop(std::string name, sim::Duration interval,
     obs::Count(sim_, "keylime.violations");
     obs::Instant(sim_, "keylime.violation", "keylime", "verify:" + name,
                  {{"node", name}, {"reason", result.failure}});
-    co_await Revoke(name);
+    co_await Revoke(state->config);
     if (violation_callback_) {
       violation_callback_(name, result.failure);
     }
@@ -571,17 +553,17 @@ sim::Task Verifier::ContinuousLoop(std::string name, sim::Duration interval,
   }
 }
 
-sim::Task Verifier::Revoke(const std::string& name) {
-  const auto it = nodes_.find(name);
-  if (it == nodes_.end()) {
+sim::Task Verifier::Revoke(const NodeConfig& config) {
+  if (config.peers == nullptr) {
     co_return;
   }
-  const net::Address bad = it->second->config.agent;
+  // Copied at entry: the tenant edits the list as members come and go.
+  const std::vector<net::Address> peers = *config.peers;
   // Notify every enclave peer concurrently; each drops the bad node's SA.
   sim::TaskGroup group(sim_);
-  for (const net::Address peer : it->second->config.peers) {
-    if (peer != bad) {
-      group.Spawn(NotifyRevocation(peer, bad));
+  for (const net::Address peer : peers) {
+    if (peer != config.agent) {
+      group.Spawn(NotifyRevocation(peer, config.agent));
     }
   }
   co_await group.WaitAll();

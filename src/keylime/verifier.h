@@ -11,7 +11,8 @@
 //   4. on first success, delivers the V key half and the sealed tenant
 //      payload to the agent,
 //   5. in continuous mode, repeats on an interval; a failure triggers the
-//      revocation flow: every enclave peer is told to drop the
+//      revocation flow: every peer on the list the enclave shares with the
+//      verifier, read when the revocation runs, is told to drop the
 //      compromised node's IPsec SA, and the tenant callback fires.
 
 #ifndef SRC_KEYLIME_VERIFIER_H_
@@ -71,14 +72,14 @@ class Verifier {
     // payload, e.g. attestation-only profiles).
     crypto::Bytes v_half;
     crypto::Bytes sealed_payload;
-    // Enclave peers to notify on revocation.
-    std::vector<net::Address> peers;
+    // Enclave peers to notify on revocation.  Shared with the tenant, who
+    // edits it as members join and leave; null notifies nobody.
+    std::shared_ptr<const std::vector<net::Address>> peers;
   };
 
   void AddNode(const std::string& name, NodeConfig config);
   void RemoveNode(const std::string& name);
   bool HasNode(const std::string& name) const { return nodes_.contains(name); }
-  void UpdatePeers(const std::string& name, std::vector<net::Address> peers);
 
   // RPC policy for registrar lookups and quote requests.  The default
   // resends once after a 10 s timeout — enough to ride out a dropped frame
@@ -113,10 +114,10 @@ class Verifier {
   sim::Task VerifyFleet(std::span<const std::string> names,
                         VerificationResult* results);
 
-  // Continuous attestation loop.  Stops on violation (after running the
-  // revocation flow) or StopContinuous().
+  // Continuous attestation loop, at most one per AddNode.  Stops on
+  // violation (after running the revocation flow) or when the node is
+  // removed or added again.
   void StartContinuous(const std::string& name, sim::Duration interval);
-  void StopContinuous(const std::string& name);
 
   using ViolationCallback =
       std::function<void(const std::string& node, const std::string& reason)>;
@@ -150,8 +151,7 @@ class Verifier {
     // and then ends as an unknown node.
     bool removed = false;
     bool payload_delivered = false;
-    bool continuous = false;
-    uint64_t generation = 0;  // bumps on StopContinuous to kill old loops
+    bool polled = false;  // a continuous loop owns this state
     // Incremental-attestation cursor: how much of the node's IMA
     // measurement list has been validated, and the PCR-10 value that
     // prefix replays to.  Only the suffix travels on each quote.
@@ -209,9 +209,9 @@ class Verifier {
   sim::Task FinishVerification(NodeState& state, QuoteExchange& ex,
                                bool signature_ok, VerificationResult* result);
   const BootReplay* ReplayBootLog(const crypto::Bytes& wire);
-  sim::Task ContinuousLoop(std::string name, sim::Duration interval,
-                           uint64_t generation);
-  sim::Task Revoke(const std::string& name);
+  sim::Task ContinuousLoop(std::string name, std::shared_ptr<NodeState> state,
+                           sim::Duration interval);
+  sim::Task Revoke(const NodeConfig& config);
   sim::Task NotifyRevocation(net::Address peer, net::Address bad);
   sim::Task DeliverPayload(NodeState& state, bool* ok);
 

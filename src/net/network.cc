@@ -136,7 +136,7 @@ void Network::SetLinkUp(Address endpoint, bool up) {
     link_down_.resize(endpoint + 1, 0);
   }
   link_down_[endpoint] = up ? 0 : 1;
-  BumpTopologyEpoch();  // link flap: flow-cached link verdicts are stale
+  BumpTopologyEpoch();
 }
 
 void Endpoint::Post(Address dst, Message message) {
@@ -176,8 +176,6 @@ Endpoint& Network::CreateEndpoint(const std::string& name,
   }
   endpoint_index_[address] = &ref;
   switch_index_[address] = 0;
-  // A previously unknown address can now resolve: negative flow-cache
-  // entries for it are stale.
   BumpTopologyEpoch();
   return ref;
 }
@@ -202,7 +200,7 @@ SharedResource& Network::uplink(int switch_id) {
 void Network::AssignToSwitch(Address endpoint, int switch_id) {
   if (endpoint < switch_index_.size()) {
     switch_index_[endpoint] = switch_id;
-    BumpTopologyEpoch();  // HIL port move: cached uplink routes are stale
+    BumpTopologyEpoch();
   }
 }
 
@@ -266,25 +264,14 @@ void Network::StartFlight(Endpoint* sender, Address dst, MessageBox box,
   ++sender->messages_sent_;
   const NetMetricIds& ids = Ids();
 
-  // Flow-cache lookup: a hit skips the endpoint/switch lookups and the
-  // VLAN word-AND scan entirely.  Misses (first contact or any topology
-  // mutation since) refill in place.
-  Endpoint::FlowCacheEntry& slot =
-      sender->flow_cache_[dst & (Endpoint::kFlowCacheSlots - 1)];
-  if (slot.dst != dst || slot.epoch != topology_epoch_) {
-    Endpoint* receiver = FindEndpoint(dst);
-    slot.dst = dst;
-    slot.epoch = topology_epoch_;
-    slot.receiver = receiver;
-    slot.vlan = receiver == nullptr
-                    ? 0
-                    : VlanSet::LowestShared(sender->vlans_, receiver->vlans_);
-    slot.deliverable =
-        slot.vlan != 0 && LinkUp(sender->address_) && LinkUp(dst);
-    slot.src_switch = SwitchOf(sender->address_);
-    slot.dst_switch = SwitchOf(dst);
-  }
-  if (!slot.deliverable) {
+  // The send verdict, read from the dense topology arrays exactly as the
+  // generic path reads it: both ports share a VLAN and both links are up.
+  Endpoint* receiver = FindEndpoint(dst);
+  const VlanId vlan =
+      receiver == nullptr
+          ? 0
+          : VlanSet::LowestShared(sender->vlans_, receiver->vlans_);
+  if (vlan == 0 || !LinkUp(sender->address_) || !LinkUp(dst)) {
     ++sender->messages_dropped_;
     ++total_drops_;
     obs::CountById(sim_, ids.dropped_isolation);
@@ -318,11 +305,10 @@ void Network::StartFlight(Endpoint* sender, Address dst, MessageBox box,
   Flight* flight = AcquireFlight();
   flight->box = std::move(box);
   flight->sender = sender;
-  flight->receiver = slot.receiver;
+  flight->receiver = receiver;
   flight->done = done;
   flight->extra_delay = fault.extra_delay;
-  flight->epoch = topology_epoch_;
-  flight->vlan = slot.vlan;
+  flight->vlan = vlan;
   flight->duplicates = static_cast<int16_t>(fault.duplicates);
   flight->injected = false;
 
@@ -334,13 +320,15 @@ void Network::StartFlight(Endpoint* sender, Address dst, MessageBox box,
     // Same registration order as the generic path (tx, rx, then uplinks):
     // per-resource job seq numbers tie-break simultaneous completions.
     demands[count++] = &sender->tx_;
-    demands[count++] = &slot.receiver->rx_;
-    if (slot.src_switch != slot.dst_switch) {
-      if (slot.src_switch != 0) {
-        demands[count++] = uplinks_[slot.src_switch - 1].get();
+    demands[count++] = &receiver->rx_;
+    const int src_switch = SwitchOf(sender->address_);
+    const int dst_switch = SwitchOf(dst);
+    if (src_switch != dst_switch) {
+      if (src_switch != 0) {
+        demands[count++] = uplinks_[src_switch - 1].get();
       }
-      if (slot.dst_switch != 0) {
-        demands[count++] = uplinks_[slot.dst_switch - 1].get();
+      if (dst_switch != 0) {
+        demands[count++] = uplinks_[dst_switch - 1].get();
       }
     }
   }
@@ -366,7 +354,6 @@ void Network::StartInjectFlight(Endpoint* receiver, MessageBox box,
   flight->receiver = receiver;
   flight->done = nullptr;
   flight->extra_delay = sim::Duration::Zero();
-  flight->epoch = topology_epoch_;
   flight->vlan = tag;
   flight->duplicates = 0;
   flight->injected = true;
@@ -481,20 +468,16 @@ void Network::DrainDeliveries() {
 void Network::DeliverFlight(Flight* flight, BurstStats& stats) {
   Endpoint* receiver = flight->receiver;
   Message& m = *flight->box;
-  // Delivery-time re-check: if the topology epoch is untouched since send
-  // time, the send-time verdict still holds and the whole scan is
-  // skipped.  Otherwise recompute exactly what the generic path checks.
-  bool deliverable = flight->epoch == topology_epoch_;
-  if (!deliverable) {
-    if (flight->injected) {
-      deliverable =
-          receiver->InVlan(flight->vlan) && LinkUp(receiver->address_);
-    } else {
-      deliverable =
-          VlanSet::LowestShared(flight->sender->vlans_, receiver->vlans_) !=
-              0 &&
-          LinkUp(flight->sender->address_) && LinkUp(receiver->address_);
-    }
+  // Delivery-time re-check, the generic path's test: HIL may have moved a
+  // port between VLANs, or a link may have dropped, while the frame was in
+  // flight.
+  bool deliverable = LinkUp(receiver->address_);
+  if (flight->injected) {
+    deliverable = deliverable && receiver->InVlan(flight->vlan);
+  } else {
+    deliverable = deliverable && LinkUp(flight->sender->address_) &&
+                  VlanSet::LowestShared(flight->sender->vlans_,
+                                        receiver->vlans_) != 0;
   }
   if (!deliverable) {
     ++total_drops_;

@@ -14,16 +14,15 @@
 // encryption (not VLANs) protects payloads from the provider itself.
 //
 // Frames move through one forwarding path, the burst flight engine
-// (DESIGN.md §15): flow-cached send verdicts, callback-completed NIC
-// demands, and ring-batched delivery with run-to-completion for
-// same-instant hops.  The frame-digest parity tests replay traffic on the
+// (DESIGN.md §15): per-frame send and delivery verdicts read from the
+// dense topology arrays, callback-completed NIC demands, and ring-batched
+// delivery with run-to-completion for same-instant hops.  The frame-digest parity tests replay traffic on the
 // original coroutine-per-frame path, a test-only oracle that reaches the
 // per-port and fabric state below through `friend class GenericForward`.
 
 #ifndef SRC_NET_NETWORK_H_
 #define SRC_NET_NETWORK_H_
 
-#include <array>
 #include <bit>
 #include <cstdint>
 #include <deque>
@@ -164,25 +163,6 @@ class Endpoint {
   // The coroutine-per-frame forwarding oracle (see the file comment).
   friend class GenericForward;
 
-  // Direct-mapped per-port flow cache, keyed on the destination address.
-  // One entry memoizes everything the send path would otherwise recompute
-  // per frame: the dense endpoint lookup, the VLAN word-AND scan, the
-  // switch placement of both ports, and the combined link-state verdict.
-  // An entry is valid only while its epoch matches the network's topology
-  // epoch, which every HIL port move, VLAN membership change, link flap,
-  // and endpoint creation bumps — so a hit can never serve a stale
-  // isolation decision.
-  static constexpr size_t kFlowCacheSlots = 8;
-  struct FlowCacheEntry {
-    Address dst = 0;
-    uint64_t epoch = 0;  // valid iff == Network::topology_epoch_
-    Endpoint* receiver = nullptr;
-    VlanId vlan = 0;           // lowest shared VLAN at fill time (0: none)
-    bool deliverable = false;  // vlan != 0 && both links up
-    int32_t src_switch = 0;
-    int32_t dst_switch = 0;
-  };
-
   sim::Task SendBoxed(Address dst, MessageBox message);
 
   sim::Simulation& sim_;
@@ -200,7 +180,6 @@ class Endpoint {
   uint32_t rx_bytes_metric_;
   uint64_t messages_sent_ = 0;
   uint64_t messages_dropped_ = 0;
-  std::array<FlowCacheEntry, kFlowCacheSlots> flow_cache_;
   // Optional wire-level tap (src/net/pcap.h): every frame delivered to or
   // sent from this port is appended to the capture.
   PcapWriter* pcap_tap_ = nullptr;
@@ -263,7 +242,8 @@ class Network : public ConsumeSink {
   void SetFaultFilter(FaultFilter filter) { fault_filter_ = std::move(filter); }
 
   // Monotone counter bumped by every topology mutation (VLAN membership,
-  // port moves, link state, endpoint creation); versions the flow caches.
+  // port moves, link state, endpoint creation).  Benchmarks read it as a
+  // count of reconfigurations; no forwarding decision depends on it.
   uint64_t topology_epoch() const { return topology_epoch_; }
 
   // Rolling digest over delivered frames: each delivery folds a tag of
@@ -327,7 +307,6 @@ class Network : public ConsumeSink {
     Endpoint* receiver = nullptr;
     sim::Event* done = nullptr;  // completion signal for awaited sends
     sim::Duration extra_delay{};
-    uint64_t epoch = 0;  // topology epoch at send time
     uint32_t pool_index = 0;
     VlanId vlan = 0;
     int16_t pending = 0;
@@ -395,8 +374,9 @@ class Network : public ConsumeSink {
   uint64_t fault_duplicates_ = 0;
   uint64_t injected_frames_ = 0;
 
-  // --- Burst fast-path state ---------------------------------------------
   uint64_t topology_epoch_ = 1;
+
+  // --- Burst fast-path state ---------------------------------------------
   std::deque<Flight> flight_arena_;  // stable addresses; index = pool_index
   std::vector<uint32_t> flight_free_;
   // Pending deliveries in due order (dues are monotone: every ring entry

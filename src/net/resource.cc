@@ -36,11 +36,9 @@ void SharedResource::Sync() {
   // a picosecond of work counts as done, which (together with the 1 ns
   // minimum reschedule below) guarantees forward progress despite
   // floating-point residue.  The job is copied out and fully accounted
-  // *before* its completion is signalled: Set() only schedules the resume
-  // (the frame holding the job's Event stays alive until after the pop),
-  // and a sink callback may reentrantly push new jobs onto this very
-  // resource — the heap and the served-units counters are consistent at
-  // that point, and the re-check of front() on the next loop iteration
+  // *before* its sink runs: a sink may reentrantly push new jobs onto this
+  // very resource — the heap and the served-units counters are consistent
+  // at that point, and the re-check of front() on the next loop iteration
   // picks up anything a nested Sync() already drained.
   const double epsilon = capacity_ * 1e-12;
   while (!jobs_.empty() && jobs_.front().finish_v - v_ <= epsilon) {
@@ -49,11 +47,7 @@ void SharedResource::Sync() {
     start_v_sum_ -= job.start_v;
     std::pop_heap(jobs_.begin(), jobs_.end(), JobLater{});
     jobs_.pop_back();
-    if (job.done != nullptr) {
-      job.done->Set();
-    } else {
-      job.sink->OnConsumeComplete(job.token);
-    }
+    job.sink->OnConsumeComplete(job.token);
   }
 
   if (has_pending_event_) {
@@ -76,37 +70,44 @@ void SharedResource::Sync() {
   has_pending_event_ = true;
 }
 
-sim::Task SharedResource::Consume(double amount) {
-  if (amount <= 0) {
-    co_return;
-  }
-  // Settle existing jobs up to now before the new one starts competing.
-  AdvanceTo(sim_.now());
-  // The completion event lives in this frame: the job holds a pointer to
-  // it, and the frame stays suspended (alive) until the event fires.
-  sim::Event done(sim_);
-  jobs_.push_back(Job{v_ + amount, v_, next_seq_++, &done});
-  std::push_heap(jobs_.begin(), jobs_.end(), JobLater{});
-  start_v_sum_ += v_;
-  Sync();
-  co_await done;
-}
-
 void SharedResource::ConsumeAsync(double amount, ConsumeSink* sink,
                                   uint64_t token) {
   if (amount <= 0) {
     sink->OnConsumeComplete(token);
     return;
   }
-  // Identical arrival bookkeeping to Consume(): settle to now, push the
-  // job, resync.  The finish *instant* therefore matches the coroutine
-  // path bit for bit — which is what keeps burst-path and generic-path
-  // frame timings (and hence trace digests) interchangeable.
+  // Settle existing jobs up to now before the new one starts competing.
   AdvanceTo(sim_.now());
-  jobs_.push_back(Job{v_ + amount, v_, next_seq_++, nullptr, sink, token});
+  jobs_.push_back(Job{v_ + amount, v_, next_seq_++, sink, token});
   std::push_heap(jobs_.begin(), jobs_.end(), JobLater{});
   start_v_sum_ += v_;
   Sync();
+}
+
+namespace {
+
+// Consume's completion: sets an Event in the consuming coroutine's frame.
+// The frame stays suspended (so the sink stays alive) until the Event's
+// resume, which goes through the event queue.  A named local with a
+// user-declared constructor (see the GCC 12 note in src/sim/task.h).
+class EventSink final : public ConsumeSink {
+ public:
+  explicit EventSink(sim::Event& done) : done_(done) {}
+  EventSink(const EventSink&) = delete;
+  EventSink& operator=(const EventSink&) = delete;
+  void OnConsumeComplete(uint64_t) override { done_.Set(); }
+
+ private:
+  sim::Event& done_;
+};
+
+}  // namespace
+
+sim::Task SharedResource::Consume(double amount) {
+  sim::Event done(sim_);
+  EventSink sink(done);
+  ConsumeAsync(amount, &sink, 0);
+  co_await done;
 }
 
 sim::Task ConsumeAllWeighted(sim::Simulation& sim, DemandList demands) {

@@ -25,12 +25,13 @@
 
 namespace bolted::net {
 
-// Callback-style completion for the zero-copy frame path (DESIGN.md §15).
-// The network's flight engine counts down outstanding NIC/uplink demands
-// without parking a coroutine per resource: a completed job invokes
+// Completion callback of every consumption.  A completed job invokes
 // OnConsumeComplete(token) synchronously from inside Sync(), after the
 // resource's own bookkeeping is consistent.  The callback may start new
-// consumptions (on this or any other resource) reentrantly.
+// consumptions (on this or any other resource) reentrantly.  The network's
+// flight engine (DESIGN.md §15) counts down a frame's NIC/uplink demands
+// through it without parking a coroutine per resource; Consume() sets an
+// Event in its own frame.
 class ConsumeSink {
  public:
   virtual void OnConsumeComplete(uint64_t token) = 0;
@@ -47,18 +48,15 @@ class SharedResource {
   SharedResource& operator=(const SharedResource&) = delete;
   ~SharedResource();
 
-  // Consumes `amount` units; completes when the fluid model has served
-  // them.  Zero/negative amounts complete immediately.
-  sim::Task Consume(double amount);
-
-  // Non-coroutine variant: registers `amount` units and invokes
-  // sink->OnConsumeComplete(token) once served.  Pushes the same Job into
-  // the same virtual-time heap as Consume(), so the completion *instant*
-  // is identical — only the wake-up mechanism differs (a direct call in
-  // place of an Event and a parked coroutine frame).  Zero/negative
-  // amounts complete synchronously before returning; sub-epsilon amounts
-  // may also complete synchronously (from the Sync() this call performs).
+  // Registers `amount` units and invokes sink->OnConsumeComplete(token)
+  // once the fluid model has served them.  Zero/negative amounts complete
+  // synchronously before returning; sub-epsilon amounts may also complete
+  // synchronously (from the Sync() this call performs).
   void ConsumeAsync(double amount, ConsumeSink* sink, uint64_t token);
+
+  // Coroutine form of ConsumeAsync: completes when the fluid model has
+  // served `amount` units.  Zero/negative amounts complete immediately.
+  sim::Task Consume(double amount);
 
   // Current number of active consumers (for tests and stats).
   size_t active_consumers() const { return jobs_.size(); }
@@ -83,12 +81,7 @@ class SharedResource {
     double finish_v = 0;  // start_v + demand
     double start_v = 0;
     uint64_t seq = 0;  // arrival order; tie-break for simultaneous finishes
-    // Exactly one completion mechanism is set.  `done` points into the
-    // consuming coroutine's frame (Consume's local Event); valid until
-    // that frame resumes, which cannot happen before done->Set() —
-    // resumption goes through the event queue.  `sink` (ConsumeAsync) is
-    // invoked directly, after the job has been popped and accounted.
-    sim::Event* done = nullptr;
+    // Invoked directly, after the job has been popped and accounted.
     ConsumeSink* sink = nullptr;
     uint64_t token = 0;
   };

@@ -8,6 +8,7 @@
 
 #include "src/core/cloud.h"
 #include "src/core/enclave.h"
+#include "src/crypto/cpu.h"
 #include "src/workload/workload.h"
 
 namespace bolted::core {
@@ -75,6 +76,20 @@ TEST(DeterminismTest, WholeCloudTraceDigestIsReplayStable) {
   EXPECT_NE(a.trace_digest, 0u);
   EXPECT_EQ(a.trace_digest, b.trace_digest);
   EXPECT_EQ(a.events, b.events);
+}
+
+TEST(DeterminismTest, DigestIdenticalAcrossCryptoBackends) {
+  // Accelerated crypto output is byte-identical to scalar output, so the
+  // backend must never move the simulation.  Objects capture their
+  // backend when constructed, and RunScenario builds a fresh Cloud.
+  const bool saved = crypto::cpu::ForceScalarEnabled();
+  crypto::cpu::SetForceScalar(true);
+  const ScenarioResult scalar = RunScenario(777);
+  crypto::cpu::SetForceScalar(false);
+  const ScenarioResult dispatched = RunScenario(777);
+  crypto::cpu::SetForceScalar(saved);
+  EXPECT_NE(scalar.trace_digest, 0u);
+  EXPECT_EQ(scalar, dispatched);
 }
 
 TEST(DeterminismTest, CryptoArtifactsAreSeedIndependentWhereTheyShouldBe) {

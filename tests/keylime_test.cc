@@ -166,6 +166,33 @@ struct KeylimeFixture : public ::testing::Test {
     verifier->AddNode("node-x", std::move(config));
   }
 
+  static constexpr sim::Duration kPollInterval = sim::Duration::Seconds(2);
+
+  // Adds node-x (attestation only, no payload) and starts its loop.
+  void StartPolling() {
+    Verifier::NodeConfig config;
+    config.agent = machine->address();
+    config.whitelist = WhitelistForMachine();
+    verifier->AddNode("node-x", std::move(config));
+    verifier->StartContinuous("node-x", kPollInterval);
+  }
+
+  uint64_t VerificationsInNextMinute() {
+    const uint64_t before = verifier->verifications();
+    sim.RunUntil(sim.now() + sim::Duration::Seconds(60));
+    return verifier->verifications() - before;
+  }
+
+  // What one loop does in the minute after it starts; node-x is removed
+  // again afterwards and the loop has ended.
+  uint64_t OneLoopVerificationsPerMinute() {
+    StartPolling();
+    const uint64_t count = VerificationsInNextMinute();
+    verifier->RemoveNode("node-x");
+    sim.RunUntil(sim.now() + sim::Duration::Seconds(10));
+    return count;
+  }
+
   // The tenant sends U directly (sealed to the agent NK).  True once the
   // agent has recombined the payload, which needs the verifier's V too.
   bool TenantOpensPayload(TenantPayload* received) {
@@ -383,7 +410,8 @@ TEST_F(KeylimeFixture, ContinuousAttestationRevokesOnViolation) {
   Verifier::NodeConfig config;
   config.agent = machine->address();
   config.whitelist = whitelist;
-  config.peers = {peer.address(), machine->address()};
+  config.peers = std::make_shared<const std::vector<net::Address>>(
+      std::vector<net::Address>{peer.address(), machine->address()});
   verifier->AddNode("node-x", std::move(config));
 
   std::string violated;
@@ -633,22 +661,48 @@ TEST_F(KeylimeFixture, ImaRollbackByCompromisedAgentIsRejected) {
   EXPECT_FALSE(IsTransientFailure(result.failure));
 }
 
-TEST_F(KeylimeFixture, StopContinuousHaltsPolling) {
+TEST_F(KeylimeFixture, RemoveNodeHaltsPolling) {
   ASSERT_TRUE(Register());
   auto boot = [&]() -> Task { co_await machine->PowerOnSelfTest(); };
   sim.Spawn(boot());
   sim.Run();
-  Verifier::NodeConfig config;
-  config.agent = machine->address();
-  config.whitelist = WhitelistForMachine();
-  verifier->AddNode("node-x", std::move(config));
-  verifier->StartContinuous("node-x", sim::Duration::Seconds(2));
+  StartPolling();
   sim.RunUntil(sim.now() + sim::Duration::Seconds(7));
   const uint64_t count = verifier->verifications();
   EXPECT_GE(count, 2u);
-  verifier->StopContinuous("node-x");
+  verifier->RemoveNode("node-x");
   sim.RunUntil(sim.now() + sim::Duration::Seconds(20));
   EXPECT_EQ(verifier->verifications(), count);
+}
+
+// A loop asleep when its node is removed and added again must end at its
+// next wake, even though the new entry is polled under the same name.
+TEST_F(KeylimeFixture, ReAddedNodeIsPolledByOneLoop) {
+  ASSERT_TRUE(Register());
+  auto boot = [&]() -> Task { co_await machine->PowerOnSelfTest(); };
+  sim.Spawn(boot());
+  sim.Run();
+  const uint64_t one_loop = OneLoopVerificationsPerMinute();
+  EXPECT_GE(one_loop, 10u);
+
+  StartPolling();
+  sim.RunUntil(sim.now() + sim::Duration::Seconds(1));
+  verifier->RemoveNode("node-x");
+  StartPolling();
+  EXPECT_EQ(VerificationsInNextMinute(), one_loop);
+}
+
+TEST_F(KeylimeFixture, StartContinuousTwiceRunsOneLoop) {
+  ASSERT_TRUE(Register());
+  auto boot = [&]() -> Task { co_await machine->PowerOnSelfTest(); };
+  sim.Spawn(boot());
+  sim.Run();
+  const uint64_t one_loop = OneLoopVerificationsPerMinute();
+  EXPECT_GE(one_loop, 10u);
+
+  StartPolling();
+  verifier->StartContinuous("node-x", kPollInterval);
+  EXPECT_EQ(VerificationsInNextMinute(), one_loop);
 }
 
 }  // namespace

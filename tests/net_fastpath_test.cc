@@ -1,6 +1,7 @@
-// Burst fast-path battery (DESIGN.md §15): the flow-cache invalidation
-// matrix (HIL port moves, VLAN membership changes, link flaps, machine
-// crashes) proving no stale delivery ever crosses an isolation boundary,
+// Burst fast-path battery (DESIGN.md §15): the send-verdict matrix (HIL
+// port moves, VLAN membership changes, link flaps, machine crashes, each
+// taking effect on the next frame sent and on frames in flight) proving
+// no stale delivery ever crosses an isolation boundary,
 // the burst-vs-generic frame-digest parity sweep (8 seeds, fault
 // injection, mid-run topology churn), the InjectFrame metric
 // reconciliation (a cross-shard hop must account exactly like a local
@@ -51,9 +52,9 @@ constexpr Path kBurst{"burst", BurstPost, BurstInject};
 constexpr Path kGeneric{"generic", oracle::Post, oracle::Inject};
 constexpr Path kPaths[] = {kBurst, kGeneric};
 
-// --- Flow-cache invalidation matrix ------------------------------------------
+// --- Send and delivery verdicts under topology changes ----------------------
 
-TEST(FlowCache, VlanDetachInvalidatesCachedVerdict) {
+TEST(SendVerdict, VlanDetachAndReattachApplyToTheNextFrame) {
   for (const Path& path : kPaths) {
     Simulation sim;
     Network net(sim, Duration::Microseconds(1), 1e9);
@@ -68,8 +69,7 @@ TEST(FlowCache, VlanDetachInvalidatesCachedVerdict) {
     sim.Run();
     EXPECT_EQ(net.frames_delivered(), 1u);
 
-    // The verdict for (a -> b) is now hot in a's flow cache; detaching b
-    // must invalidate it, not serve the stale "deliverable".
+    // (a -> b) was just deliverable; detaching b must drop the next frame.
     net.DetachFromVlan(b.address(), 5);
     Message m2;
     m2.wire_bytes = 100;
@@ -79,7 +79,7 @@ TEST(FlowCache, VlanDetachInvalidatesCachedVerdict) {
     EXPECT_EQ(net.total_drops(), 1u);
     EXPECT_EQ(a.messages_dropped(), 1u);
 
-    // Re-attach: the negative verdict must be invalidated too.
+    // Re-attach: the next frame is deliverable again.
     net.AttachToVlan(b.address(), 5);
     Message m3;
     m3.wire_bytes = 100;
@@ -90,7 +90,7 @@ TEST(FlowCache, VlanDetachInvalidatesCachedVerdict) {
   }
 }
 
-TEST(FlowCache, PortMoveInvalidatesCachedUplinkRoute) {
+TEST(SendVerdict, PortMoveReroutesTheNextFrameOverUplinks) {
   for (const Path& path : kPaths) {
     Simulation sim;
     Network net(sim, Duration::Microseconds(1), 1e9);
@@ -108,8 +108,8 @@ TEST(FlowCache, PortMoveInvalidatesCachedUplinkRoute) {
     EXPECT_EQ(net.frames_delivered(), 1u);
     EXPECT_EQ(net.uplink(1).total_served(), 0.0);  // same-switch hop
 
-    // HIL recables b to switch 2: the cached same-switch route is stale —
-    // the next frame must traverse both uplinks.
+    // HIL recables b to switch 2: the next frame must traverse both
+    // uplinks.
     net.AssignToSwitch(b.address(), 2);
     Message m2;
     m2.wire_bytes = 1000;
@@ -121,7 +121,7 @@ TEST(FlowCache, PortMoveInvalidatesCachedUplinkRoute) {
   }
 }
 
-TEST(FlowCache, LinkFlapMidBurstDropsInFlightFrames) {
+TEST(SendVerdict, LinkFlapMidBurstDropsInFlightFrames) {
   for (const Path& path : kPaths) {
     Simulation sim;
     Network net(sim, Duration::Microseconds(1), 1e9);
@@ -147,8 +147,7 @@ TEST(FlowCache, LinkFlapMidBurstDropsInFlightFrames) {
     EXPECT_EQ(a.messages_dropped(), 4u);
     EXPECT_TRUE(b.inbox().empty());
 
-    // Link restored: traffic flows again (the down verdict was not stale-
-    // cached either).
+    // Link restored: traffic flows again.
     net.SetLinkUp(b.address(), true);
     Message m;
     m.wire_bytes = 1000;
@@ -158,7 +157,7 @@ TEST(FlowCache, LinkFlapMidBurstDropsInFlightFrames) {
   }
 }
 
-TEST(FlowCache, MachineCrashQuarantinesPort) {
+TEST(SendVerdict, MachineCrashQuarantinesPort) {
   for (const Path& path : kPaths) {
     Simulation sim;
     Network net(sim, Duration::Microseconds(1), 1e9);
@@ -174,7 +173,7 @@ TEST(FlowCache, MachineCrashQuarantinesPort) {
     ASSERT_EQ(net.frames_delivered(), 1u);
 
     // Crash handling (see faults::): link down plus full VLAN detach.
-    // Both mutations land after the cache went hot.
+    // Both mutations land after a frame was delivered.
     net.SetLinkUp(b.address(), false);
     net.DetachFromAllVlans(b.address());
     for (int i = 0; i < 3; ++i) {
@@ -193,7 +192,7 @@ TEST(FlowCache, MachineCrashQuarantinesPort) {
 // frame is only ever handed to a receiver that is a member of the frame's
 // VLAN (and link-up) at the delivery instant.  The sniffer sees every
 // delivered copy, so it is the right observation point.
-TEST(FlowCache, NoStaleDeliveryEverCrossesIsolationBoundary) {
+TEST(SendVerdict, NoStaleDeliveryEverCrossesIsolationBoundary) {
   for (const Path& path : kPaths) {
     for (uint64_t seed = 1; seed <= 8; ++seed) {
       Simulation sim;

@@ -251,6 +251,41 @@ TEST(SecurityTest, RuntimeCompromiseTriggersFullQuarantine) {
   EXPECT_EQ(charlie.members().size(), 2u);
 }
 
+// The verifier reads the enclave's member list when it revokes, not when
+// the node registered: node-0 registered before either peer joined, and
+// both must still drop its SA.
+TEST(SecurityTest, RevocationReachesMembersThatJoinedLater) {
+  Cloud cloud(SmallCloud());
+  Enclave charlie(cloud, "charlie", TrustProfile::Charlie(), 11);
+  ProvisionOutcome o1;
+  ProvisionOutcome o2;
+  ProvisionOutcome o3;
+  machine::Machine* bad = cloud.FindMachine("node-0");
+  bool peers_held_sa = false;
+  auto flow = [&]() -> Task {
+    co_await charlie.ProvisionNode("node-0", &o1);
+    co_await charlie.ProvisionNode("node-1", &o2);
+    co_await charlie.ProvisionNode("node-2", &o3);
+    co_await sim::Delay(cloud.sim(), sim::Duration::Seconds(5));
+    peers_held_sa =
+        charlie.node_machine("node-1")->ipsec().HasSa(bad->address()) &&
+        charlie.node_machine("node-2")->ipsec().HasSa(bad->address());
+    charlie.ExecuteBinary("node-0", "/tmp/implant",
+                          crypto::Sha256::Hash("implant"), false);
+  };
+  cloud.sim().Spawn(flow());
+  cloud.sim().RunUntil(sim::Time::FromNanoseconds(1'500'000'000'000));
+
+  ASSERT_TRUE(o1.success && o2.success && o3.success);
+  ASSERT_TRUE(peers_held_sa);
+  EXPECT_EQ(charlie.node_state("node-0"), NodeState::kRejected);
+  EXPECT_FALSE(charlie.node_machine("node-1")->ipsec().HasSa(bad->address()));
+  EXPECT_FALSE(charlie.node_machine("node-2")->ipsec().HasSa(bad->address()));
+  EXPECT_TRUE(charlie.node_machine("node-1")->ipsec().HasSa(
+      charlie.node_machine("node-2")->address()));
+  EXPECT_EQ(charlie.members(), (std::vector<std::string>{"node-1", "node-2"}));
+}
+
 // --- After occupancy ----------------------------------------------------------
 
 TEST(SecurityTest, ReleasedServerLeaksNothingToTheNextTenant) {
