@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <limits>
 #include <utility>
 
 namespace bolted::sim {
@@ -16,6 +17,11 @@ namespace bolted::sim {
 //    This holds at insertion by construction and is preserved as
 //    wheel_time_ advances, because the cursor never passes the earliest
 //    live event and prefix equality is monotone over [wheel_time_, when].
+//    A refill jumps the cursor to that event, inside the earliest occupied
+//    slot of the lowest occupied level k: nothing lower is occupied, the
+//    cursor keeps every level-(k+1)-and-up slot index, and the one slot it
+//    enters is cascaded, so every other record keeps its parent window and
+//    a slot index that differs from the cursor's.
 //
 //  * Cross-level order: level-k events fire before all level-(k+1) events
 //    (their level-(k+1) slot index equals the cursor's, which is strictly
@@ -24,11 +30,17 @@ namespace bolted::sim {
 //    level — found with two ctz scans.
 //
 //  * Same-instant order: a level-0 slot spans exactly one nanosecond, so
-//    a drained slot is one instant.  Slot lists are not seq-sorted
-//    (cascades interleave records scheduled at different times), so the
-//    drain batch is sorted by seq once on extraction; events scheduled at
-//    the drain instant *during* the drain carry larger seqs than the
-//    whole batch and are appended.
+//    a drained slot is one instant.  A slot list is at most one cascade's
+//    records (cascades fill only empty levels) followed by direct
+//    placements in seq order, so an instant's records normally arrive
+//    sorted; the drain batch is insertion-sorted by seq on extraction,
+//    O(n) in that case, without relying on it.  Events scheduled at the
+//    drain instant *during* the drain carry larger seqs than the whole
+//    batch and are appended.
+//
+//  * The cached minimum: wheel_min_, when known, is the least `when` in
+//    the wheel.  Insertions lower it, and anything that may raise it (a
+//    refill, or removing a record at that instant) forgets it.
 
 WheelScheduler::WheelScheduler() {
   for (auto& level : heads_) {
@@ -39,33 +51,28 @@ WheelScheduler::WheelScheduler() {
   }
 }
 
-uint32_t WheelScheduler::AllocRec(int64_t when, uint64_t seq, EventFn fn) {
-  uint32_t index;
-  if (!free_recs_.empty()) {
-    index = free_recs_.back();
-    free_recs_.pop_back();
-  } else {
-    index = static_cast<uint32_t>(recs_.size());
+uint32_t WheelScheduler::AllocRec() {
+  if (free_recs_.empty()) {
     recs_.emplace_back();
+    return static_cast<uint32_t>(recs_.size() - 1);
   }
-  Rec& rec = recs_[index];
-  rec.when = when;
-  rec.seq = seq;
-  rec.fn = std::move(fn);
-  rec.prev = kNil;
-  rec.next = kNil;
+  const uint32_t index = free_recs_.back();
+  free_recs_.pop_back();
   return index;
+}
+
+void WheelScheduler::NextGen(Rec& rec) {
+  // Skip 0 on wrap so ids are never 0.
+  if (++rec.gen == 0) {
+    rec.gen = 1;
+  }
 }
 
 void WheelScheduler::FreeRec(uint32_t index) {
   Rec& rec = recs_[index];
   rec.fn = EventFn();
   rec.state = State::kFree;
-  // Bump the generation so any outstanding handle to this slot goes
-  // stale; skip 0 on wrap so ids are never 0.
-  if (++rec.gen == 0) {
-    rec.gen = 1;
-  }
+  NextGen(rec);
   free_recs_.push_back(index);
 }
 
@@ -102,6 +109,34 @@ void WheelScheduler::UnlinkFromSlot(uint32_t index) {
   if (heads_[level][slot] == kNil) {
     occupancy_[level] &= ~(uint64_t{1} << slot);
   }
+  if (rec.when == wheel_min_) {
+    wheel_min_ = kUnknown;  // the minimum may rise
+  }
+}
+
+uint32_t WheelScheduler::TakeSlot(int level, int slot) {
+  const uint32_t head = heads_[level][slot];
+  heads_[level][slot] = kNil;
+  tails_[level][slot] = kNil;
+  occupancy_[level] &= ~(uint64_t{1} << slot);
+  return head;
+}
+
+int WheelScheduler::LowestLevel() const {
+  int level = 0;
+  while (occupancy_[level] == 0) {
+    ++level;
+  }
+  return level;
+}
+
+int64_t WheelScheduler::EarliestIn(int level, int slot) const {
+  int64_t earliest = std::numeric_limits<int64_t>::max();
+  for (uint32_t index = heads_[level][slot]; index != kNil;
+       index = recs_[index].next) {
+    earliest = std::min(earliest, recs_[index].when);
+  }
+  return earliest;
 }
 
 void WheelScheduler::Place(uint32_t index) {
@@ -117,30 +152,60 @@ void WheelScheduler::Place(uint32_t index) {
            index);
 }
 
-EventId WheelScheduler::Schedule(Time now_t, Time when_t, uint64_t seq,
-                                 EventFn fn) {
+EventId WheelScheduler::Schedule(Time now, Time when, uint64_t seq,
+                                 EventFn&& fn) {
+  const uint32_t index = AllocRec();
+  recs_[index].fn = std::move(fn);
+  ++live_;
+  return Insert(index, now, when, seq);
+}
+
+EventId WheelScheduler::Reschedule(EventId id, Time now, Time when,
+                                   uint64_t seq, EventFn&& fn) {
+  const uint32_t index = static_cast<uint32_t>(id & 0xffffffffu);
+  if (index >= recs_.size() || recs_[index].gen != id >> 32 ||
+      recs_[index].state != State::kWheel) {
+    // Stale, or in the drain batch, where drain_ holds it by position.
+    Cancel(id);
+    return Schedule(now, when, seq, std::move(fn));
+  }
+  // What Cancel plus Schedule would do to this record, which the freelist
+  // would hand straight back: the same index under the next generation.
+  Rec& rec = recs_[index];
+  UnlinkFromSlot(index);
+  NextGen(rec);
+  rec.fn = std::move(fn);
+  return Insert(index, now, when, seq);
+}
+
+EventId WheelScheduler::Insert(uint32_t index, Time now_t, Time when_t,
+                               uint64_t seq) {
   const int64_t when = when_t.nanoseconds();
   assert(when >= wheel_time_);
-  const uint32_t index = AllocRec(when, seq, std::move(fn));
-  ++live_;
+  Rec& rec = recs_[index];
+  rec.when = when;
+  rec.seq = seq;
   if (when == drain_time_) {
     // Scheduled at the instant currently draining (only reachable from a
     // same-instant callback, or by arming an immediate event while the
     // clock sits on an exhausted batch): join the batch.  seq exceeds
     // every entry already there, so appending keeps the batch sorted.
-    recs_[index].state = State::kDrain;
+    rec.state = State::kDrain;
     drain_.push_back(index);
     ++drain_live_;
   } else {
     if (live_ == 1) {
-      // Queue was empty: snap the cursor up to the clock (the lower bound
-      // on every future `when`) so placement doesn't cascade down from
-      // wherever the last burst left the wheel.
+      // Nothing else is pending: snap the cursor up to the clock (the
+      // lower bound on every future `when`) so placement doesn't cascade
+      // down from wherever the last burst left the wheel.
       wheel_time_ = std::max(wheel_time_, now_t.nanoseconds());
     }
+    // The wheel's only record sets the minimum; any other lowers a known
+    // one (kUnknown, below every `when`, stays unknown).
+    wheel_min_ = live_ - drain_live_ == 1 ? when : std::min(wheel_min_, when);
     Place(index);
   }
-  return MakeId(recs_[index].gen, index);
+  return MakeId(rec.gen, index);
 }
 
 void WheelScheduler::Cancel(EventId id) {
@@ -184,50 +249,42 @@ bool WheelScheduler::RefillDrain() {
   drain_.clear();
   drain_cursor_ = 0;
   drain_live_ = 0;
+  if (live_ == 0) {
+    return false;
+  }
 
-  for (;;) {
-    int level = 0;
-    while (level < kLevels && occupancy_[level] == 0) {
-      ++level;
-    }
-    if (level == kLevels) {
-      return false;
-    }
-
-    // Advance the cursor to the start of the earliest occupied slot (no
-    // lower level holds anything, so nothing is skipped): keep the parent
-    // window, set this level's slot index, clear everything below.
-    const int slot = std::countr_zero(occupancy_[level]);
-    const int shift = kSlotBits * level;
-    wheel_time_ =
-        (((wheel_time_ >> shift) & ~int64_t{kSlots - 1}) | slot) << shift;
-    uint32_t index = heads_[level][slot];
-    heads_[level][slot] = kNil;
-    tails_[level][slot] = kNil;
-    occupancy_[level] &= ~(uint64_t{1} << slot);
-
-    if (level == 0) {
-      // One exact instant: move the slot into the drain batch.
-      for (; index != kNil; index = recs_[index].next) {
-        recs_[index].state = State::kDrain;
-        drain_.push_back(index);
-      }
-      std::sort(drain_.begin(), drain_.end(),
-                [this](uint32_t a, uint32_t b) {
-                  return recs_[a].seq < recs_[b].seq;
-                });
-      drain_live_ = drain_.size();
-      drain_time_ = wheel_time_;
-      return true;
-    }
-
-    // Cascade: the slot's records now fit below this level.
-    while (index != kNil) {
+  int level = LowestLevel();
+  int slot = std::countr_zero(occupancy_[level]);
+  if (level > 0) {
+    // Skip ahead: jump the cursor to the earliest live `when`, which lies
+    // in this slot, and cascade the slot once.  Its records at that
+    // instant land in level 0; the rest land below this level.
+    wheel_time_ = wheel_min_ != kUnknown ? wheel_min_ : EarliestIn(level, slot);
+    for (uint32_t index = TakeSlot(level, slot); index != kNil;) {
       const uint32_t next = recs_[index].next;
       Place(index);
       index = next;
     }
+    slot = std::countr_zero(occupancy_[0]);
   }
+
+  // One exact instant: move the earliest level-0 slot into the drain
+  // batch and insertion-sort it by seq.
+  wheel_time_ = (wheel_time_ & ~int64_t{kSlots - 1}) | slot;
+  for (uint32_t index = TakeSlot(0, slot); index != kNil;
+       index = recs_[index].next) {
+    recs_[index].state = State::kDrain;
+    size_t at = drain_.size();
+    drain_.push_back(index);
+    for (; at > 0 && recs_[drain_[at - 1]].seq > recs_[index].seq; --at) {
+      drain_[at] = drain_[at - 1];
+    }
+    drain_[at] = index;
+  }
+  drain_live_ = drain_.size();
+  drain_time_ = wheel_time_;
+  wheel_min_ = kUnknown;
+  return true;
 }
 
 bool WheelScheduler::PeekNextTime(Time* when) {
@@ -235,23 +292,18 @@ bool WheelScheduler::PeekNextTime(Time* when) {
     *when = Time::FromNanoseconds(drain_time_);
     return true;
   }
+  if (live_ == 0) {
+    return false;
+  }
   // Cross-level order makes the earliest live event sit in the earliest
   // occupied slot of the lowest occupied level; within that slot (a span
   // of 2^(6k) ns for level k) the minimum `when` wins.
-  for (int k = 0; k < kLevels; ++k) {
-    if (occupancy_[k] == 0) {
-      continue;
-    }
-    const int slot = std::countr_zero(occupancy_[k]);
-    int64_t earliest = recs_[heads_[k][slot]].when;
-    for (uint32_t index = recs_[heads_[k][slot]].next; index != kNil;
-         index = recs_[index].next) {
-      earliest = std::min(earliest, recs_[index].when);
-    }
-    *when = Time::FromNanoseconds(earliest);
-    return true;
+  if (wheel_min_ == kUnknown) {
+    const int level = LowestLevel();
+    wheel_min_ = EarliestIn(level, std::countr_zero(occupancy_[level]));
   }
-  return false;
+  *when = Time::FromNanoseconds(wheel_min_);
+  return true;
 }
 
 bool WheelScheduler::PopNext(Time* when, uint64_t* seq, EventFn* fn) {

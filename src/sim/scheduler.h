@@ -19,7 +19,10 @@
 // the wheel.  Cancellation is O(1): handles carry a pool index plus a
 // generation tag, and records are doubly linked within their slot, so
 // Cancel unlinks immediately — no tombstone hash set, no compaction
-// sweeps.
+// sweeps.  Work follows events, not levels: the wheel caches its least
+// `when`, so a peek is O(1) while the cache holds, and a refill jumps the
+// cursor straight to that instant, so its records cascade into level 0 in
+// one step however many levels they sit above it.
 
 #ifndef SRC_SIM_SCHEDULER_H_
 #define SRC_SIM_SCHEDULER_H_
@@ -46,10 +49,16 @@ class WheelScheduler {
   // Enqueues fn at `when` (the Simulation clamps when >= now).  `seq` must
   // be strictly increasing across calls; `now` is the simulation clock,
   // the lower bound on every future `when`.
-  EventId Schedule(Time now, Time when, uint64_t seq, EventFn fn);
+  EventId Schedule(Time now, Time when, uint64_t seq, EventFn&& fn);
+  // Exactly Cancel(id) then Schedule(now, when, seq, fn), the returned id
+  // included; a record waiting in the wheel is re-linked in place instead
+  // of freed and allocated again.
+  EventId Reschedule(EventId id, Time now, Time when, uint64_t seq,
+                     EventFn&& fn);
   void Cancel(EventId id);
-  // Earliest live event time; false when nothing is pending.  May advance
-  // internal bookkeeping but never changes the fire order.
+  // Earliest live event time; false when nothing is pending.  O(1) while
+  // the cached minimum holds; never moves the cursor, since an event may
+  // still be scheduled between the clock and the peeked instant.
   bool PeekNextTime(Time* when);
   // Pops the earliest live event; false when nothing is pending.
   bool PopNext(Time* when, uint64_t* seq, EventFn* fn);
@@ -87,17 +96,31 @@ class WheelScheduler {
     return (static_cast<uint64_t>(gen) << 32) | index;
   }
 
-  uint32_t AllocRec(int64_t when, uint64_t seq, EventFn fn);
+  uint32_t AllocRec();
+  // Stales every handle to the record, as freeing it would.
+  static void NextGen(Rec& rec);
   void FreeRec(uint32_t index);
+  // Gives a record that holds its callable and belongs to no list its
+  // time and seq, joins it to the draining batch or places it in the
+  // wheel, and returns its handle.
+  EventId Insert(uint32_t index, Time now, Time when, uint64_t seq);
   // Places a record relative to wheel_time_: the lowest level whose
   // parent window holds both `when` and the cursor.
   void Place(uint32_t index);
   void PushSlot(int level, int slot, uint32_t index);
+  // Takes a record out of the wheel, forgetting the cached minimum if the
+  // record held it.
   void UnlinkFromSlot(uint32_t index);
-  // Advances wheel_time_ (cascading higher-level slots downward) until the
-  // earliest live events sit in a level-0 slot, then moves that slot — one
-  // exact instant — into drain_, sorted by seq.  False when nothing is
-  // pending.
+  // Empties a slot and returns its list's head.
+  uint32_t TakeSlot(int level, int slot);
+  // The lowest level holding a record; the wheel must hold one.
+  int LowestLevel() const;
+  // The least `when` in a slot (a walk of its list).
+  int64_t EarliestIn(int level, int slot) const;
+  // Jumps wheel_time_ to the earliest live `when` (cascading its slot, if
+  // above level 0, straight into level 0), then moves that level-0 slot —
+  // one exact instant — into drain_, sorted by seq.  False when nothing
+  // is pending.
   bool RefillDrain();
 
   std::vector<Rec> recs_;
@@ -109,6 +132,12 @@ class WheelScheduler {
   // The wheel cursor.  Invariant: 0 <= wheel_time_ <= every live event's
   // `when`.
   int64_t wheel_time_ = 0;
+  // When >= 0, the least `when` among wheel records (the drain batch is
+  // not in the wheel).  Schedule and Reschedule lower it; a refill, or the
+  // cancel or re-arm of a record at that instant, drops it to kUnknown,
+  // and the next peek or refill walks one slot to find it again.
+  static constexpr int64_t kUnknown = -1;
+  int64_t wheel_min_ = kUnknown;
   // The instant currently being drained (-1 before the first drain).
   // Events scheduled *at* the drain instant during the drain join the
   // batch; their seq is necessarily larger than everything already in it,

@@ -58,12 +58,19 @@ class Simulation {
   Rng& rng() { return rng_; }
 
   // Schedules fn to run after delay (>= 0) of simulated time.  EventFn
-  // converts from any void() callable that fits its inline storage.
-  EventId Schedule(Duration delay, EventFn fn);
-  EventId ScheduleAt(Time when, EventFn fn);
+  // converts from any void() callable that fits its inline storage; the
+  // callable is built once, in the caller, and moved once, into the queue.
+  EventId Schedule(Duration delay, EventFn&& fn);
+  EventId ScheduleAt(Time when, EventFn&& fn);
   // Cancels a pending event; a no-op if it already fired or was cancelled
   // (repeated or stale cancels leave no residue behind).
   void Cancel(EventId id);
+  // Exactly Cancel(id) then Schedule(delay, fn): the same fresh seq, so
+  // the same fire order and digest, and the same returned id.  An event
+  // waiting in the wheel moves in place instead of being freed and
+  // allocated again; one in the instant now firing, or a stale id, takes
+  // the cancel-then-schedule path itself.
+  EventId Reschedule(EventId id, Duration delay, EventFn&& fn);
 
   // Runs until the event queue drains or the given horizon passes.
   void Run();
@@ -79,8 +86,9 @@ class Simulation {
   // Fires the next event, if any; returns false when the queue is empty.
   bool Step();
 
-  // Earliest pending event time; false when the queue is empty.  May
-  // advance scheduler bookkeeping but never changes the fire order.
+  // Earliest pending event time; false when the queue is empty.  O(1)
+  // while the queue's cached minimum holds, and a cache refill walks one
+  // slot; never changes the fire order.
   bool PeekNextEventTime(Time* next);
 
   uint64_t events_processed() const { return events_processed_; }

@@ -5,6 +5,8 @@
 
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/net/ipsec.h"
 #include "src/net/network.h"
@@ -108,6 +110,50 @@ TEST(SharedResourceTest, ZeroAmountCompletesInstantly) {
   sim.Spawn(flow());
   sim.Run();
   EXPECT_TRUE(done);
+}
+
+class RecordingSink final : public ConsumeSink {
+ public:
+  RecordingSink(Simulation& sim, std::vector<std::pair<uint64_t, int64_t>>& done)
+      : sim_(sim), done_(done) {}
+  void OnConsumeComplete(uint64_t token) override {
+    done_.emplace_back(token, sim_.now().nanoseconds());
+  }
+
+ private:
+  Simulation& sim_;
+  std::vector<std::pair<uint64_t, int64_t>>& done_;
+};
+
+// However many jobs it serves, a resource holds exactly one pending event,
+// its next completion, which every arrival re-arms in place.  The
+// completion instants stay the processor-sharing ones: on a resource
+// serving one unit per ns, 1000 units at 0 ns, 1000 at 500 ns and 250 at
+// 1000 ns finish at 1750, 2250 and 1750 ns.
+TEST(SharedResourceTest, ArrivalsReArmTheOneCompletionEvent) {
+  Simulation sim;
+  SharedResource resource(sim, 1e9, "r");
+  std::vector<std::pair<uint64_t, int64_t>> done;
+  RecordingSink sink(sim, done);
+  const std::pair<int64_t, double> arrivals[] = {{0, 1000}, {500, 1000},
+                                                 {1000, 250}};
+  size_t arrived = 0;
+  for (uint64_t token = 0; token < 3; ++token) {
+    sim.Schedule(Duration::Nanoseconds(arrivals[token].first),
+                 [&resource, &sink, &arrived, &arrivals, token]() {
+                   resource.ConsumeAsync(arrivals[token].second, &sink, token);
+                   ++arrived;
+                 });
+  }
+  while (sim.Step()) {
+    const size_t active = resource.active_consumers();
+    EXPECT_EQ(active, arrived - done.size());
+    EXPECT_EQ(sim.pending_events(), (3 - arrived) + (active > 0 ? 1 : 0))
+        << "at " << sim.now().nanoseconds() << " ns with " << active
+        << " active jobs";
+  }
+  EXPECT_EQ(done, (std::vector<std::pair<uint64_t, int64_t>>{
+                      {0, 1750}, {2, 1750}, {1, 2250}}));
 }
 
 TEST(SharedResourceTest, TotalServedAccumulates) {

@@ -15,6 +15,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "src/sim/event_fn.h"
@@ -23,11 +24,17 @@
 
 namespace bolted::oracle {
 
-// The same five methods, with the same meaning, as sim::WheelScheduler.
+// The same six methods, with the same meaning, as sim::WheelScheduler.
 class ReferenceScheduler {
  public:
   sim::EventId Schedule(sim::Time now, sim::Time when, uint64_t seq,
                         sim::EventFn fn);
+  // Cancel plus Schedule of the same callable under the fresh seq.
+  sim::EventId Reschedule(sim::EventId id, sim::Time now, sim::Time when,
+                          uint64_t seq, sim::EventFn fn) {
+    Cancel(id);
+    return Schedule(now, when, seq, std::move(fn));
+  }
   void Cancel(sim::EventId id);
   bool PeekNextTime(sim::Time* when);
   bool PopNext(sim::Time* when, uint64_t* seq, sim::EventFn* fn);
