@@ -34,6 +34,9 @@ for arg in "$@"; do
   esac
 done
 
+# Each leg's full ctest includes the pinned simulation digests (ctest -L
+# golden, tests/golden/digests.txt), so obs on or off and ASan must change
+# no event.
 run_suite() {
   local build_dir="$1"
   shift
@@ -98,11 +101,6 @@ echo "== tier-1: forced-scalar crypto backend (ctest -L force-scalar) =="
 BOLTED_FORCE_SCALAR=1 ctest --test-dir build --output-on-failure \
   -j "$(nproc)" -L force-scalar --no-tests=error
 
-# The pinned simulation digests (tests/golden/digests.txt): the same
-# values in every build leg, so obs on or off and ASan change no event.
-echo "== tier-1: golden digests (ctest -L golden) =="
-ctest --test-dir build --output-on-failure --no-tests=error -L golden
-
 echo "== tier-1: observability suite (ctest -L obs) =="
 ctest --test-dir build --output-on-failure --no-tests=error -L obs
 
@@ -136,15 +134,11 @@ ctest --test-dir build --output-on-failure --no-tests=error -L net
 if [[ "${want_noobs}" == 1 ]]; then
   echo "== obs compiled out: -DBOLTED_OBS=OFF =="
   run_suite build-noobs -DBOLTED_OBS=OFF
-  echo "== obs compiled out: golden digests (ctest -L golden) =="
-  ctest --test-dir build-noobs --output-on-failure --no-tests=error -L golden
 fi
 
 if [[ "${want_asan}" == 1 ]]; then
   echo "== sanitizers: ASan + UBSan =="
   run_suite build-asan -DBOLTED_SANITIZE=ON
-  echo "== sanitizers: golden digests under ASan (ctest -L golden) =="
-  ctest --test-dir build-asan --output-on-failure --no-tests=error -L golden
   # The P-256 table build, joint verify ladders, and batch inversion only
   # execute under real curve traffic; drive them (and the fleet polling
   # loop that exercises the prepared-AIK cache) instrumented.

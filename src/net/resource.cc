@@ -14,11 +14,7 @@ SharedResource::SharedResource(sim::Simulation& sim, double capacity_per_second,
   assert(capacity_ > 0);
 }
 
-SharedResource::~SharedResource() {
-  if (!jobs_.empty()) {  // a completion is armed exactly while jobs wait
-    sim_.Cancel(pending_event_);
-  }
-}
+SharedResource::~SharedResource() { sim_.Cancel(pending_event_); }
 
 void SharedResource::AdvanceTo(sim::Time now) {
   if (now > last_update_ && !jobs_.empty()) {
@@ -50,19 +46,17 @@ void SharedResource::Sync() {
     job.sink->OnConsumeComplete(job.token);
   }
 
+  sim_.Cancel(std::exchange(pending_event_, 0));
   if (jobs_.empty()) {
-    sim_.Cancel(pending_event_);
     return;
   }
 
-  // Re-arm the one completion event in place: the same seq, and so the
-  // same fire order, as cancelling it and scheduling a new one.
   const double min_remaining = jobs_.front().finish_v - v_;
   const double rate = capacity_ / static_cast<double>(jobs_.size());
   const int64_t delay_ns = std::max<int64_t>(
       1, static_cast<int64_t>(min_remaining / rate * 1e9));
-  pending_event_ = sim_.Reschedule(
-      pending_event_, sim::Duration::Nanoseconds(delay_ns), [this]() { Sync(); });
+  pending_event_ =
+      sim_.Schedule(sim::Duration::Nanoseconds(delay_ns), [this]() { Sync(); });
 }
 
 void SharedResource::ConsumeAsync(double amount, ConsumeSink* sink,

@@ -91,8 +91,8 @@ class SharedResource {
     }
   };
 
-  // Advances virtual time to now, completes drained jobs, and re-arms the
-  // next completion event.
+  // Advances virtual time to now, completes drained jobs, and reschedules
+  // the next completion event.
   void Sync();
   void AdvanceTo(sim::Time now);
 
@@ -102,8 +102,7 @@ class SharedResource {
   // Min-heap on (finish_v, seq).
   std::vector<Job> jobs_;
   sim::Time last_update_;
-  // The completion event; 0 or stale (fired or cancelled) when none is
-  // pending, which Cancel and Reschedule both accept.
+  // The armed completion event while jobs wait, 0 while idle.
   sim::EventId pending_event_ = 0;
   double v_ = 0;             // virtual units served per job so far
   uint64_t next_seq_ = 0;

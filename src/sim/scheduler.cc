@@ -51,28 +51,33 @@ WheelScheduler::WheelScheduler() {
   }
 }
 
-uint32_t WheelScheduler::AllocRec() {
-  if (free_recs_.empty()) {
+uint32_t WheelScheduler::AllocRec(int64_t when, uint64_t seq, EventFn&& fn) {
+  uint32_t index;
+  if (!free_recs_.empty()) {
+    index = free_recs_.back();
+    free_recs_.pop_back();
+  } else {
+    index = static_cast<uint32_t>(recs_.size());
     recs_.emplace_back();
-    return static_cast<uint32_t>(recs_.size() - 1);
   }
-  const uint32_t index = free_recs_.back();
-  free_recs_.pop_back();
+  Rec& rec = recs_[index];
+  rec.when = when;
+  rec.seq = seq;
+  rec.fn = std::move(fn);
+  rec.prev = kNil;
+  rec.next = kNil;
   return index;
-}
-
-void WheelScheduler::NextGen(Rec& rec) {
-  // Skip 0 on wrap so ids are never 0.
-  if (++rec.gen == 0) {
-    rec.gen = 1;
-  }
 }
 
 void WheelScheduler::FreeRec(uint32_t index) {
   Rec& rec = recs_[index];
   rec.fn = EventFn();
   rec.state = State::kFree;
-  NextGen(rec);
+  // Bump the generation so any outstanding handle to this slot goes
+  // stale; skip 0 on wrap so ids are never 0.
+  if (++rec.gen == 0) {
+    rec.gen = 1;
+  }
   free_recs_.push_back(index);
 }
 
@@ -152,52 +157,25 @@ void WheelScheduler::Place(uint32_t index) {
            index);
 }
 
-EventId WheelScheduler::Schedule(Time now, Time when, uint64_t seq,
+EventId WheelScheduler::Schedule(Time now_t, Time when_t, uint64_t seq,
                                  EventFn&& fn) {
-  const uint32_t index = AllocRec();
-  recs_[index].fn = std::move(fn);
-  ++live_;
-  return Insert(index, now, when, seq);
-}
-
-EventId WheelScheduler::Reschedule(EventId id, Time now, Time when,
-                                   uint64_t seq, EventFn&& fn) {
-  const uint32_t index = static_cast<uint32_t>(id & 0xffffffffu);
-  if (index >= recs_.size() || recs_[index].gen != id >> 32 ||
-      recs_[index].state != State::kWheel) {
-    // Stale, or in the drain batch, where drain_ holds it by position.
-    Cancel(id);
-    return Schedule(now, when, seq, std::move(fn));
-  }
-  // What Cancel plus Schedule would do to this record, which the freelist
-  // would hand straight back: the same index under the next generation.
-  Rec& rec = recs_[index];
-  UnlinkFromSlot(index);
-  NextGen(rec);
-  rec.fn = std::move(fn);
-  return Insert(index, now, when, seq);
-}
-
-EventId WheelScheduler::Insert(uint32_t index, Time now_t, Time when_t,
-                               uint64_t seq) {
   const int64_t when = when_t.nanoseconds();
   assert(when >= wheel_time_);
-  Rec& rec = recs_[index];
-  rec.when = when;
-  rec.seq = seq;
+  const uint32_t index = AllocRec(when, seq, std::move(fn));
+  ++live_;
   if (when == drain_time_) {
     // Scheduled at the instant currently draining (only reachable from a
     // same-instant callback, or by arming an immediate event while the
     // clock sits on an exhausted batch): join the batch.  seq exceeds
     // every entry already there, so appending keeps the batch sorted.
-    rec.state = State::kDrain;
+    recs_[index].state = State::kDrain;
     drain_.push_back(index);
     ++drain_live_;
   } else {
     if (live_ == 1) {
-      // Nothing else is pending: snap the cursor up to the clock (the
-      // lower bound on every future `when`) so placement doesn't cascade
-      // down from wherever the last burst left the wheel.
+      // Queue was empty: snap the cursor up to the clock (the lower bound
+      // on every future `when`) so placement doesn't cascade down from
+      // wherever the last burst left the wheel.
       wheel_time_ = std::max(wheel_time_, now_t.nanoseconds());
     }
     // The wheel's only record sets the minimum; any other lowers a known
@@ -205,7 +183,7 @@ EventId WheelScheduler::Insert(uint32_t index, Time now_t, Time when_t,
     wheel_min_ = live_ - drain_live_ == 1 ? when : std::min(wheel_min_, when);
     Place(index);
   }
-  return MakeId(rec.gen, index);
+  return MakeId(recs_[index].gen, index);
 }
 
 void WheelScheduler::Cancel(EventId id) {

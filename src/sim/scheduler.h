@@ -50,11 +50,6 @@ class WheelScheduler {
   // be strictly increasing across calls; `now` is the simulation clock,
   // the lower bound on every future `when`.
   EventId Schedule(Time now, Time when, uint64_t seq, EventFn&& fn);
-  // Exactly Cancel(id) then Schedule(now, when, seq, fn), the returned id
-  // included; a record waiting in the wheel is re-linked in place instead
-  // of freed and allocated again.
-  EventId Reschedule(EventId id, Time now, Time when, uint64_t seq,
-                     EventFn&& fn);
   void Cancel(EventId id);
   // Earliest live event time; false when nothing is pending.  O(1) while
   // the cached minimum holds; never moves the cursor, since an event may
@@ -96,14 +91,8 @@ class WheelScheduler {
     return (static_cast<uint64_t>(gen) << 32) | index;
   }
 
-  uint32_t AllocRec();
-  // Stales every handle to the record, as freeing it would.
-  static void NextGen(Rec& rec);
+  uint32_t AllocRec(int64_t when, uint64_t seq, EventFn&& fn);
   void FreeRec(uint32_t index);
-  // Gives a record that holds its callable and belongs to no list its
-  // time and seq, joins it to the draining batch or places it in the
-  // wheel, and returns its handle.
-  EventId Insert(uint32_t index, Time now, Time when, uint64_t seq);
   // Places a record relative to wheel_time_: the lowest level whose
   // parent window holds both `when` and the cursor.
   void Place(uint32_t index);
@@ -133,9 +122,9 @@ class WheelScheduler {
   // `when`.
   int64_t wheel_time_ = 0;
   // When >= 0, the least `when` among wheel records (the drain batch is
-  // not in the wheel).  Schedule and Reschedule lower it; a refill, or the
-  // cancel or re-arm of a record at that instant, drops it to kUnknown,
-  // and the next peek or refill walks one slot to find it again.
+  // not in the wheel).  Schedule lowers it; a refill, or the cancel of a
+  // record at that instant, drops it to kUnknown, and the next peek or
+  // refill walks one slot to find it again.
   static constexpr int64_t kUnknown = -1;
   int64_t wheel_min_ = kUnknown;
   // The instant currently being drained (-1 before the first drain).

@@ -1,6 +1,5 @@
 #include "src/sim/simulation.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "src/obs/obs.h"
@@ -25,13 +24,10 @@ EventId Simulation::Schedule(Duration delay, EventFn&& fn) {
 }
 
 EventId Simulation::ScheduleAt(Time when, EventFn&& fn) {
-  return scheduler_.Schedule(now_, std::max(when, now_), next_seq_++,
-                             std::move(fn));
-}
-
-EventId Simulation::Reschedule(EventId id, Duration delay, EventFn&& fn) {
-  return scheduler_.Reschedule(id, now_, std::max(now_ + delay, now_),
-                               next_seq_++, std::move(fn));
+  if (when < now_) {
+    when = now_;
+  }
+  return scheduler_.Schedule(now_, when, next_seq_++, std::move(fn));
 }
 
 void Simulation::Cancel(EventId id) { scheduler_.Cancel(id); }

@@ -65,12 +65,6 @@ class Simulation {
   // Cancels a pending event; a no-op if it already fired or was cancelled
   // (repeated or stale cancels leave no residue behind).
   void Cancel(EventId id);
-  // Exactly Cancel(id) then Schedule(delay, fn): the same fresh seq, so
-  // the same fire order and digest, and the same returned id.  An event
-  // waiting in the wheel moves in place instead of being freed and
-  // allocated again; one in the instant now firing, or a stale id, takes
-  // the cancel-then-schedule path itself.
-  EventId Reschedule(EventId id, Duration delay, EventFn&& fn);
 
   // Runs until the event queue drains or the given horizon passes.
   void Run();

@@ -126,7 +126,7 @@ class RecordingSink final : public ConsumeSink {
 };
 
 // However many jobs it serves, a resource holds exactly one pending event,
-// its next completion, which every arrival re-arms in place.  The
+// its next completion, which every arrival and completion re-arms.  The
 // completion instants stay the processor-sharing ones: on a resource
 // serving one unit per ns, 1000 units at 0 ns, 1000 at 500 ns and 250 at
 // 1000 ns finish at 1750, 2250 and 1750 ns.

@@ -15,7 +15,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <unordered_set>
-#include <utility>
 #include <vector>
 
 #include "src/sim/event_fn.h"
@@ -24,17 +23,11 @@
 
 namespace bolted::oracle {
 
-// The same six methods, with the same meaning, as sim::WheelScheduler.
+// The same five methods, with the same meaning, as sim::WheelScheduler.
 class ReferenceScheduler {
  public:
   sim::EventId Schedule(sim::Time now, sim::Time when, uint64_t seq,
                         sim::EventFn fn);
-  // Cancel plus Schedule of the same callable under the fresh seq.
-  sim::EventId Reschedule(sim::EventId id, sim::Time now, sim::Time when,
-                          uint64_t seq, sim::EventFn fn) {
-    Cancel(id);
-    return Schedule(now, when, seq, std::move(fn));
-  }
   void Cancel(sim::EventId id);
   bool PeekNextTime(sim::Time* when);
   bool PopNext(sim::Time* when, uint64_t* seq, sim::EventFn* fn);

@@ -7,12 +7,11 @@
 // one small test kernel (Kernel below) through identical operation
 // sequences: fixed scripts for the edge cases (same-instant batches,
 // far-future events on the top wheel levels, cancel storms), a seeded
-// randomized driver that schedules, cancels and re-arms from inside
-// running events the way live protocol code does, and lockstep drivers
-// that interleave peeks and pops the way windowed (sharded) execution
-// does — one of them over a sparse timeline that stresses the wheel's
-// cached minimum and its skip-ahead refill.  The oracle re-arms by Cancel
-// plus Schedule of the same callable under a fresh seq.
+// randomized driver that schedules and cancels from inside running events
+// the way live protocol code does, and lockstep drivers that interleave
+// peeks and pops the way windowed (sharded) execution does — one of them
+// over a sparse timeline that stresses the wheel's cached minimum and its
+// skip-ahead refill.
 
 #include <gtest/gtest.h>
 
@@ -57,10 +56,6 @@ class Kernel {
 
   EventId Schedule(Duration delay, EventFn fn) {
     return queue_.Schedule(now_, now_ + delay, next_seq_++, std::move(fn));
-  }
-  EventId Reschedule(EventId id, Duration delay, EventFn fn) {
-    return queue_.Reschedule(id, now_, now_ + delay, next_seq_++,
-                             std::move(fn));
   }
   void Cancel(EventId id) { queue_.Cancel(id); }
   bool PeekNextTime(Time* when) { return queue_.PeekNextTime(when); }
@@ -303,30 +298,13 @@ class FuzzDriver {
   void Fire(uint64_t tag) {
     log_.fired.push_back(Fired{sim_.now().nanoseconds(), tag});
     log_.pending_at_fire.push_back(sim_.pending_events());
-    // Respawn, and sometimes cancel or re-arm a random tracked id — which
-    // may be live anywhere in the wheel or in the draining batch, already
-    // fired, or already cancelled.  All must be handled identically.
+    // Respawn, and sometimes cancel a random tracked id — which may be
+    // live anywhere in the wheel, already fired, or already cancelled.
+    // All must be handled identically.
     SpawnOne();
-    switch (sim_.rng().NextBelow(8)) {
-      case 0:
-      case 1:
-        if (!tracked_.empty()) {
-          sim_.Cancel(tracked_[sim_.rng().NextBelow(tracked_.size())]);
-          SpawnOne();  // keep the population from draining early
-        }
-        break;
-      case 2:
-      case 3:
-        if (!tracked_.empty() && remaining_ > 0) {
-          --remaining_;
-          EventId& id = tracked_[sim_.rng().NextBelow(tracked_.size())];
-          const uint64_t fresh = next_tag_++;
-          id = sim_.Reschedule(id, RandomDelay(),
-                               [this, fresh]() { Fire(fresh); });
-        }
-        break;
-      default:
-        break;
+    if (sim_.rng().NextBelow(4) == 0 && !tracked_.empty()) {
+      sim_.Cancel(tracked_[sim_.rng().NextBelow(tracked_.size())]);
+      SpawnOne();  // keep the population from draining early
     }
   }
 
@@ -382,16 +360,15 @@ Duration LockstepDelay(Rng& rng) {
 
 // Run() only ever pops, so the scripts above compare PeekNextTime across
 // the queues only indirectly.  This driver interleaves Schedule, Cancel,
-// Reschedule, PeekNextTime and PopNext at random on both kernels in
-// lockstep, against a model of the live events: cancels and re-arms aim
-// at the current earliest event and at members of the same-instant batch
-// being drained, and windows fire everything strictly before some event's
-// time and stop there (Simulation::RunBefore, the rule the shard windows
-// use).  After every operation both peeks, both pending() counts and every
-// pop must match the model.
+// PeekNextTime and PopNext at random on both kernels in lockstep, against
+// a model of the live events: cancels aim at the current earliest event
+// and at members of the same-instant batch being drained, and windows fire
+// everything strictly before some event's time and stop there
+// (Simulation::RunBefore, the rule the shard windows use).  After every
+// operation both peeks, both pending() counts and every pop must match the
+// model.
 TEST(SchedulerEquivalence, PeekAndPopAgreeUnderInterleavedOperations) {
   uint64_t batch_cancels = 0;
-  uint64_t batch_rearms = 0;
   uint64_t windows = 0;
   for (uint64_t seed = 200; seed < 208; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
@@ -419,18 +396,6 @@ TEST(SchedulerEquivalence, PeekAndPopAgreeUnderInterleavedOperations) {
       wheel.Cancel(ids[tag].first);
       heap.Cancel(ids[tag].second);
       live.erase({when_of[tag], tag});
-    };
-    // The model's re-arm: cancel `tag`, schedule a fresh tag.
-    const auto rearm = [&](uint64_t tag, Duration delay) {
-      const uint64_t fresh = when_of.size();
-      when_of.push_back(wheel.now() + delay);
-      ids.emplace_back(
-          wheel.Reschedule(ids[tag].first, delay,
-                           [&wheel_fired, fresh] { wheel_fired = fresh; }),
-          heap.Reschedule(ids[tag].second, delay,
-                          [&heap_fired, fresh] { heap_fired = fresh; }));
-      live.erase({when_of[tag], tag});
-      live.emplace(when_of.back(), fresh);
     };
     const auto agree = [&]() -> ::testing::AssertionResult {
       Time w;
@@ -479,7 +444,7 @@ TEST(SchedulerEquivalence, PeekAndPopAgreeUnderInterleavedOperations) {
     };
 
     for (int op = 0; op < 5000; ++op) {
-      switch (rng.NextBelow(13)) {
+      switch (rng.NextBelow(10)) {
         case 0:
         case 1:
         case 2:
@@ -507,24 +472,6 @@ TEST(SchedulerEquivalence, PeekAndPopAgreeUnderInterleavedOperations) {
         case 7:
           ASSERT_TRUE(pop()) << "op " << op;
           break;
-        case 8:  // any event: live, fired, or already cancelled
-          if (!when_of.empty()) {
-            rearm(rng.NextBelow(when_of.size()), LockstepDelay(rng));
-          }
-          break;
-        case 9:  // the current earliest event
-          if (!live.empty()) {
-            rearm(live.begin()->second, LockstepDelay(rng));
-          }
-          break;
-        case 10: {  // a member of the instant being drained
-          const auto it = live.lower_bound({wheel.now(), 0});
-          if (it != live.end() && it->first == wheel.now()) {
-            rearm(it->second, LockstepDelay(rng));
-            ++batch_rearms;
-          }
-          break;
-        }
         default: {  // a window ending exactly on a live event's time
           if (live.empty()) {
             break;
@@ -551,7 +498,6 @@ TEST(SchedulerEquivalence, PeekAndPopAgreeUnderInterleavedOperations) {
     ASSERT_TRUE(pop());  // both queues report empty
   }
   EXPECT_GT(batch_cancels, 0u);
-  EXPECT_GT(batch_rearms, 0u);
   EXPECT_GT(windows, 0u);
 }
 
@@ -559,12 +505,12 @@ TEST(SchedulerEquivalence, PeekAndPopAgreeUnderInterleavedOperations) {
 // events pending, gaps of 1 us to 10 s (so most records sit several levels
 // up and share their slot with others), and a peek before every pop, as
 // RunBefore makes.  Between the peek and the pop, it schedules below the
-// peeked minimum and cancels or re-arms the earliest event, so the refill
-// runs with the wheel's cached minimum lowered, forgotten or stale.  Both
-// queues run in lockstep against a model of the live events.
+// peeked minimum and cancels the earliest event, so the refill runs with
+// the wheel's cached minimum lowered or forgotten.  Both queues run in
+// lockstep against a model of the live events.
 TEST(SchedulerEquivalence, SparseTimelinePeeksBeforeEveryPop) {
   uint64_t below_min = 0;
-  uint64_t earliest_removed = 0;
+  uint64_t earliest_cancels = 0;
   for (uint64_t seed = 300; seed < 308; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     uint64_t wheel_fired = 0;
@@ -586,15 +532,12 @@ TEST(SchedulerEquivalence, SparseTimelinePeeksBeforeEveryPop) {
           decade + static_cast<int64_t>(rng.NextBelow(
                        static_cast<uint64_t>(9 * decade))));
     };
-    const auto schedule = [&](Duration delay, EventId wheel_old,
-                              EventId heap_old) {
+    const auto schedule = [&](Duration delay) {
       const uint64_t tag = when_of.size();
       when_of.push_back(wheel.now() + delay);
       ids.emplace_back(
-          wheel.Reschedule(wheel_old, delay,
-                           [&wheel_fired, tag] { wheel_fired = tag; }),
-          heap.Reschedule(heap_old, delay,
-                          [&heap_fired, tag] { heap_fired = tag; }));
+          wheel.Schedule(delay, [&wheel_fired, tag] { wheel_fired = tag; }),
+          heap.Schedule(delay, [&heap_fired, tag] { heap_fired = tag; }));
       live.emplace(when_of.back(), tag);
     };
     const auto peek = [&]() -> ::testing::AssertionResult {
@@ -624,35 +567,22 @@ TEST(SchedulerEquivalence, SparseTimelinePeeksBeforeEveryPop) {
       // Up to 127, plus one below the minimum: at most 128 pending.
       const size_t target = 1 + rng.NextBelow(127);
       while (live.size() < target) {
-        schedule(gap(), 0, 0);  // re-arming id 0 is a plain schedule
+        schedule(gap());
       }
       ASSERT_TRUE(peek()) << "op " << op;
       const Time next = live.begin()->first;
       if (rng.NextBelow(2) == 0 && next > wheel.now()) {
         // Below the minimum the peek just cached.
         schedule(Duration::Nanoseconds(static_cast<int64_t>(rng.NextBelow(
-                     static_cast<uint64_t>((next - wheel.now()).nanoseconds())))),
-                 0, 0);
+                     static_cast<uint64_t>((next - wheel.now()).nanoseconds())))));
         ++below_min;
       }
-      switch (rng.NextBelow(3)) {
-        case 0: {  // cancel the earliest event
-          const uint64_t tag = live.begin()->second;
-          wheel.Cancel(ids[tag].first);
-          heap.Cancel(ids[tag].second);
-          live.erase(live.begin());
-          ++earliest_removed;
-          break;
-        }
-        case 1: {  // re-arm the earliest event further out
-          const uint64_t tag = live.begin()->second;
-          live.erase(live.begin());
-          schedule(gap(), ids[tag].first, ids[tag].second);
-          ++earliest_removed;
-          break;
-        }
-        default:
-          break;
+      if (rng.NextBelow(3) != 0) {  // cancel the earliest event
+        const uint64_t tag = live.begin()->second;
+        wheel.Cancel(ids[tag].first);
+        heap.Cancel(ids[tag].second);
+        live.erase(live.begin());
+        ++earliest_cancels;
       }
       if (live.empty()) {
         continue;
@@ -669,7 +599,7 @@ TEST(SchedulerEquivalence, SparseTimelinePeeksBeforeEveryPop) {
     EXPECT_EQ(wheel.trace_digest(), heap.trace_digest());
   }
   EXPECT_GT(below_min, 0u);
-  EXPECT_GT(earliest_removed, 0u);
+  EXPECT_GT(earliest_cancels, 0u);
 }
 
 // Levels 9 and 10 see no traffic above, and level 10, whose parent window
