@@ -1,7 +1,7 @@
 // Emits BENCH_crypto.json: throughput of each crypto primitive under the
-// scalar reference and the runtime-dispatched backend, plus event-queue
-// ops/sec.  Self-contained (std::chrono only) so the file
-// can be regenerated anywhere and diffed across commits.
+// scalar reference and the runtime-dispatched backend, the P-256 field
+// kernels, plus event-queue ops/sec.  Self-contained (std::chrono only)
+// so the file can be regenerated anywhere and diffed across commits.
 //
 // Usage: bench_crypto_json [output-path]   (default: BENCH_crypto.json)
 
@@ -20,6 +20,8 @@
 #include "src/crypto/drbg.h"
 #include "src/crypto/hmac.h"
 #include "src/crypto/p256.h"
+#include "src/crypto/p256_field.h"
+#include "src/crypto/p256_field_x64.h"
 #include "src/crypto/sha256.h"
 #include "src/sim/simulation.h"
 #include "src/sim/time.h"
@@ -79,6 +81,64 @@ Row BackendRow(const std::string& name, size_t bytes, MakeFn&& make_fn) {
   return row;
 }
 
+// P-256 field kernel rows: ops/s of one link in a dependent chain
+// x = op(x, y), the shape the ladders run.  The chain's last value feeds
+// g_sink so the loop stays live.
+volatile uint64_t g_sink = 0;
+
+struct FpMul {
+  template <class F>
+  static bolted::crypto::U256 Run(const bolted::crypto::U256& x,
+                                  const bolted::crypto::U256& y) {
+    return F::Mul(x, y);
+  }
+};
+struct FpSqr {
+  template <class F>
+  static bolted::crypto::U256 Run(const bolted::crypto::U256& x,
+                                  const bolted::crypto::U256&) {
+    return F::Sqr(x);
+  }
+};
+struct FpAdd {
+  template <class F>
+  static bolted::crypto::U256 Run(const bolted::crypto::U256& x,
+                                  const bolted::crypto::U256& y) {
+    return F::Add(x, y);
+  }
+};
+
+template <class Op, class F>
+double FieldChainRate(const bolted::crypto::U256& x0, const bolted::crypto::U256& y) {
+  constexpr int kChain = 1024;
+  bolted::crypto::U256 x = x0;
+  const double rate = MeasureRate([&] {
+    for (int i = 0; i < kChain; ++i) {
+      x = Op::template Run<F>(x, y);
+    }
+  });
+  g_sink = g_sink ^ x.limb[0];
+  return rate * kChain;
+}
+
+// "scalar" is the portable field::Fp; "dispatched" is the kernel
+// P256::Instance() chose (the same Fp where it chose kPortable).
+template <class Op>
+Row FieldRow(const std::string& name, const bolted::crypto::U256& x0,
+             const bolted::crypto::U256& y) {
+  using bolted::crypto::P256;
+  namespace field = bolted::crypto::field;
+  Row row{name, "ops_per_second", 0, 0};
+  row.scalar = FieldChainRate<Op, field::Fp>(x0, y);
+  row.dispatched = row.scalar;
+#if defined(BOLTED_P256_X64)
+  if (P256::Instance().kernel() == P256::Kernel::kX64) {
+    row.dispatched = FieldChainRate<Op, field::FpX64>(x0, y);
+  }
+#endif
+  return row;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -134,7 +194,8 @@ int main(int argc, char** argv) {
   // P-256 rows compare algorithms, not instruction sets: "scalar" is the
   // textbook double-and-add ladder (the test-only oracle in
   // tests/oracle/p256_reference.h) and "dispatched" is the
-  // comb/wNAF/Shamir fast path.  All are ops/second of one full operation.
+  // comb/wNAF/Shamir fast path on the field kernel P256::Instance()
+  // chose.  All are ops/second of one full operation.
   {
     const P256& curve = P256::Instance();
     const bolted::oracle::P256Reference& textbook =
@@ -203,6 +264,15 @@ int main(int argc, char** argv) {
     ecdh.scalar = MeasureRate([&] { textbook.SharedSecret(priv, peer); });
     ecdh.dispatched = MeasureRate([&] { curve.SharedSecret(priv, peer); });
     rows.push_back(ecdh);
+  }
+
+  {
+    Drbg drbg(uint64_t{6});
+    const U256 x0 = field::Fp::ToMont(U256::FromBytes(drbg.Generate(32)));
+    const U256 y = field::Fp::ToMont(U256::FromBytes(drbg.Generate(32)));
+    rows.push_back(FieldRow<FpMul>("p256_fp_mul", x0, y));
+    rows.push_back(FieldRow<FpSqr>("p256_fp_sqr", x0, y));
+    rows.push_back(FieldRow<FpAdd>("p256_fp_add", x0, y));
   }
 
   // Event queue: schedule+fire ops/sec (1024-event batches).

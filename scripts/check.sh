@@ -91,6 +91,33 @@ if [[ "$(uname -m)" == x86_64 ]]; then
     fi
     echo "${kernel}: ${count} ${op}"
   done
+
+  # The P-256 x86-64 field multiply is inlined into the group law, so the
+  # group law instantiated over that kernel (P256::Arith<field::FpX64>)
+  # must hold its MULX rows and ADCX/ADOX carry chains.  A refactor that
+  # sends it back through the portable field::Fp fails here, naming the
+  # function, instead of silently halving P-256 throughput.
+  echo "== tier-1: the P-256 group law runs the x86-64 field kernel =="
+  p256_obj=build/src/CMakeFiles/bolted_crypto.dir/crypto/p256.cc.o
+  if [[ ! -f "${p256_obj}" ]]; then
+    echo "${p256_obj} not found" >&2
+    exit 1
+  fi
+  p256_asm="$(objdump -d -C --no-show-raw-insn "${p256_obj}")"
+  for fn in Double AddMixed AddJacobian; do
+    name="P256::Arith<bolted::crypto::field::FpX64>::${fn}"
+    counts="$(awk -v fn="${name}(" '
+      /^[0-9a-f]+ <.*>:$/ { in_fn = index($0, fn) > 0; next }
+      in_fn && ($2 == "mulx" || $2 == "adcx" || $2 == "adox") { n[$2]++ }
+      END { printf "%d %d %d", n["mulx"], n["adcx"], n["adox"] }' <<< "${p256_asm}")"
+    read -r mulx adcx adox <<< "${counts}"
+    if (( mulx == 0 || adcx == 0 || adox == 0 )); then
+      echo "${name}: ${mulx} mulx, ${adcx} adcx, ${adox} adox in ${p256_obj};" \
+        "it does not run the x86-64 field kernel" >&2
+      exit 1
+    fi
+    echo "${name}: ${mulx} mulx, ${adcx} adcx, ${adox} adox"
+  done
 fi
 
 # Every label step passes --no-tests=error, so a renamed or dropped label

@@ -43,6 +43,8 @@ Features Probe() {
   if (__get_cpuid_count(7, 0, &eax7, &ebx7, &ecx7, &edx7)) {
     f.shani = (ebx7 & bit_SHA) != 0;
     f.avx2 = (ebx7 & bit_AVX2) != 0 && ymm_enabled;
+    f.bmi2 = (ebx7 & bit_BMI2) != 0;
+    f.adx = (ebx7 & bit_ADX) != 0;
   }
 #endif
   return f;

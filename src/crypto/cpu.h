@@ -2,9 +2,10 @@
 //
 // Every primitive with an accelerated path (SHA-256, AES, GHASH, XTS)
 // probes these flags once when its object is constructed and picks either
-// the portable scalar implementation or the SIMD one.  Accelerated output
-// is byte-identical to scalar output, so which backend runs never affects
-// simulation results — only wall-clock time.
+// the portable scalar implementation or the SIMD one; P256::Instance()
+// picks its field kernel the same way, once per process.  Accelerated
+// output is byte-identical to scalar output, so which backend runs never
+// affects simulation results — only wall-clock time.
 //
 // `BOLTED_FORCE_SCALAR=1` in the environment (or SetForceScalar(true)
 // from code, e.g. tests and benchmarks) pins the scalar reference paths.
@@ -19,6 +20,8 @@ struct Features {
   bool pclmul = false;  // PCLMULQDQ: carry-less-multiply GHASH
   bool shani = false;   // SHA extensions: SHA-256 compression
   bool avx2 = false;    // 256-bit integer SIMD (OS must enable YMM state)
+  bool bmi2 = false;    // MULX: flagless 64x64->128 multiply (P-256 field)
+  bool adx = false;     // ADCX/ADOX: two independent carry chains (P-256 field)
 };
 
 // Raw hardware probe, cached after the first call.  Ignores force-scalar.

@@ -2,14 +2,17 @@
 
 #include <cassert>
 
+#include "src/crypto/cpu.h"
 #include "src/crypto/hmac.h"
 #include "src/crypto/p256_field.h"
+#include "src/crypto/p256_field_x64.h"
 
 namespace bolted::crypto {
 namespace {
 
 using field::Fn;
 using field::Fp;
+using AffineMont = P256::AffineMont;
 
 constexpr std::string_view kBHex =
     "5ac635d8aa3a93e7b3ebbd55769886bc651d06b0cc53b0f63bce3c3e27d2604b";
@@ -29,16 +32,30 @@ constexpr int kCombRow = 4095;
 // carry out of the top bit can create one more).
 constexpr int kNafDigits = 257;
 
+// Jacobian coordinates in the Montgomery domain of the field prime.
+struct Jacobian {
+  U256 x;
+  U256 y;
+  U256 z;  // zero limbs = point at infinity
+};
+
+// Per-entry state shared between the batch RLC check and its bisection
+// retries.
+struct BatchItem {
+  const P256::PreparedKey* key = nullptr;
+  U256 u1_mont;        // z/s, Montgomery domain of n
+  U256 u2_mont;        // r/s, Montgomery domain of n
+  AffineMont r_point;  // recovered nonce point R, fp Montgomery affine
+  bool batchable = false;
+};
+
 // Montgomery-domain inverse via safegcd divsteps, with the domain fix-up
 // compiled into this TU so it inlines under the ladder's optimization
 // flags.  a = xR; ModInverseOdd yields x^-1 R^-1, and two products by R^2
-// land on x^-1 R.
-U256 InvMontFp(const U256& a) {
-  return Fp::Mul(Fp::Mul(ModInverseOdd(a, Fp::Modulus()), Fp::R2()), Fp::R2());
-}
-
-U256 InvMontFn(const U256& a) {
-  return Fn::Mul(Fn::Mul(ModInverseOdd(a, Fn::Modulus()), Fn::R2()), Fn::R2());
+// land on x^-1 R.  F is the field kernel (Fn for the group order).
+template <class F>
+U256 InvMont(const U256& a) {
+  return F::Mul(F::Mul(ModInverseOdd(a, F::Modulus()), F::R2()), F::R2());
 }
 
 // Recodes k into width-`width` NAF: every nonzero digit is odd with
@@ -86,6 +103,36 @@ uint64_t CombWindow(const U256& k, int w) {
   return v & 0xfff;
 }
 
+// a^((p+1)/4) mod p — the square root candidate for p ≡ 3 (mod 4).
+// Montgomery domain in and out; the caller re-squares to confirm a was a
+// quadratic residue.
+template <class F>
+U256 SqrtCandidate(const U256& a_mont) {
+  static const U256 e = U256::FromHexString(
+      "3fffffffc000000040000000000000000000000040000000"
+      "0000000000000000");
+  U256 acc = F::One();
+  bool started = false;
+  for (int i = 255; i >= 0; --i) {
+    if (started) {
+      acc = F::Sqr(acc);
+    }
+    if (e.Bit(i)) {
+      acc = started ? F::Mul(acc, a_mont) : a_mont;
+      started = true;
+    }
+  }
+  return acc;
+}
+
+uint64_t Load64BigEndian(const Digest& d) {
+  uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) {
+    v = (v << 8) | d[static_cast<size_t>(i)];
+  }
+  return v;
+}
+
 }  // namespace
 
 Bytes EcPoint::Encode() const {
@@ -126,77 +173,95 @@ std::optional<EcdsaSignature> EcdsaSignature::Decode(ByteView encoded) {
   return sig;
 }
 
-const P256& P256::Instance() {
-  static const P256 curve;
-  return curve;
-}
+// --- The point arithmetic over field kernel F ----------------------------------
+//
+// One source for every kernel: P256 instantiates it over field::Fp and,
+// on x86-64, field::FpX64, and OnKernel picks the instantiation its
+// kernel_ names.  The scalar side (Fn) is the portable field in both.
 
-P256::P256()
-    : p_(Fp::Modulus()), n_(Fn::Modulus()) {
-  b_mont_ = Fp::ToMont(U256::FromHexString(kBHex));
-  three_mont_ = Fp::ToMont(U256{{3, 0, 0, 0}});
-  g_.x = Fp::ToMont(U256::FromHexString(kGxHex));
-  g_.y = Fp::ToMont(U256::FromHexString(kGyHex));
-  g_.z = Fp::One();
+template <class F>
+class P256::Arith {
+ public:
+  explicit Arith(const P256& curve) : c_(curve) {}
 
-  // Build the comb table: row w holds 1..4095 times 2^{12w}·G.  The rows
-  // are accumulated in Jacobian coordinates and normalized to affine in
-  // one Montgomery-trick batch inversion at the end.
-  std::vector<Jacobian> jac(static_cast<size_t>(kCombWindows) * kCombRow);
-  Jacobian window_base = g_;
-  for (int w = 0; w < kCombWindows; ++w) {
-    Jacobian acc = window_base;
-    for (int b = 1; b <= kCombRow; ++b) {
-      jac[static_cast<size_t>(w) * kCombRow + static_cast<size_t>(b) - 1] = acc;
-      AddJacobianFast(acc, window_base);
+  // The fixed-base comb table (see fixed_).
+  std::vector<AffineMont> BuildComb() const;
+
+  bool IsOnCurve(const EcPoint& point) const;
+  EcPoint PublicKey(const U256& private_key) const {
+    return ToAffine(MulBaseComb(private_key));
+  }
+  EcPoint Multiply(const U256& k, const EcPoint& point) const;
+  EcdsaSignature Sign(const U256& private_key, const Digest& message_hash,
+                      EcPoint* r_point) const;
+  bool Verify(const PreparedKey& public_key, const Digest& message_hash,
+              const EcdsaSignature& signature) const;
+  std::optional<PreparedKey> Prepare(const EcPoint& public_key) const;
+  bool VerifyBatch(std::span<const BatchEntry> entries, bool* ok,
+                   BatchStats* stats) const;
+
+ private:
+  static Jacobian ToJacobian(const EcPoint& p) {
+    if (p.infinity) {
+      return Jacobian{};
     }
-    window_base = acc;  // 4096 · 2^{12w}·G = 2^{12(w+1)}·G
+    return Jacobian{F::ToMont(p.x), F::ToMont(p.y), F::One()};
   }
-  fixed_.resize(jac.size());
-  NormalizeBatch(jac, fixed_.data());
-}
+  // y^2 == x^3 - 3x + b, Montgomery domain.
+  bool OnCurveMont(const U256& x, const U256& y) const {
+    const U256 x3 = F::Mul(F::Sqr(x), x);
+    return F::Sqr(y) == F::Add(F::Sub(x3, F::Mul(c_.three_mont_, x)), c_.b_mont_);
+  }
 
-U256 P256::PrivateKeyFromSeed(ByteView seed) const {
-  // Hash-and-reduce with a retry counter; the reduction bias is
-  // irrelevant for a simulator.
-  for (uint32_t counter = 0;; ++counter) {
-    Bytes material(seed.begin(), seed.end());
-    AppendU32(material, counter);
-    const Digest d = Sha256::Hash(material);
-    U256 candidate = U256::FromBytes(DigestView(d));
-    candidate = Fn::Reduce(candidate);
-    if (!candidate.IsZero()) {
-      return candidate;
-    }
-  }
-}
+  // Group law (in place).
+  static void Double(Jacobian& p);
+  static void AddJacobian(Jacobian& p, const Jacobian& q);
+  static void AddMixed(Jacobian& p, const AffineMont& q, bool negate);
+  static EcPoint ToAffine(const Jacobian& p);
+  // Batch-normalizes Jacobian points (none at infinity) to affine via
+  // Montgomery-trick inversion; out must hold in.size() entries.
+  static void NormalizeBatch(std::span<const Jacobian> in, AffineMont* out);
+  static void BuildOddMultiples(const EcPoint& p, std::array<AffineMont, 16>& out);
 
-bool P256::IsOnCurve(const EcPoint& point) const {
-  if (point.infinity) {
-    return true;
-  }
-  if (point.x >= p_ || point.y >= p_) {
-    return false;
-  }
-  const U256 x = Fp::ToMont(point.x);
-  const U256 y = Fp::ToMont(point.y);
-  // y^2 == x^3 - 3x + b
-  const U256 y2 = Fp::Sqr(y);
-  const U256 x3 = Fp::Mul(Fp::Sqr(x), x);
-  const U256 rhs = Fp::Add(Fp::Sub(x3, Fp::Mul(three_mont_, x)), b_mont_);
-  return y2 == rhs;
-}
+  Jacobian MulBaseComb(const U256& k) const;
+  // Adds u1·G to acc through the comb, one table row per nonzero window.
+  void AddBaseComb(Jacobian& acc, const U256& u1) const;
+  static Jacobian MulWnaf(const U256& k, const std::array<AffineMont, 16>& odd);
+  // Joint ladder for u1·G + u2·Q: u2 splits into four 64-bit chunks over
+  // the PreparedKey's four tables (64 doublings), and u1 is folded in
+  // through the fixed-base comb.
+  Jacobian MulStraussShamir(const U256& u1, const U256& u2,
+                            const std::array<AffineMont, 128>& q_tables) const;
 
-P256::Jacobian P256::ToJacobian(const EcPoint& p) const {
-  if (p.infinity) {
-    return Jacobian{};
+  // Runs the single multi-scalar RLC check over the listed items; returns
+  // whether the combination landed on the point at infinity.
+  bool BatchCombinationHolds(const BatchItem* items, std::span<const size_t> idxs) const;
+  // Recursive bisection driver over items [lo, hi).
+  bool VerifyBatchRange(const BatchItem* items, const BatchEntry* entries, bool* ok,
+                        size_t lo, size_t hi, BatchStats* stats) const;
+  // Recovers the nonce point R for one entry: accept the signer's hint if
+  // it validates, otherwise take the even-y square root at x = r (then
+  // x = r + n when that stays below p).  Returns false when no curve
+  // point matches — which proves the signature invalid outright.
+  bool RecoverR(const BatchEntry& e, AffineMont* out, BatchStats* stats) const;
+
+  const P256& c_;
+};
+
+template <class Op>
+decltype(auto) P256::OnKernel(Op&& op) const {
+#if defined(BOLTED_P256_X64)
+  if (kernel_ == Kernel::kX64) {
+    return op(Arith<field::FpX64>(*this));
   }
-  return Jacobian{Fp::ToMont(p.x), Fp::ToMont(p.y), Fp::One()};
+#endif
+  return op(Arith<Fp>(*this));
 }
 
 // --- Group law -------------------------------------------------------------
 
-void P256::DoubleFast(Jacobian& p) const {
+template <class F>
+void P256::Arith<F>::Double(Jacobian& p) {
   if (p.z.IsZero() || p.y.IsZero()) {
     p = Jacobian{};
     return;
@@ -208,28 +273,29 @@ void P256::DoubleFast(Jacobian& p) const {
   //   X3 = alpha^2 - 8*beta
   //   Z3 = (Y+Z)^2 - gamma - delta
   //   Y3 = alpha*(4*beta - X3) - 8*gamma^2
-  const U256 delta = Fp::Sqr(p.z);
-  const U256 gamma = Fp::Sqr(p.y);
-  const U256 beta = Fp::Mul(p.x, gamma);
-  const U256 t = Fp::Mul(Fp::Sub(p.x, delta), Fp::Add(p.x, delta));
-  const U256 alpha = Fp::Add(Fp::Add(t, t), t);
+  const U256 delta = F::Sqr(p.z);
+  const U256 gamma = F::Sqr(p.y);
+  const U256 beta = F::Mul(p.x, gamma);
+  const U256 t = F::Mul(F::Sub(p.x, delta), F::Add(p.x, delta));
+  const U256 alpha = F::Add(F::Add(t, t), t);
 
-  const U256 beta2 = Fp::Add(beta, beta);
-  const U256 beta4 = Fp::Add(beta2, beta2);
-  const U256 beta8 = Fp::Add(beta4, beta4);
+  const U256 beta2 = F::Add(beta, beta);
+  const U256 beta4 = F::Add(beta2, beta2);
+  const U256 beta8 = F::Add(beta4, beta4);
 
-  const U256 x3 = Fp::Sub(Fp::Sqr(alpha), beta8);
-  const U256 z3 = Fp::Sub(Fp::Sub(Fp::Sqr(Fp::Add(p.y, p.z)), gamma), delta);
-  const U256 gamma2 = Fp::Sqr(gamma);
-  const U256 gamma2_2 = Fp::Add(gamma2, gamma2);
-  const U256 gamma2_4 = Fp::Add(gamma2_2, gamma2_2);
-  const U256 gamma2_8 = Fp::Add(gamma2_4, gamma2_4);
-  p.y = Fp::Sub(Fp::Mul(alpha, Fp::Sub(beta4, x3)), gamma2_8);
+  const U256 x3 = F::Sub(F::Sqr(alpha), beta8);
+  const U256 z3 = F::Sub(F::Sub(F::Sqr(F::Add(p.y, p.z)), gamma), delta);
+  const U256 gamma2 = F::Sqr(gamma);
+  const U256 gamma2_2 = F::Add(gamma2, gamma2);
+  const U256 gamma2_4 = F::Add(gamma2_2, gamma2_2);
+  const U256 gamma2_8 = F::Add(gamma2_4, gamma2_4);
+  p.y = F::Sub(F::Mul(alpha, F::Sub(beta4, x3)), gamma2_8);
   p.x = x3;
   p.z = z3;
 }
 
-void P256::AddJacobianFast(Jacobian& p, const Jacobian& q) const {
+template <class F>
+void P256::Arith<F>::AddJacobian(Jacobian& p, const Jacobian& q) {
   if (p.z.IsZero()) {
     p = q;
     return;
@@ -237,130 +303,164 @@ void P256::AddJacobianFast(Jacobian& p, const Jacobian& q) const {
   if (q.z.IsZero()) {
     return;
   }
-  const U256 z1z1 = Fp::Sqr(p.z);
-  const U256 z2z2 = Fp::Sqr(q.z);
-  const U256 u1 = Fp::Mul(p.x, z2z2);
-  const U256 u2 = Fp::Mul(q.x, z1z1);
-  const U256 s1 = Fp::Mul(Fp::Mul(p.y, q.z), z2z2);
-  const U256 s2 = Fp::Mul(Fp::Mul(q.y, p.z), z1z1);
-  const U256 h = Fp::Sub(u2, u1);
-  const U256 r = Fp::Sub(s2, s1);
+  const U256 z1z1 = F::Sqr(p.z);
+  const U256 z2z2 = F::Sqr(q.z);
+  const U256 u1 = F::Mul(p.x, z2z2);
+  const U256 u2 = F::Mul(q.x, z1z1);
+  const U256 s1 = F::Mul(F::Mul(p.y, q.z), z2z2);
+  const U256 s2 = F::Mul(F::Mul(q.y, p.z), z1z1);
+  const U256 h = F::Sub(u2, u1);
+  const U256 r = F::Sub(s2, s1);
   if (h.IsZero()) {
     if (r.IsZero()) {
-      DoubleFast(p);
+      Double(p);
       return;
     }
     p = Jacobian{};  // P + (-P) = infinity
     return;
   }
-  const U256 hh = Fp::Sqr(h);
-  const U256 hhh = Fp::Mul(h, hh);
-  const U256 v = Fp::Mul(u1, hh);
-  const U256 x3 = Fp::Sub(Fp::Sub(Fp::Sqr(r), hhh), Fp::Add(v, v));
-  p.y = Fp::Sub(Fp::Mul(r, Fp::Sub(v, x3)), Fp::Mul(s1, hhh));
-  p.z = Fp::Mul(Fp::Mul(p.z, q.z), h);
+  const U256 hh = F::Sqr(h);
+  const U256 hhh = F::Mul(h, hh);
+  const U256 v = F::Mul(u1, hh);
+  const U256 x3 = F::Sub(F::Sub(F::Sqr(r), hhh), F::Add(v, v));
+  p.y = F::Sub(F::Mul(r, F::Sub(v, x3)), F::Mul(s1, hhh));
+  p.z = F::Mul(F::Mul(p.z, q.z), h);
   p.x = x3;
 }
 
-void P256::AddMixed(Jacobian& p, const AffineMont& q, bool negate) const {
-  const U256 qy = negate ? Fp::Neg(q.y) : q.y;
+template <class F>
+void P256::Arith<F>::AddMixed(Jacobian& p, const AffineMont& q, bool negate) {
+  const U256 qy = negate ? F::Neg(q.y) : q.y;
   if (p.z.IsZero()) {
-    p = Jacobian{q.x, qy, Fp::One()};
+    p = Jacobian{q.x, qy, F::One()};
     return;
   }
   // madd (Z2 = 1): 8M + 3S.
-  const U256 z1z1 = Fp::Sqr(p.z);
-  const U256 u2 = Fp::Mul(q.x, z1z1);
-  const U256 s2 = Fp::Mul(Fp::Mul(qy, p.z), z1z1);
-  const U256 h = Fp::Sub(u2, p.x);
-  const U256 r = Fp::Sub(s2, p.y);
+  const U256 z1z1 = F::Sqr(p.z);
+  const U256 u2 = F::Mul(q.x, z1z1);
+  const U256 s2 = F::Mul(F::Mul(qy, p.z), z1z1);
+  const U256 h = F::Sub(u2, p.x);
+  const U256 r = F::Sub(s2, p.y);
   if (h.IsZero()) {
     if (r.IsZero()) {
-      DoubleFast(p);
+      Double(p);
       return;
     }
     p = Jacobian{};  // P + (-P) = infinity
     return;
   }
-  const U256 hh = Fp::Sqr(h);
-  const U256 hhh = Fp::Mul(h, hh);
-  const U256 v = Fp::Mul(p.x, hh);
-  const U256 x3 = Fp::Sub(Fp::Sub(Fp::Sqr(r), hhh), Fp::Add(v, v));
-  p.y = Fp::Sub(Fp::Mul(r, Fp::Sub(v, x3)), Fp::Mul(p.y, hhh));
-  p.z = Fp::Mul(p.z, h);
+  const U256 hh = F::Sqr(h);
+  const U256 hhh = F::Mul(h, hh);
+  const U256 v = F::Mul(p.x, hh);
+  const U256 x3 = F::Sub(F::Sub(F::Sqr(r), hhh), F::Add(v, v));
+  p.y = F::Sub(F::Mul(r, F::Sub(v, x3)), F::Mul(p.y, hhh));
+  p.z = F::Mul(p.z, h);
   p.x = x3;
 }
 
-EcPoint P256::ToAffineFast(const Jacobian& p) const {
+template <class F>
+EcPoint P256::Arith<F>::ToAffine(const Jacobian& p) {
   if (p.z.IsZero()) {
     return EcPoint{U256::Zero(), U256::Zero(), /*infinity=*/true};
   }
-  const U256 z_inv = InvMontFp(p.z);
-  const U256 z_inv2 = Fp::Sqr(z_inv);
-  const U256 z_inv3 = Fp::Mul(z_inv2, z_inv);
+  const U256 z_inv = InvMont<F>(p.z);
+  const U256 z_inv2 = F::Sqr(z_inv);
+  const U256 z_inv3 = F::Mul(z_inv2, z_inv);
   EcPoint out;
-  out.x = Fp::FromMont(Fp::Mul(p.x, z_inv2));
-  out.y = Fp::FromMont(Fp::Mul(p.y, z_inv3));
+  out.x = F::FromMont(F::Mul(p.x, z_inv2));
+  out.y = F::FromMont(F::Mul(p.y, z_inv3));
   return out;
 }
 
-void P256::NormalizeBatch(std::span<const Jacobian> in, AffineMont* out) const {
+template <class F>
+void P256::Arith<F>::NormalizeBatch(std::span<const Jacobian> in, AffineMont* out) {
   // Montgomery trick with one inversion: prefix[i] holds the
   // product of all z's before i, so peeling the total inverse back to
   // front yields each individual z^-1 with three products per point.
   std::vector<U256> prefix(in.size());
-  U256 acc = Fp::One();
+  U256 acc = F::One();
   for (size_t i = 0; i < in.size(); ++i) {
     assert(!in[i].z.IsZero());
     prefix[i] = acc;
-    acc = Fp::Mul(acc, in[i].z);
+    acc = F::Mul(acc, in[i].z);
   }
-  U256 inv = InvMontFp(acc);
+  U256 inv = InvMont<F>(acc);
   for (size_t i = in.size(); i-- > 0;) {
-    const U256 z_inv = Fp::Mul(inv, prefix[i]);
-    inv = Fp::Mul(inv, in[i].z);
-    const U256 z2 = Fp::Sqr(z_inv);
-    out[i].x = Fp::Mul(in[i].x, z2);
-    out[i].y = Fp::Mul(in[i].y, Fp::Mul(z2, z_inv));
+    const U256 z_inv = F::Mul(inv, prefix[i]);
+    inv = F::Mul(inv, in[i].z);
+    const U256 z2 = F::Sqr(z_inv);
+    out[i].x = F::Mul(in[i].x, z2);
+    out[i].y = F::Mul(in[i].y, F::Mul(z2, z_inv));
   }
 }
 
-void P256::BuildOddMultiples(const EcPoint& p, std::array<AffineMont, 16>& out) const {
+template <class F>
+void P256::Arith<F>::BuildOddMultiples(const EcPoint& p, std::array<AffineMont, 16>& out) {
   // 1P, 3P, ..., 31P: one doubling plus 15 additions, then one batch
   // normalization so the joint ladder can use mixed additions.
   std::array<Jacobian, 16> jac;
   jac[0] = ToJacobian(p);
   Jacobian twice = jac[0];
-  DoubleFast(twice);
+  Double(twice);
   for (size_t i = 1; i < jac.size(); ++i) {
     jac[i] = jac[i - 1];
-    AddJacobianFast(jac[i], twice);
+    AddJacobian(jac[i], twice);
   }
   NormalizeBatch(jac, out.data());
 }
 
+template <class F>
+std::vector<AffineMont> P256::Arith<F>::BuildComb() const {
+  // Row w holds 1..4095 times 2^{12w}·G.  The rows are accumulated in
+  // Jacobian coordinates and normalized to affine in one Montgomery-trick
+  // batch inversion at the end.
+  std::vector<Jacobian> jac(static_cast<size_t>(kCombWindows) * kCombRow);
+  EcPoint g;
+  g.x = U256::FromHexString(kGxHex);
+  g.y = U256::FromHexString(kGyHex);
+  Jacobian window_base = ToJacobian(g);
+  for (int w = 0; w < kCombWindows; ++w) {
+    Jacobian acc = window_base;
+    for (int b = 1; b <= kCombRow; ++b) {
+      jac[static_cast<size_t>(w) * kCombRow + static_cast<size_t>(b) - 1] = acc;
+      AddJacobian(acc, window_base);
+    }
+    window_base = acc;  // 4096 · 2^{12w}·G = 2^{12(w+1)}·G
+  }
+  std::vector<AffineMont> table(jac.size());
+  NormalizeBatch(jac, table.data());
+  return table;
+}
+
 // --- Scalar multiplication fast paths --------------------------------------
 
-P256::Jacobian P256::MulBaseComb(const U256& k) const {
+template <class F>
+void P256::Arith<F>::AddBaseComb(Jacobian& acc, const U256& u1) const {
   // One mixed addition per nonzero 12-bit window; the comb table supplies
   // d · 2^{12w} · G directly, so no doublings at all.
-  Jacobian acc{};
   for (int w = 0; w < kCombWindows; ++w) {
-    const uint64_t d = CombWindow(k, w);
+    const uint64_t d = CombWindow(u1, w);
     if (d != 0) {
-      const size_t index = static_cast<size_t>(w) * kCombRow + d - 1;
-      AddMixed(acc, fixed_[index], /*negate=*/false);
+      AddMixed(acc, c_.fixed_[static_cast<size_t>(w) * kCombRow + d - 1],
+               /*negate=*/false);
     }
   }
+}
+
+template <class F>
+Jacobian P256::Arith<F>::MulBaseComb(const U256& k) const {
+  Jacobian acc{};
+  AddBaseComb(acc, k);
   return acc;
 }
 
-P256::Jacobian P256::MulWnaf(const U256& k, const std::array<AffineMont, 16>& odd) const {
+template <class F>
+Jacobian P256::Arith<F>::MulWnaf(const U256& k, const std::array<AffineMont, 16>& odd) {
   int8_t digits[kNafDigits];
   const int top = RecodeWnaf(k, /*width=*/6, digits);
   Jacobian acc{};
   for (int i = top; i >= 0; --i) {
-    DoubleFast(acc);
+    Double(acc);
     const int d = digits[i];
     if (d != 0) {
       const size_t index = static_cast<size_t>((d < 0 ? -d : d) - 1) / 2;
@@ -370,7 +470,8 @@ P256::Jacobian P256::MulWnaf(const U256& k, const std::array<AffineMont, 16>& od
   return acc;
 }
 
-P256::Jacobian P256::MulStraussShamir(
+template <class F>
+Jacobian P256::Arith<F>::MulStraussShamir(
     const U256& u1, const U256& u2,
     const std::array<AffineMont, 128>& q_tables) const {
   // The PreparedKey tables cover 2^{64j}·Q for j ∈ [0, 4), so u2 splits
@@ -389,7 +490,7 @@ P256::Jacobian P256::MulStraussShamir(
   }
   Jacobian acc{};
   for (int i = top; i >= 0; --i) {
-    DoubleFast(acc);
+    Double(acc);
     for (int j = 0; j < 4; ++j) {
       const int d = digits[j][i];
       if (d != 0) {
@@ -399,37 +500,36 @@ P256::Jacobian P256::MulStraussShamir(
       }
     }
   }
-  for (int w = 0; w < kCombWindows; ++w) {
-    const uint64_t d = CombWindow(u1, w);
-    if (d != 0) {
-      AddMixed(acc, fixed_[static_cast<size_t>(w) * kCombRow + d - 1],
-               /*negate=*/false);
-    }
-  }
+  AddBaseComb(acc, u1);
   return acc;
 }
 
-// --- Public API ------------------------------------------------------------
+// --- Public operations -----------------------------------------------------
 
-EcPoint P256::PublicKey(const U256& private_key) const {
-  return ToAffineFast(MulBaseComb(private_key));
+template <class F>
+bool P256::Arith<F>::IsOnCurve(const EcPoint& point) const {
+  if (point.infinity) {
+    return true;
+  }
+  if (point.x >= c_.p_ || point.y >= c_.p_) {
+    return false;
+  }
+  return OnCurveMont(F::ToMont(point.x), F::ToMont(point.y));
 }
 
-EcPoint P256::Multiply(const U256& k, const EcPoint& point) const {
+template <class F>
+EcPoint P256::Arith<F>::Multiply(const U256& k, const EcPoint& point) const {
   if (point.infinity || k.IsZero()) {
     return EcPoint{U256::Zero(), U256::Zero(), /*infinity=*/true};
   }
   std::array<AffineMont, 16> odd;
   BuildOddMultiples(point, odd);
-  return ToAffineFast(MulWnaf(k, odd));
+  return ToAffine(MulWnaf(k, odd));
 }
 
-EcdsaSignature P256::Sign(const U256& private_key, const Digest& message_hash) const {
-  return Sign(private_key, message_hash, nullptr);
-}
-
-EcdsaSignature P256::Sign(const U256& private_key, const Digest& message_hash,
-                          EcPoint* r_point) const {
+template <class F>
+EcdsaSignature P256::Arith<F>::Sign(const U256& private_key, const Digest& message_hash,
+                                    EcPoint* r_point) const {
   const U256 z = Fn::Reduce(U256::FromBytes(DigestView(message_hash)));
   const Bytes priv_bytes = private_key.ToBytes();
 
@@ -446,7 +546,7 @@ EcdsaSignature P256::Sign(const U256& private_key, const Digest& message_hash,
       continue;
     }
 
-    const EcPoint kg = ToAffineFast(MulBaseComb(k));
+    const EcPoint kg = ToAffine(MulBaseComb(k));
     const U256 r = Fn::Reduce(kg.x);
     if (r.IsZero()) {
       continue;
@@ -458,7 +558,7 @@ EcdsaSignature P256::Sign(const U256& private_key, const Digest& message_hash,
     const U256 d_mont = Fn::ToMont(private_key);
     const U256 z_mont = Fn::ToMont(z);
     const U256 sum = Fn::Add(z_mont, Fn::Mul(r_mont, d_mont));
-    const U256 s_mont = Fn::Mul(InvMontFn(k_mont), sum);
+    const U256 s_mont = Fn::Mul(InvMont<Fn>(k_mont), sum);
     const U256 s = Fn::FromMont(s_mont);
     if (s.IsZero()) {
       continue;
@@ -472,29 +572,25 @@ EcdsaSignature P256::Sign(const U256& private_key, const Digest& message_hash,
     EcPoint nonce = kg;
     U256 s_out = s;
     if (kg.y.IsOdd()) {
-      SubBorrow(n_, s, s_out);
-      SubBorrow(p_, kg.y, nonce.y);
+      SubBorrow(c_.n_, s, s_out);
+      SubBorrow(c_.p_, kg.y, nonce.y);
     }
     *r_point = nonce;
     return EcdsaSignature{r, s_out};
   }
 }
 
-bool P256::Verify(const EcPoint& public_key, const Digest& message_hash,
-                  const EcdsaSignature& signature) const {
-  const std::optional<PreparedKey> key = Prepare(public_key);
-  return key.has_value() && Verify(*key, message_hash, signature);
-}
-
-bool P256::Verify(const PreparedKey& public_key, const Digest& message_hash,
-                  const EcdsaSignature& signature) const {
-  if (signature.r.IsZero() || signature.s.IsZero() || signature.r >= n_ ||
-      signature.s >= n_) {
+template <class F>
+bool P256::Arith<F>::Verify(const PreparedKey& public_key, const Digest& message_hash,
+                            const EcdsaSignature& signature) const {
+  const U256& n = c_.n_;
+  if (signature.r.IsZero() || signature.s.IsZero() || signature.r >= n ||
+      signature.s >= n) {
     return false;
   }
   const U256 z = Fn::Reduce(U256::FromBytes(DigestView(message_hash)));
   const U256 s_mont = Fn::ToMont(signature.s);
-  const U256 w_mont = InvMontFn(s_mont);  // s^-1 in Montgomery form
+  const U256 w_mont = InvMont<Fn>(s_mont);  // s^-1 in Montgomery form
   const U256 u1 = Fn::FromMont(Fn::Mul(Fn::ToMont(z), w_mont));
   const U256 u2 = Fn::FromMont(Fn::Mul(Fn::ToMont(signature.r), w_mont));
 
@@ -506,18 +602,19 @@ bool P256::Verify(const PreparedKey& public_key, const Digest& message_hash,
   // the affine x equals X/Z^2, and x mod n == r means x is r or r + n
   // (the only candidates below p), so test X == candidate * Z^2 instead
   // of paying a field inversion.
-  const U256 z2 = Fp::Sqr(sum.z);
-  if (Fp::Mul(Fp::ToMont(signature.r), z2) == sum.x) {
+  const U256 z2 = F::Sqr(sum.z);
+  if (F::Mul(F::ToMont(signature.r), z2) == sum.x) {
     return true;
   }
   U256 r_plus_n;
-  if (AddCarry(signature.r, n_, r_plus_n) == 0 && r_plus_n < p_) {
-    return Fp::Mul(Fp::ToMont(r_plus_n), z2) == sum.x;
+  if (AddCarry(signature.r, n, r_plus_n) == 0 && r_plus_n < c_.p_) {
+    return F::Mul(F::ToMont(r_plus_n), z2) == sum.x;
   }
   return false;
 }
 
-std::optional<P256::PreparedKey> P256::Prepare(const EcPoint& public_key) const {
+template <class F>
+std::optional<P256::PreparedKey> P256::Arith<F>::Prepare(const EcPoint& public_key) const {
   if (!IsOnCurve(public_key) || public_key.infinity) {
     return std::nullopt;
   }
@@ -532,15 +629,15 @@ std::optional<P256::PreparedKey> P256::Prepare(const EcPoint& public_key) const 
   Jacobian base = ToJacobian(public_key);
   for (int j = 0; j < 4; ++j) {
     Jacobian twice = base;
-    DoubleFast(twice);
+    Double(twice);
     jac[32 * j] = base;
     for (int i = 1; i < 32; ++i) {
       jac[32 * j + i] = jac[32 * j + i - 1];
-      AddJacobianFast(jac[32 * j + i], twice);
+      AddJacobian(jac[32 * j + i], twice);
     }
     if (j < 3) {
       for (int k = 0; k < 64; ++k) {
-        DoubleFast(base);
+        Double(base);
       }
     }
   }
@@ -550,49 +647,9 @@ std::optional<P256::PreparedKey> P256::Prepare(const EcPoint& public_key) const 
 
 // --- Batch verification ------------------------------------------------------
 
-struct P256::BatchItem {
-  const PreparedKey* key = nullptr;
-  U256 u1_mont;        // z/s, Montgomery domain of n
-  U256 u2_mont;        // r/s, Montgomery domain of n
-  AffineMont r_point;  // recovered nonce point R, fp Montgomery affine
-  bool batchable = false;
-};
-
-namespace {
-
-// a^((p+1)/4) mod p — the square root candidate for p ≡ 3 (mod 4).
-// Montgomery domain in and out; the caller re-squares to confirm a was a
-// quadratic residue.
-U256 SqrtCandidateFp(const U256& a_mont) {
-  static const U256 e = U256::FromHexString(
-      "3fffffffc000000040000000000000000000000040000000"
-      "0000000000000000");
-  U256 acc = Fp::One();
-  bool started = false;
-  for (int i = 255; i >= 0; --i) {
-    if (started) {
-      acc = Fp::Sqr(acc);
-    }
-    if (e.Bit(i)) {
-      acc = started ? Fp::Mul(acc, a_mont) : a_mont;
-      started = true;
-    }
-  }
-  return acc;
-}
-
-uint64_t Load64BigEndian(const Digest& d) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v = (v << 8) | d[static_cast<size_t>(i)];
-  }
-  return v;
-}
-
-}  // namespace
-
-bool P256::BatchCombinationHolds(const BatchItem* items,
-                                 std::span<const size_t> idxs) const {
+template <class F>
+bool P256::Arith<F>::BatchCombinationHolds(const BatchItem* items,
+                                           std::span<const size_t> idxs) const {
   // Fiat–Shamir coefficient seed over the sub-batch transcript: the exact
   // (Q, u1, u2, R) tuples the combination will check.  Deterministic, so
   // replays and bisection retries are reproducible.
@@ -645,13 +702,13 @@ bool P256::BatchCombinationHolds(const BatchItem* items,
 
     // Odd multiples 1,3,5,7 of R.  R has order n (it passed the on-curve
     // check and the curve group is prime), so none of them is infinity.
-    Jacobian base{it.r_point.x, it.r_point.y, Fp::One()};
+    Jacobian base{it.r_point.x, it.r_point.y, F::One()};
     Jacobian twice = base;
-    DoubleFast(twice);
+    Double(twice);
     r_jac[s * 4] = base;
     for (size_t k = 1; k < 4; ++k) {
       r_jac[s * 4 + k] = r_jac[s * 4 + k - 1];
-      AddJacobianFast(r_jac[s * 4 + k], twice);
+      AddJacobian(r_jac[s * 4 + k], twice);
     }
   }
   NormalizeBatch(r_jac, r_tab.data());
@@ -660,7 +717,7 @@ bool P256::BatchCombinationHolds(const BatchItem* items,
   // rides the fixed-base comb afterwards with no doublings of its own.
   Jacobian sum{};
   for (int i = top; i >= 0; --i) {
-    DoubleFast(sum);
+    Double(sum);
     for (size_t s = 0; s < m; ++s) {
       const BatchItem& it = items[idxs[s]];
       for (size_t j = 0; j < 4; ++j) {
@@ -681,20 +738,14 @@ bool P256::BatchCombinationHolds(const BatchItem* items,
       }
     }
   }
-  const U256 a = Fn::FromMont(a_mont);
-  for (int w = 0; w < kCombWindows; ++w) {
-    const uint64_t d = CombWindow(a, w);
-    if (d != 0) {
-      AddMixed(sum, fixed_[static_cast<size_t>(w) * kCombRow + d - 1],
-               /*negate=*/false);
-    }
-  }
+  AddBaseComb(sum, Fn::FromMont(a_mont));
   return sum.z.IsZero();
 }
 
-bool P256::VerifyBatchRange(const BatchItem* items, const BatchEntry* entries,
-                            bool* ok, size_t lo, size_t hi,
-                            BatchStats* stats) const {
+template <class F>
+bool P256::Arith<F>::VerifyBatchRange(const BatchItem* items, const BatchEntry* entries,
+                                      bool* ok, size_t lo, size_t hi,
+                                      BatchStats* stats) const {
   std::vector<size_t> idxs;
   idxs.reserve(hi - lo);
   for (size_t i = lo; i < hi; ++i) {
@@ -726,6 +777,177 @@ bool P256::VerifyBatchRange(const BatchItem* items, const BatchEntry* entries,
   return left && right;
 }
 
+template <class F>
+bool P256::Arith<F>::RecoverR(const BatchEntry& e, AffineMont* out,
+                              BatchStats* stats) const {
+  if (e.r_hint != nullptr) {
+    const EcPoint& h = *e.r_hint;
+    if (!h.infinity && h.x < c_.p_ && h.y < c_.p_ && Fn::Reduce(h.x) == e.signature.r) {
+      const U256 hx = F::ToMont(h.x);
+      const U256 hy = F::ToMont(h.y);
+      if (OnCurveMont(hx, hy)) {
+        out->x = hx;
+        out->y = hy;
+        return true;
+      }
+    }
+    ++stats->rejected_hints;
+  }
+  ++stats->sqrt_recoveries;
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    U256 x = e.signature.r;
+    if (attempt == 1 && (AddCarry(e.signature.r, c_.n_, x) != 0 || x >= c_.p_)) {
+      break;
+    }
+    const U256 x_mont = F::ToMont(x);
+    const U256 rhs = F::Add(
+        F::Sub(F::Mul(F::Sqr(x_mont), x_mont), F::Mul(c_.three_mont_, x_mont)),
+        c_.b_mont_);
+    U256 y_mont = SqrtCandidate<F>(rhs);
+    if (F::Sqr(y_mont) != rhs) {
+      continue;  // x is not on the curve
+    }
+    if (F::FromMont(y_mont).IsOdd()) {
+      y_mont = F::Neg(y_mont);
+    }
+    out->x = x_mont;
+    out->y = y_mont;
+    return true;
+  }
+  return false;
+}
+
+template <class F>
+bool P256::Arith<F>::VerifyBatch(std::span<const BatchEntry> entries, bool* ok,
+                                 BatchStats* stats) const {
+  const size_t n = entries.size();
+  // Shape checks plus one batched inversion for every s: prefix products
+  // in the Montgomery domain of n, then a single divstep inverse peeled
+  // back into the individual w = s⁻¹ values.
+  std::vector<BatchItem> items(n);
+  std::vector<U256> s_mont(n);
+  std::vector<U256> prefix(n);
+  U256 acc = Fn::One();
+  for (size_t i = 0; i < n; ++i) {
+    const BatchEntry& e = entries[i];
+    ok[i] = false;
+    if (e.key == nullptr || e.signature.r.IsZero() || e.signature.s.IsZero() ||
+        e.signature.r >= c_.n_ || e.signature.s >= c_.n_) {
+      continue;  // malformed; ok[i] = false is already exact
+    }
+    items[i].key = e.key;
+    s_mont[i] = Fn::ToMont(e.signature.s);
+    prefix[i] = acc;
+    acc = Fn::Mul(acc, s_mont[i]);
+  }
+  U256 inv = InvMont<Fn>(acc);
+  for (size_t i = n; i-- > 0;) {
+    if (items[i].key == nullptr) {
+      continue;
+    }
+    const BatchEntry& e = entries[i];
+    const U256 w_mont = Fn::Mul(inv, prefix[i]);
+    inv = Fn::Mul(inv, s_mont[i]);
+    const U256 z = Fn::Reduce(U256::FromBytes(DigestView(e.message_hash)));
+    items[i].u1_mont = Fn::Mul(Fn::ToMont(z), w_mont);
+    items[i].u2_mont = Fn::Mul(Fn::ToMont(e.signature.r), w_mont);
+    items[i].batchable = RecoverR(e, &items[i].r_point, stats);
+  }
+
+  VerifyBatchRange(items.data(), entries.data(), ok, 0, n, stats);
+  bool all = true;
+  for (size_t i = 0; i < n; ++i) {
+    all = all && ok[i];
+  }
+  return all;
+}
+
+// --- P256: kernel choice and the public API ----------------------------------
+
+const P256& P256::Instance() {
+  static const P256& curve = []() -> const P256& {
+    const cpu::Features features = cpu::Get();
+    const P256* x64 = features.bmi2 && features.adx ? X64() : nullptr;
+    return x64 != nullptr ? *x64 : Portable();
+  }();
+  return curve;
+}
+
+const P256& P256::Portable() {
+  static const P256 curve(Kernel::kPortable);
+  return curve;
+}
+
+const P256* P256::X64() {
+#if defined(BOLTED_P256_X64)
+  if (cpu::Detect().bmi2 && cpu::Detect().adx) {
+    static const P256 curve(Kernel::kX64);
+    return &curve;
+  }
+#endif
+  return nullptr;
+}
+
+P256::P256(Kernel kernel)
+    : kernel_(kernel), p_(Fp::Modulus()), n_(Fn::Modulus()) {
+  b_mont_ = Fp::ToMont(U256::FromHexString(kBHex));
+  three_mont_ = Fp::ToMont(U256{{3, 0, 0, 0}});
+  fixed_ = OnKernel([](auto arith) { return arith.BuildComb(); });
+}
+
+U256 P256::PrivateKeyFromSeed(ByteView seed) const {
+  // Hash-and-reduce with a retry counter; the reduction bias is
+  // irrelevant for a simulator.
+  for (uint32_t counter = 0;; ++counter) {
+    Bytes material(seed.begin(), seed.end());
+    AppendU32(material, counter);
+    const Digest d = Sha256::Hash(material);
+    U256 candidate = U256::FromBytes(DigestView(d));
+    candidate = Fn::Reduce(candidate);
+    if (!candidate.IsZero()) {
+      return candidate;
+    }
+  }
+}
+
+bool P256::IsOnCurve(const EcPoint& point) const {
+  return OnKernel([&](auto arith) { return arith.IsOnCurve(point); });
+}
+
+EcPoint P256::PublicKey(const U256& private_key) const {
+  return OnKernel([&](auto arith) { return arith.PublicKey(private_key); });
+}
+
+EcPoint P256::Multiply(const U256& k, const EcPoint& point) const {
+  return OnKernel([&](auto arith) { return arith.Multiply(k, point); });
+}
+
+EcdsaSignature P256::Sign(const U256& private_key, const Digest& message_hash) const {
+  return Sign(private_key, message_hash, nullptr);
+}
+
+EcdsaSignature P256::Sign(const U256& private_key, const Digest& message_hash,
+                          EcPoint* r_point) const {
+  return OnKernel(
+      [&](auto arith) { return arith.Sign(private_key, message_hash, r_point); });
+}
+
+bool P256::Verify(const EcPoint& public_key, const Digest& message_hash,
+                  const EcdsaSignature& signature) const {
+  const std::optional<PreparedKey> key = Prepare(public_key);
+  return key.has_value() && Verify(*key, message_hash, signature);
+}
+
+bool P256::Verify(const PreparedKey& public_key, const Digest& message_hash,
+                  const EcdsaSignature& signature) const {
+  return OnKernel(
+      [&](auto arith) { return arith.Verify(public_key, message_hash, signature); });
+}
+
+std::optional<P256::PreparedKey> P256::Prepare(const EcPoint& public_key) const {
+  return OnKernel([&](auto arith) { return arith.Prepare(public_key); });
+}
+
 bool P256::VerifyBatch(std::span<const BatchEntry> entries, bool* ok,
                        BatchStats* stats) const {
   const size_t n = entries.size();
@@ -741,94 +963,7 @@ bool P256::VerifyBatch(std::span<const BatchEntry> entries, bool* ok,
             Verify(*entries[0].key, entries[0].message_hash, entries[0].signature);
     return ok[0];
   }
-
-  const auto on_curve_mont = [&](const U256& x_mont, const U256& y_mont) {
-    const U256 y2 = Fp::Sqr(y_mont);
-    const U256 x3 = Fp::Mul(Fp::Sqr(x_mont), x_mont);
-    return y2 == Fp::Add(Fp::Sub(x3, Fp::Mul(three_mont_, x_mont)), b_mont_);
-  };
-  // Recovers the nonce point R for one entry: accept the signer's hint if
-  // it validates, otherwise take the even-y square root at x = r (then
-  // x = r + n when that stays below p).  Returns false when no curve
-  // point matches — which proves the signature invalid outright.
-  const auto recover_r = [&](const BatchEntry& e, AffineMont* out) -> bool {
-    if (e.r_hint != nullptr) {
-      const EcPoint& h = *e.r_hint;
-      if (!h.infinity && h.x < p_ && h.y < p_ &&
-          Fn::Reduce(h.x) == e.signature.r) {
-        const U256 hx = Fp::ToMont(h.x);
-        const U256 hy = Fp::ToMont(h.y);
-        if (on_curve_mont(hx, hy)) {
-          out->x = hx;
-          out->y = hy;
-          return true;
-        }
-      }
-      ++stats->rejected_hints;
-    }
-    ++stats->sqrt_recoveries;
-    for (int attempt = 0; attempt < 2; ++attempt) {
-      U256 x = e.signature.r;
-      if (attempt == 1 && (AddCarry(e.signature.r, n_, x) != 0 || x >= p_)) {
-        break;
-      }
-      const U256 x_mont = Fp::ToMont(x);
-      const U256 rhs = Fp::Add(
-          Fp::Sub(Fp::Mul(Fp::Sqr(x_mont), x_mont), Fp::Mul(three_mont_, x_mont)),
-          b_mont_);
-      U256 y_mont = SqrtCandidateFp(rhs);
-      if (Fp::Sqr(y_mont) != rhs) {
-        continue;  // x is not on the curve
-      }
-      if (Fp::FromMont(y_mont).IsOdd()) {
-        y_mont = Fp::Neg(y_mont);
-      }
-      out->x = x_mont;
-      out->y = y_mont;
-      return true;
-    }
-    return false;
-  };
-
-  // Shape checks plus one batched inversion for every s: prefix products
-  // in the Montgomery domain of n, then a single divstep inverse peeled
-  // back into the individual w = s⁻¹ values.
-  std::vector<BatchItem> items(n);
-  std::vector<U256> s_mont(n);
-  std::vector<U256> prefix(n);
-  U256 acc = Fn::One();
-  for (size_t i = 0; i < n; ++i) {
-    const BatchEntry& e = entries[i];
-    ok[i] = false;
-    if (e.key == nullptr || e.signature.r.IsZero() || e.signature.s.IsZero() ||
-        e.signature.r >= n_ || e.signature.s >= n_) {
-      continue;  // malformed; ok[i] = false is already exact
-    }
-    items[i].key = e.key;
-    s_mont[i] = Fn::ToMont(e.signature.s);
-    prefix[i] = acc;
-    acc = Fn::Mul(acc, s_mont[i]);
-  }
-  U256 inv = InvMontFn(acc);
-  for (size_t i = n; i-- > 0;) {
-    if (items[i].key == nullptr) {
-      continue;
-    }
-    const BatchEntry& e = entries[i];
-    const U256 w_mont = Fn::Mul(inv, prefix[i]);
-    inv = Fn::Mul(inv, s_mont[i]);
-    const U256 z = Fn::Reduce(U256::FromBytes(DigestView(e.message_hash)));
-    items[i].u1_mont = Fn::Mul(Fn::ToMont(z), w_mont);
-    items[i].u2_mont = Fn::Mul(Fn::ToMont(e.signature.r), w_mont);
-    items[i].batchable = recover_r(e, &items[i].r_point);
-  }
-
-  VerifyBatchRange(items.data(), entries.data(), ok, 0, n, stats);
-  bool all = true;
-  for (size_t i = 0; i < n; ++i) {
-    all = all && ok[i];
-  }
-  return all;
+  return OnKernel([&](auto arith) { return arith.VerifyBatch(entries, ok, stats); });
 }
 
 std::optional<Bytes> P256::SharedSecret(const U256& private_key,

@@ -15,6 +15,11 @@
 // batch inversion.  The tests and the crypto bench check every path
 // against a textbook double-and-add ladder kept outside this library.
 //
+// All of that point arithmetic is one source instantiated over a field
+// kernel (DESIGN.md §5): the portable field::Fp, or on x86-64 CPUs with
+// BMI2 and ADX the MULX/ADCX/ADOX field::FpX64.  Both compute the same
+// values, so every key, signature and verdict is identical on both.
+//
 // Scalar multiplication is not constant-time; this library runs inside a
 // simulator, not against live adversaries.
 
@@ -22,6 +27,7 @@
 #define SRC_CRYPTO_P256_H_
 
 #include <array>
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <vector>
@@ -53,8 +59,22 @@ struct EcdsaSignature {
 
 class P256 {
  public:
-  // Returns the process-wide curve instance (the tables are immutable).
+  enum class Kernel : uint8_t {
+    kPortable,  // field::Fp, every host
+    kX64,       // field::FpX64: x86-64 with BMI2 and ADX
+  };
+
+  // The process-wide curve over the kernel chosen once from cpu::Get():
+  // kX64 where the CPU has BMI2 and ADX, kPortable under
+  // BOLTED_FORCE_SCALAR and everywhere else.  The tables are immutable.
   static const P256& Instance();
+  // The process-wide curve over one kernel, whatever Instance() chose:
+  // the differential tests and the crypto bench compare the two.  X64()
+  // is null unless this is an x86-64 build on a CPU with BMI2 and ADX.
+  static const P256& Portable();
+  static const P256* X64();
+
+  Kernel kernel() const { return kernel_; }
 
   // Derives a private scalar in [1, n-1] from seed material.
   U256 PrivateKeyFromSeed(ByteView seed) const;
@@ -80,6 +100,7 @@ class P256 {
   struct AffineMont {
     U256 x;
     U256 y;
+    bool operator==(const AffineMont&) const = default;
   };
 
   // A public key that has been decoded, curve-checked, and equipped with
@@ -93,6 +114,8 @@ class P256 {
    public:
     PreparedKey() = default;
     const EcPoint& point() const { return point_; }
+    // Point and tables alike: both field kernels prepare identical keys.
+    bool operator==(const PreparedKey&) const = default;
 
    private:
     friend class P256;
@@ -151,51 +174,22 @@ class P256 {
   const U256& order() const { return n_; }
 
  private:
-  P256();
+  explicit P256(Kernel kernel);
 
-  // Jacobian coordinates in the Montgomery domain of the field prime.
-  struct Jacobian {
-    U256 x;
-    U256 y;
-    U256 z;  // zero limbs = point at infinity
-  };
+  // The point arithmetic -- group law, comb, wNAF, Strauss–Shamir,
+  // Prepare, the batch RLC check and the inversion lifts -- over field
+  // kernel F (p256.cc).
+  template <class F>
+  class Arith;
+  // Runs op(Arith<F>) for this instance's kernel F.
+  template <class Op>
+  decltype(auto) OnKernel(Op&& op) const;
 
-  Jacobian ToJacobian(const EcPoint& p) const;
-
-  // Group law (field::Fp arithmetic, in-place).
-  void DoubleFast(Jacobian& p) const;
-  void AddJacobianFast(Jacobian& p, const Jacobian& q) const;
-  void AddMixed(Jacobian& p, const AffineMont& q, bool negate) const;
-  EcPoint ToAffineFast(const Jacobian& p) const;
-  // Batch-normalizes Jacobian points (none at infinity) to affine via
-  // Montgomery-trick inversion; out must hold in.size() entries.
-  void NormalizeBatch(std::span<const Jacobian> in, AffineMont* out) const;
-  void BuildOddMultiples(const EcPoint& p, std::array<AffineMont, 16>& out) const;
-
-  Jacobian MulBaseComb(const U256& k) const;
-  Jacobian MulWnaf(const U256& k, const std::array<AffineMont, 16>& odd) const;
-  // Joint ladder for u1·G + u2·Q: u2 splits into four 64-bit chunks over
-  // the PreparedKey's four tables (64 doublings), and u1 is folded in
-  // through the fixed-base comb.
-  Jacobian MulStraussShamir(const U256& u1, const U256& u2,
-                            const std::array<AffineMont, 128>& q_tables) const;
-
-  // Per-entry state shared between the batch RLC check and its bisection
-  // retries (defined in p256.cc).
-  struct BatchItem;
-  // Runs the single multi-scalar RLC check over the listed items; returns
-  // whether the combination landed on the point at infinity.
-  bool BatchCombinationHolds(const BatchItem* items,
-                             std::span<const size_t> idxs) const;
-  // Recursive bisection driver over items [lo, hi).
-  bool VerifyBatchRange(const BatchItem* items, const BatchEntry* entries,
-                        bool* ok, size_t lo, size_t hi, BatchStats* stats) const;
-
+  Kernel kernel_;
   U256 p_;  // field prime
   U256 n_;  // group order
   U256 b_mont_;       // curve b in Montgomery form
   U256 three_mont_;   // 3 in Montgomery form
-  Jacobian g_;        // base point
   // Fixed-base comb: fixed_[w*4095 + b - 1] = b · 2^{12w} · G for
   // w ∈ [0, 22), b ∈ [1, 4095], so any scalar is a sum of at most 22
   // table points with no doublings.

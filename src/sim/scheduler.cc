@@ -39,8 +39,11 @@ namespace bolted::sim {
 //    batch and are appended.
 //
 //  * The cached minimum: wheel_min_, when known, is the least `when` in
-//    the wheel.  Insertions lower it, and anything that may raise it (a
-//    refill, or removing a record at that instant) forgets it.
+//    the wheel.  Insertions lower it, and removing a record at that
+//    instant forgets it.  A refill sets it to what it saw on the way: the
+//    least `when` its cascade moved below the drained instant's level, or
+//    the next occupied level-0 slot; it forgets it only when neither
+//    holds a record.
 
 WheelScheduler::WheelScheduler() {
   for (auto& level : heads_) {
@@ -231,17 +234,29 @@ bool WheelScheduler::RefillDrain() {
     return false;
   }
 
-  int level = LowestLevel();
+  const int level = LowestLevel();
   int slot = std::countr_zero(occupancy_[level]);
+  // The least `when` the wheel keeps after this batch leaves it, when the
+  // refill sees it on the way.
+  int64_t next_min = kUnknown;
   if (level > 0) {
     // Skip ahead: jump the cursor to the earliest live `when`, which lies
     // in this slot, and cascade the slot once.  Its records at that
-    // instant land in level 0; the rest land below this level.
+    // instant land in level 0; the rest land below this level, ahead of
+    // every record left at it or above, so their least `when` is the next
+    // minimum.
     wheel_time_ = wheel_min_ != kUnknown ? wheel_min_ : EarliestIn(level, slot);
+    int64_t rest = std::numeric_limits<int64_t>::max();
     for (uint32_t index = TakeSlot(level, slot); index != kNil;) {
       const uint32_t next = recs_[index].next;
+      if (recs_[index].when != wheel_time_) {
+        rest = std::min(rest, recs_[index].when);
+      }
       Place(index);
       index = next;
+    }
+    if (rest != std::numeric_limits<int64_t>::max()) {
+      next_min = rest;
     }
     slot = std::countr_zero(occupancy_[0]);
   }
@@ -261,7 +276,11 @@ bool WheelScheduler::RefillDrain() {
   }
   drain_live_ = drain_.size();
   drain_time_ = wheel_time_;
-  wheel_min_ = kUnknown;
+  if (level == 0 && occupancy_[0] != 0) {
+    // Level 0 fires before every higher level, one instant per slot.
+    next_min = (wheel_time_ & ~int64_t{kSlots - 1}) | std::countr_zero(occupancy_[0]);
+  }
+  wheel_min_ = next_min;
   return true;
 }
 

@@ -122,9 +122,10 @@ class WheelScheduler {
   // `when`.
   int64_t wheel_time_ = 0;
   // When >= 0, the least `when` among wheel records (the drain batch is
-  // not in the wheel).  Schedule lowers it; a refill, or the cancel of a
-  // record at that instant, drops it to kUnknown, and the next peek or
-  // refill walks one slot to find it again.
+  // not in the wheel).  Schedule lowers it; the cancel of a record at that
+  // instant drops it to kUnknown, and so does a refill that leaves no
+  // cascaded record and no other level-0 slot behind; the next peek or
+  // refill then walks one slot to find it again.
   static constexpr int64_t kUnknown = -1;
   int64_t wheel_min_ = kUnknown;
   // The instant currently being drained (-1 before the first drain).

@@ -465,8 +465,7 @@ TEST(P256Test, OrderTimesGeneratorIsInfinity) {
 // correct verifier must accept them, which exercises the full verify
 // stack (hash mapping, scalar inversion, joint ladders, x-mod-n check)
 // against an external ground truth.
-TEST(P256Test, Rfc6979VerifyKnownAnswers) {
-  const P256& curve = P256::Instance();
+void ExpectRfc6979KnownAnswers(const P256& curve) {
   const oracle::P256Reference& reference = oracle::P256Reference::Instance();
   const U256 priv = U256::FromHexString(
       "c9afa9d845ba75166b5c215767b1d6934e50c3db36e89b127b8a622b120f6721");
@@ -502,11 +501,15 @@ TEST(P256Test, Rfc6979VerifyKnownAnswers) {
   }
 }
 
+// The portable kernel here; P256KernelTest runs the x86-64 one.
+TEST(P256Test, Rfc6979VerifyKnownAnswers) {
+  ExpectRfc6979KnownAnswers(P256::Portable());
+}
+
 // Wycheproof-style rejection cases: out-of-range scalars, truncated
 // encodings, and invalid public keys must be rejected by every verify
 // path, not just the reference one.
-TEST(P256Test, VerifyRejectsOutOfRangeSignatureScalars) {
-  const P256& curve = P256::Instance();
+void ExpectOutOfRangeScalarsRejected(const P256& curve) {
   const oracle::P256Reference& reference = oracle::P256Reference::Instance();
   const U256 priv = curve.PrivateKeyFromSeed(ToBytes("range-checks"));
   const EcPoint pub = curve.PublicKey(priv);
@@ -536,6 +539,10 @@ TEST(P256Test, VerifyRejectsOutOfRangeSignatureScalars) {
   EXPECT_TRUE(reference.Verify(pub, hash, good));
 }
 
+TEST(P256Test, VerifyRejectsOutOfRangeSignatureScalars) {
+  ExpectOutOfRangeScalarsRejected(P256::Portable());
+}
+
 TEST(P256Test, SignatureDecodeRejectsTruncatedEncodings) {
   const P256& curve = P256::Instance();
   const U256 priv = curve.PrivateKeyFromSeed(ToBytes("encoder"));
@@ -551,8 +558,7 @@ TEST(P256Test, SignatureDecodeRejectsTruncatedEncodings) {
   EXPECT_FALSE(EcdsaSignature::Decode(extended).has_value());
 }
 
-TEST(P256Test, VerifyAndPrepareRejectInvalidPublicKeys) {
-  const P256& curve = P256::Instance();
+void ExpectInvalidPublicKeysRejected(const P256& curve) {
   const U256 priv = curve.PrivateKeyFromSeed(ToBytes("valid-signer"));
   const EcPoint pub = curve.PublicKey(priv);
   const Digest hash = Sha256::Hash("some message");
@@ -570,6 +576,10 @@ TEST(P256Test, VerifyAndPrepareRejectInvalidPublicKeys) {
   infinity.infinity = true;
   EXPECT_FALSE(curve.Verify(infinity, hash, sig));
   EXPECT_FALSE(curve.Prepare(infinity).has_value());
+}
+
+TEST(P256Test, VerifyAndPrepareRejectInvalidPublicKeys) {
+  ExpectInvalidPublicKeysRejected(P256::Portable());
 }
 
 // The fast comb/wNAF paths must agree with the pre-PR double-and-add
@@ -660,6 +670,140 @@ TEST(P256Test, PreparedKeyVerifiesManyMessages) {
     EXPECT_TRUE(curve.Verify(*prepared, hash, curve.Sign(priv, hash)));
     EXPECT_FALSE(curve.Verify(*prepared, Sha256::Hash("other-" + std::to_string(i)),
                               curve.Sign(priv, hash)));
+  }
+}
+
+// --- Both field kernels in one process ---------------------------------------
+//
+// P256::Portable() runs field::Fp on every host; P256::X64() runs
+// field::FpX64 where this build and CPU have BMI2 and ADX, and the tests
+// below skip without it.  Every key, signature, secret, prepared table
+// and verdict must come out identical on the two.
+
+constexpr const char* kNoX64Kernel =
+    "the x86-64 P-256 field kernel needs an x86-64 build on a CPU with BMI2 and ADX";
+
+TEST(P256KernelTest, InstanceRunsTheKernelTheCpuOffers) {
+  const cpu::Features features = cpu::Get();
+  const bool x64 = features.bmi2 && features.adx && P256::X64() != nullptr;
+  EXPECT_EQ(P256::Instance().kernel(), x64 ? P256::Kernel::kX64 : P256::Kernel::kPortable);
+  EXPECT_EQ(P256::Portable().kernel(), P256::Kernel::kPortable);
+  if (P256::X64() != nullptr) {
+    EXPECT_EQ(P256::X64()->kernel(), P256::Kernel::kX64);
+    EXPECT_NE(P256::X64(), &P256::Portable());
+  }
+}
+
+TEST(P256KernelTest, Rfc6979VerifyKnownAnswersOnX64) {
+  const P256* x64 = P256::X64();
+  if (x64 == nullptr) {
+    GTEST_SKIP() << kNoX64Kernel;
+  }
+  ExpectRfc6979KnownAnswers(*x64);
+}
+
+TEST(P256KernelTest, WycheproofRejectionsOnX64) {
+  const P256* x64 = P256::X64();
+  if (x64 == nullptr) {
+    GTEST_SKIP() << kNoX64Kernel;
+  }
+  ExpectOutOfRangeScalarsRejected(*x64);
+  ExpectInvalidPublicKeysRejected(*x64);
+}
+
+TEST(P256KernelTest, KeysSignaturesAndSecretsAreIdenticalOnBothKernels) {
+  const P256* x64 = P256::X64();
+  if (x64 == nullptr) {
+    GTEST_SKIP() << kNoX64Kernel;
+  }
+  const P256& portable = P256::Portable();
+  Drbg drbg(uint64_t{27});
+  for (int i = 0; i < 24; ++i) {
+    const U256 priv = portable.PrivateKeyFromSeed(drbg.Generate(32));
+    const U256 peer_priv = portable.PrivateKeyFromSeed(drbg.Generate(32));
+    const Digest hash = Sha256::Hash(drbg.Generate(48));
+
+    const EcPoint pub = portable.PublicKey(priv);
+    ASSERT_EQ(x64->PublicKey(priv), pub);
+    const EcPoint peer = portable.PublicKey(peer_priv);
+    EXPECT_EQ(x64->SharedSecret(priv, peer), portable.SharedSecret(priv, peer));
+    EXPECT_EQ(x64->Multiply(peer_priv, pub), portable.Multiply(peer_priv, pub));
+
+    const EcdsaSignature sig = portable.Sign(priv, hash);
+    EXPECT_EQ(x64->Sign(priv, hash).Encode(), sig.Encode());
+    EcPoint r_portable;
+    EcPoint r_x64;
+    const EcdsaSignature even = portable.Sign(priv, hash, &r_portable);
+    EXPECT_EQ(x64->Sign(priv, hash, &r_x64).Encode(), even.Encode());
+    EXPECT_EQ(r_x64, r_portable);
+
+    const auto prepared = portable.Prepare(pub);
+    const auto prepared_x64 = x64->Prepare(pub);
+    ASSERT_TRUE(prepared.has_value());
+    ASSERT_TRUE(prepared_x64.has_value());
+    EXPECT_TRUE(*prepared_x64 == *prepared);
+
+    EcdsaSignature tampered = sig;
+    U256 bumped;
+    AddCarry(tampered.s, U256::One(), bumped);
+    tampered.s = bumped;
+    for (const EcdsaSignature& s : {sig, even, tampered}) {
+      const bool verdict = portable.Verify(pub, hash, s);
+      EXPECT_EQ(x64->Verify(pub, hash, s), verdict);
+      EXPECT_EQ(x64->Verify(*prepared_x64, hash, s), verdict);
+      EXPECT_EQ(portable.Verify(*prepared, hash, s), verdict);
+    }
+    EXPECT_TRUE(x64->Verify(pub, hash, sig));
+    EXPECT_FALSE(x64->Verify(pub, hash, tampered));
+  }
+}
+
+// Batches of 12 quotes-shaped entries over three keys: half carry the
+// signer's R hint and half leave R to the square-root recovery.  The
+// clean batch passes on the single RLC check; the forged one bisects,
+// and both kernels must reach the same verdicts through the same
+// bisections.
+TEST(P256KernelTest, VerifyBatchIsIdenticalOnBothKernels) {
+  const P256* x64 = P256::X64();
+  if (x64 == nullptr) {
+    GTEST_SKIP() << kNoX64Kernel;
+  }
+  const P256& portable = P256::Portable();
+  Drbg drbg(uint64_t{2027});
+  std::vector<U256> privs;
+  std::vector<P256::PreparedKey> keys;
+  for (int k = 0; k < 3; ++k) {
+    privs.push_back(portable.PrivateKeyFromSeed(drbg.Generate(32)));
+    keys.push_back(*portable.Prepare(portable.PublicKey(privs.back())));
+  }
+  constexpr size_t kEntries = 12;
+  std::vector<EcPoint> r_points(kEntries);
+  std::vector<P256::BatchEntry> entries(kEntries);
+  for (size_t i = 0; i < kEntries; ++i) {
+    const Digest hash = Sha256::Hash(drbg.Generate(40));
+    const EcdsaSignature sig = portable.Sign(privs[i % 3], hash, &r_points[i]);
+    entries[i] = {&keys[i % 3], hash, sig, i % 2 == 0 ? &r_points[i] : nullptr};
+  }
+  for (const bool forge : {false, true}) {
+    if (forge) {
+      entries[7].message_hash = Sha256::Hash("forged");
+    }
+    bool ok_portable[kEntries];
+    bool ok_x64[kEntries];
+    P256::BatchStats stats_portable;
+    P256::BatchStats stats_x64;
+    const bool all_portable = portable.VerifyBatch(entries, ok_portable, &stats_portable);
+    const bool all_x64 = x64->VerifyBatch(entries, ok_x64, &stats_x64);
+    EXPECT_EQ(all_x64, all_portable);
+    EXPECT_EQ(all_x64, !forge);
+    for (size_t i = 0; i < kEntries; ++i) {
+      EXPECT_EQ(ok_x64[i], ok_portable[i]) << "entry " << i;
+      EXPECT_EQ(ok_x64[i], !(forge && i == 7)) << "entry " << i;
+    }
+    EXPECT_EQ(stats_x64.bisections, stats_portable.bisections);
+    EXPECT_EQ(stats_x64.sqrt_recoveries, stats_portable.sqrt_recoveries);
+    EXPECT_EQ(stats_x64.rejected_hints, stats_portable.rejected_hints);
+    EXPECT_EQ(stats_x64.bisections == 0, !forge);
   }
 }
 

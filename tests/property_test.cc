@@ -6,13 +6,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "src/crypto/aes_gcm.h"
 #include "src/crypto/aes_xts.h"
+#include "src/crypto/cpu.h"
 #include "src/crypto/drbg.h"
 #include "src/crypto/p256.h"
 #include "src/crypto/p256_field.h"
+#include "src/crypto/p256_field_x64.h"
 #include "src/crypto/sha256.h"
 #include "src/crypto/u256.h"
 #include "src/crypto/wire.h"
@@ -216,6 +219,99 @@ TEST_P(FieldOracleSweep, FpAndFnMatchTheGenericClass) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Operands, FieldOracleSweep, ::testing::Range(0, 8));
+
+// --- The x86-64 field kernel against the portable one -------------------------
+//
+// field::FpX64 must return field::Fp's exact value for every operation.
+// The edges 0, 1, p-1, p, 2^256-1, R mod p and R^2 mod p meet in every
+// ordered pair, unreduced ones included, because ToMont multiplies any
+// 256-bit value; the sweep's 8 shards add 2^20 DRBG operand pairs.  Hosts
+// without BMI2 and ADX, and non-x86-64 builds, skip.
+
+constexpr const char* kNoX64Kernel =
+    "the x86-64 P-256 field kernel needs an x86-64 build on a CPU with BMI2 and ADX";
+
+bool X64KernelRuns() {
+#if defined(BOLTED_P256_X64)
+  return crypto::cpu::Detect().bmi2 && crypto::cpu::Detect().adx;
+#else
+  return false;
+#endif
+}
+
+#if defined(BOLTED_P256_X64)
+// Counts the operations on which the kernels differ and keeps the first.
+struct KernelDiff {
+  uint64_t mismatches = 0;
+  std::string first;
+
+  void Check(const crypto::U256& a, const crypto::U256& b) {
+    using crypto::field::Fp;
+    using crypto::field::FpX64;
+    const auto note = [&](const char* op, const crypto::U256& want,
+                          const crypto::U256& got) {
+      if (want != got && mismatches++ == 0) {
+        first = std::string(op) + "(" + a.ToHexString() + ", " + b.ToHexString() +
+                "): portable " + want.ToHexString() + ", x86-64 " + got.ToHexString();
+      }
+    };
+    note("Mul", Fp::Mul(a, b), FpX64::Mul(a, b));
+    note("Sqr", Fp::Sqr(a), FpX64::Sqr(a));
+    note("Add", Fp::Add(a, b), FpX64::Add(a, b));
+    note("Sub", Fp::Sub(a, b), FpX64::Sub(a, b));
+    note("ToMont", Fp::ToMont(a), FpX64::ToMont(a));
+    note("FromMont", Fp::FromMont(a), FpX64::FromMont(a));
+  }
+};
+#endif
+
+TEST(X64FieldKernel, EdgesMatchThePortableKernel) {
+  if (!X64KernelRuns()) {
+    GTEST_SKIP() << kNoX64Kernel;
+  }
+#if defined(BOLTED_P256_X64)
+  using crypto::U256;
+  using crypto::field::Fp;
+  U256 p_minus_1;
+  crypto::SubBorrow(Fp::Modulus(), U256::One(), p_minus_1);
+  const U256 edges[] = {U256::Zero(),  U256::One(),
+                        p_minus_1,     Fp::Modulus(),
+                        U256{{~0ull, ~0ull, ~0ull, ~0ull}},
+                        Fp::One(),     Fp::R2()};
+  KernelDiff diff;
+  for (const U256& a : edges) {
+    for (const U256& b : edges) {
+      diff.Check(a, b);
+    }
+  }
+  EXPECT_EQ(diff.mismatches, 0u) << diff.first;
+#endif
+}
+
+class X64FieldSweep : public ::testing::TestWithParam<int> {};
+
+TEST_P(X64FieldSweep, MatchesThePortableKernel) {
+  if (!X64KernelRuns()) {
+    GTEST_SKIP() << kNoX64Kernel;
+  }
+#if defined(BOLTED_P256_X64)
+  constexpr size_t kPairsPerShard = size_t{1} << 17;  // 8 shards: 2^20 pairs
+  constexpr size_t kPairsPerDraw = 1024;
+  Drbg drbg(static_cast<uint64_t>(GetParam()) * 6151 + 3);
+  KernelDiff diff;
+  for (size_t done = 0; done < kPairsPerShard; done += kPairsPerDraw) {
+    const Bytes words = drbg.Generate(kPairsPerDraw * 64);
+    for (size_t i = 0; i < kPairsPerDraw; ++i) {
+      const crypto::ByteView pair(words.data() + 64 * i, 64);
+      diff.Check(crypto::U256::FromBytes(pair.subspan(0, 32)),
+                 crypto::U256::FromBytes(pair.subspan(32, 32)));
+    }
+  }
+  EXPECT_EQ(diff.mismatches, 0u) << diff.first;
+#endif
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, X64FieldSweep, ::testing::Range(0, 8));
 
 // --- Fluid model: conservation and fairness ---------------------------------
 
